@@ -128,6 +128,8 @@ def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
 def bank_backward(d_matrices: list[np.ndarray], bank: DescriptionBank,
                   desc_block: EncoderBlockParams, config: ModelConfig,
                   g_desc_block: EncoderBlockParams, g_enc: EncoderParams) -> None:
+    """Push description-matrix gradients back into the description encoder
+    block and the shared embeddings; one call covers a batch sharing ``bank``."""
     for d_mat, cache, ids in zip(d_matrices, bank.caches, bank.token_ids):
         d_z0 = encoder_block_backward(d_mat, cache, desc_block, config, g_desc_block)
         embed_backward(d_z0, ids, g_enc)
@@ -138,16 +140,13 @@ def negative_l1_matrix(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return -np.abs(q[:, None, :] - k[None, :, :]).sum(axis=-1)
 
 
-def coda(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Compositional de-attention matrix, every entry strictly inside (-1, 1).
+def coda_forward(q: np.ndarray, k: np.ndarray):
+    """Compositional de-attention matrix, every entry strictly inside (-1, 1);
+    returns (matrix, cache).
 
     tanh of the scaled affinity, damped by a sigmoid of the scaled negative
     L1 distance; rows are deliberately not normalized.
     """
-    return coda_forward(q, k)[0]
-
-
-def coda_forward(q: np.ndarray, k: np.ndarray):
     scale = np.sqrt(q.shape[1])
     t = np.tanh(q @ k.T / scale)
     gs = sigmoid(negative_l1_matrix(q, k) / scale)
@@ -168,12 +167,9 @@ def coda_backward(d_a: np.ndarray, cache):
     return d_q, d_k
 
 
-def coda_interact(z: np.ndarray, desc: np.ndarray) -> np.ndarray:
-    """tokens-to-description interaction: coda(z, desc) applied to desc as values."""
-    return coda_interact_forward(z, desc)[0]
-
-
 def coda_interact_forward(z: np.ndarray, desc: np.ndarray):
+    """Tokens-to-description interaction: the CoDA matrix of (z, desc) applied
+    to desc as values."""
     a, a_cache = coda_forward(z, desc)
     return a @ desc, {"a": a, "a_cache": a_cache, "desc": desc}
 
@@ -186,12 +182,8 @@ def coda_interact_backward(d_out: np.ndarray, cache):
     return d_z, d_desc + d_k
 
 
-def dpa_interact(z: np.ndarray, desc: np.ndarray) -> np.ndarray:
-    """Ablation variant: plain softmax dot-product attention over the description."""
-    return dpa_interact_forward(z, desc)[0]
-
-
 def dpa_interact_forward(z: np.ndarray, desc: np.ndarray):
+    """Ablation variant: plain softmax dot-product attention over the description."""
     scale = np.sqrt(z.shape[1])
     p = softmax_rows(z @ desc.T / scale)
     return p @ desc, {"p": p, "z": z, "desc": desc, "scale": scale}
@@ -205,11 +197,6 @@ def dpa_interact_backward(d_out: np.ndarray, cache):
     d_z = d_s @ desc
     d_desc += d_s.T @ z
     return d_z, d_desc
-
-
-def fuse_descriptions(parts: list[np.ndarray], params: DescNetParams,
-                      rng=None, train=False, dropout_p=0.0) -> np.ndarray:
-    return fuse_forward(parts, params, rng, train, dropout_p)[0]
 
 
 def fuse_forward(parts: list[np.ndarray], params: DescNetParams, rng, train, dropout_p):
@@ -228,12 +215,9 @@ def fuse_backward(d_fused: np.ndarray, cache, params: DescNetParams, g: DescNetP
     return np.split(d_concat, cache["n_parts"], axis=1)
 
 
-def igm(zp: np.ndarray, z: np.ndarray, params: DescNetParams) -> np.ndarray:
-    """Interactive gating: pooled conflict/refine gates rescale every row of z."""
-    return igm_forward(zp, z, params)[0]
-
-
 def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams):
+    """Interactive gating: pooled conflict/refine gates rescale every row of z;
+    returns (out, cache)."""
     if zp.shape != z.shape:
         raise ValueError(f"shape mismatch {zp.shape} vs {z.shape}")
     p = params
@@ -337,13 +321,13 @@ def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,
     return z_hat, cache
 
 
-def descnet_backward(d_out: np.ndarray, cache, bank: DescriptionBank, params: DescNetParams,
-                     config: ModelConfig, g_desc: DescNetParams, g_enc: EncoderParams,
-                     through_bank: bool = True) -> np.ndarray:
+def descnet_backward(d_out: np.ndarray, cache, params: DescNetParams, config: ModelConfig,
+                     g_desc: DescNetParams, d_bank: list[np.ndarray]) -> np.ndarray:
     """Mirror of ``descnet_forward``; returns the gradient w.r.t. z.
 
-    ``through_bank`` additionally pushes description-matrix gradients back
-    into the description encoder block and the shared embedding tables.
+    Adds the gradient w.r.t. each description matrix into ``d_bank`` for the
+    caller, which runs ``bank_backward`` once for the whole batch that shares
+    the bank.
     """
     interact_bwd = coda_interact_backward if config.attention_variant == "coda" else dpa_interact_backward
     if config.use_igm:
@@ -354,12 +338,8 @@ def descnet_backward(d_out: np.ndarray, cache, bank: DescriptionBank, params: De
     g_desc.w_proj += cache["fused"].T @ d_zp
     d_fused = d_zp @ params.w_proj.T
     d_parts = fuse_backward(d_fused, cache["fuse"], params, g_desc, config.dropout_p)
-    d_matrices = []
-    for d_part, part_cache in zip(d_parts, cache["parts"]):
+    for j, (d_part, part_cache) in enumerate(zip(d_parts, cache["parts"])):
         d_z_j, d_desc_j = interact_bwd(d_part, part_cache)
         d_z = d_z + d_z_j
-        d_matrices.append(d_desc_j)
-    if through_bank:
-        bank_backward(d_matrices, bank, params.description_encoder, config,
-                      g_desc.description_encoder, g_enc)
+        d_bank[j] += d_desc_j
     return d_z

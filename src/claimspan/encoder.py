@@ -263,21 +263,3 @@ def encode_backward(d_z, cache, params: EncoderParams, config: ModelConfig,
             d_z = d_adapter_in
         d_z = encoder_block_backward(d_z, cache["blocks"][i - 1], params.blocks[i - 1], config, grads.blocks[i - 1])
     embed_backward(d_z, cache["token_ids"], grads)
-
-
-# Convenience, cache-free views for callers that only need the forward value.
-
-def multi_head_self_attention(z: np.ndarray, blk: EncoderBlockParams, n_heads: int) -> np.ndarray:
-    return mhsa_forward(z, blk, n_heads)[0]
-
-
-def feed_forward(z: np.ndarray, blk: EncoderBlockParams) -> np.ndarray:
-    return ffn_forward(z, blk)[0]
-
-
-def encoder_block(z, blk: EncoderBlockParams, config: ModelConfig, rng=None, train=False) -> np.ndarray:
-    return encoder_block_forward(z, blk, config, rng, train)[0]
-
-
-def encode(token_ids, params: EncoderParams, config: ModelConfig, rng=None, train=False, adapter=None) -> np.ndarray:
-    return encode_forward(token_ids, params, config, rng, train, adapter)[0]

@@ -229,7 +229,13 @@ def student_t_sf_two_sided(t: float, df: float) -> float:
     """P(|T| >= t) for Student's t with df degrees of freedom."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    return reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
+    a = df / 2.0
+    x = df / (df + t * t)
+    if x < (a + 1.0) / (a + 2.5):
+        return reg_inc_beta(a, 0.5, x)
+    # Near t = 0, 1 - x cancels to 0; take the small tail t^2 / (df + t^2)
+    # directly and use I_x(a, b) = 1 - I_{1-x}(b, a).
+    return 1.0 - reg_inc_beta(0.5, a, t * t / (df + t * t))
 
 
 def paired_f1_ttest(f1_a: list[float], f1_b: list[float]) -> dict[str, float]:

@@ -148,7 +148,7 @@ def sequence_forward(params: ModelParams, config: ModelConfig, token_ids: list[i
 
     z, enc_cache = encode_forward(token_ids, params.encoder, config, rng, train, adapter)
     e = emissions_from(z, params.crf)
-    return e, {"enc": enc_cache, "z": z, "bank": bank}
+    return e, {"enc": enc_cache, "z": z}
 
 
 def sequence_loss(params: ModelParams, config: ModelConfig, token_ids: list[int],
@@ -160,8 +160,12 @@ def sequence_loss(params: ModelParams, config: ModelConfig, token_ids: list[int]
 
 def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[str],
                       e: np.ndarray, cache, grads: ModelParams,
-                      through_bank: bool = True) -> None:
-    """Accumulate d(nll)/d(params) for one sequence into ``grads``."""
+                      d_bank: list[np.ndarray] | None) -> None:
+    """Accumulate d(nll)/d(params) for one sequence into ``grads``.
+
+    With the adapter on, the gradient w.r.t. each description matrix is added
+    into ``d_bank``; the caller runs ``bank_backward`` once per batch.
+    """
     d_e = nll_backward(e, params.crf, gold_tags, grads.crf)
     d_z = emissions_backward(d_e, cache["z"], params.crf, grads.crf)
 
@@ -169,8 +173,8 @@ def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[
     if config.use_descnet and params.descnet is not None:
 
         def adapter_backward(d_out, adapter_cache):
-            return descnet_backward(d_out, adapter_cache, cache["bank"], params.descnet,
-                                    config, grads.descnet, grads.encoder, through_bank)
+            return descnet_backward(d_out, adapter_cache, params.descnet, config,
+                                    grads.descnet, d_bank)
 
     encode_backward(d_z, cache["enc"], params.encoder, config, grads.encoder, adapter_backward)
 

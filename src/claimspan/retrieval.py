@@ -200,10 +200,3 @@ def load_judgments(path) -> dict[str, set]:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
             out[qid] = {str(d) for d in rec["relevant"]}
     return out
-
-
-def save_judgments(path, judgments: list[RetrievalJudgment]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in judgments:
-            fh.write(json.dumps({"query_id": j.query_id, "ranked": j.ranked,
-                                 "relevant": sorted(j.relevant)}) + "\n")

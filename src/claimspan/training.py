@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .crf import forbidden_masks, pin_forbidden
-from .descnet import DescriptionBank  # noqa: F401  (re-exported for callers)
+from .descnet import DescriptionBank, bank_backward
 from .encoder import ATTENTION_VARIANTS, ModelConfig
 from .metrics import inspan_indices, mean_dice, overall_prf
 from .model import (
@@ -33,7 +33,7 @@ from .model import (
     zero_grads,
 )
 from .numerics import copy_struct, named_arrays
-from .preprocess import AnnotatedPost, normalize_post, tokenize
+from .preprocess import AnnotatedPost, CharSpan, normalize_post, tokenize
 
 
 class ConfigError(ValueError):
@@ -235,6 +235,35 @@ def _scale_grads(grads, factor: float) -> None:
         arr *= factor
 
 
+def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Example],
+                    bank_texts: list[str] | None, vocab: Vocabulary,
+                    rng=None, train=False) -> tuple[ModelParams, list[float]]:
+    """Gradient of the batch's mean loss at the current parameters, and each
+    example's loss.
+
+    The description bank is encoded from the current weights, shared by the
+    whole batch, and back-propagated once with the summed description-matrix
+    gradients. This is the only place a gradient is computed: ``train`` calls
+    it once per Adam step and ``grad_check`` on a batch of one.
+    """
+    grads = zero_grads(params)
+    bank = build_bank(bank_texts, vocab, params, config) if config.use_descnet else None
+    d_bank = [np.zeros_like(m) for m in bank.matrices] if bank is not None else None
+    losses = []
+    for ex in batch:
+        loss, (e, cache) = sequence_loss(params, config, ex.token_ids, ex.gold_tags,
+                                         bank, rng, train=train)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss {loss} at post {ex.post_id}")
+        losses.append(loss)
+        sequence_backward(params, config, ex.gold_tags, e, cache, grads, d_bank)
+    if bank is not None:
+        bank_backward(d_bank, bank, params.descnet.description_encoder, config,
+                      grads.descnet.description_encoder, grads.encoder)
+    _scale_grads(grads, 1.0 / len(batch))
+    return grads, losses
+
+
 def evaluate_split(params: ModelParams, config: ModelConfig, examples: list[Example],
                    bank: DescriptionBank | None) -> tuple[float, float, float, float]:
     """Returns (precision, recall, f1, dice) over in-span token sets."""
@@ -284,21 +313,16 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     try:
         for epoch in range(1, tc.max_epochs + 1):
             tic = time.perf_counter()
-            bank = build_bank(bank_texts, vocab, params, mc) if mc.use_descnet else None
             order = rng.permutation(len(train_ex))
             losses = []
             for lo in range(0, len(order), tc.batch_size):
                 batch = [train_ex[i] for i in order[lo:lo + tc.batch_size]]
-                grads = zero_grads(params)
-                for ex in batch:
-                    loss, (e, cache) = sequence_loss(params, mc, ex.token_ids,
-                                                     ex.gold_tags, bank, rng, train=True)
-                    if not math.isfinite(loss):
-                        raise TrainingDiverged(
-                            f"non-finite loss {loss} at epoch {epoch}, post {ex.post_id}")
-                    losses.append(loss)
-                    sequence_backward(params, mc, ex.gold_tags, e, cache, grads)
-                _scale_grads(grads, 1.0 / len(batch))
+                try:
+                    grads, batch_losses = batch_gradients(params, mc, batch, bank_texts,
+                                                          vocab, rng, train=True)
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(f"{exc}, epoch {epoch}") from exc
+                losses += batch_losses
                 adam_step(params, grads, state, tc.learning_rate, freeze)
 
             val_bank = build_bank(bank_texts, vocab, params, mc) if mc.use_descnet else None
@@ -350,8 +374,8 @@ def grad_check(model_config: ModelConfig | None = None,
                train_config: TrainConfig | None = None,
                tolerance: float = 1e-4,
                sabotage: str | None = None) -> GradCheckReport:
-    """Compare analytic gradients of the full sequence loss against central
-    finite differences on a small instance.
+    """Compare the training batch step's gradient on a batch of one against
+    central finite differences of the sequence loss on a small instance.
 
     ``sabotage`` names a tensor whose analytic gradient gets perturbed before
     the comparison; it exists so tests can confirm the checker catches a
@@ -367,8 +391,11 @@ def grad_check(model_config: ModelConfig | None = None,
     words = [f"w{i}" for i in range(30)] + ["claims", "numbers", "statistics",
                                             "negation", "false", "claim", "with", "or", "of", "a"]
     vocab = Vocabulary.build([words], mc.vocab_size)
-    token_ids = [int(i) for i in rng.integers(1, len(vocab), size=5)]
-    gold_tags = ["O", "B", "I", "I", "O"]
+    # a five-word probe post whose words 2-4 are the claim span (tags O B I I O)
+    picks = [vocab.words[i] for i in rng.integers(1, len(vocab), size=5)]
+    span_start = len(picks[0]) + 1
+    span = CharSpan(span_start, span_start + len(" ".join(picks[1:4])))
+    probe = post_to_example(AnnotatedPost("probe", " ".join(picks), [span]), vocab, mc)
     bank_texts = _CHECK_BANK[:2] if mc.use_descnet else None
 
     params = init_model_params(mc, len(vocab), len(bank_texts) if bank_texts else 1, rng)
@@ -384,13 +411,9 @@ def grad_check(model_config: ModelConfig | None = None,
 
     def loss_at(p: ModelParams) -> float:
         bank = build_bank(bank_texts, vocab, p, mc) if mc.use_descnet else None
-        return sequence_loss(p, mc, token_ids, gold_tags, bank, rng=None, train=False)[0]
+        return sequence_loss(p, mc, probe.token_ids, probe.gold_tags, bank)[0]
 
-    grads = zero_grads(params)
-    bank = build_bank(bank_texts, vocab, params, mc) if mc.use_descnet else None
-    _loss, (e, cache) = sequence_loss(params, mc, token_ids, gold_tags, bank,
-                                      rng=None, train=False)
-    sequence_backward(params, mc, gold_tags, e, cache, grads)
+    grads, _losses = batch_gradients(params, mc, [probe], bank_texts, vocab)
     if sabotage is not None:
         target = dict(named_arrays(grads))[sabotage]
         target.flat[0] += 1.0

@@ -15,7 +15,7 @@ import pytest
 
 from claimspan.cli import main as cli_main
 from claimspan.crf import INDEX_TAG, init_crf_params, log_partition, marginal_tags, pin_forbidden, viterbi_decode
-from claimspan.descnet import coda, igm, init_descnet_params
+from claimspan.descnet import coda_forward, igm_forward, init_descnet_params
 from claimspan.encoder import ModelConfig
 from claimspan.metrics import dice, paired_f1_ttest
 from claimspan.model import build_bank
@@ -114,7 +114,7 @@ def test_criterion_3_coda_igm_match_scalar_reference():
         d = int(rng.integers(2, 10))
         q = rng.normal(scale=1.5, size=(n, d))
         k = rng.normal(scale=1.5, size=(m, d))
-        a = coda(q, k)
+        a = coda_forward(q, k)[0]
         worst_coda = max(worst_coda, float(np.max(np.abs(a - coda_scalar(q, k)))))
         assert np.all(np.abs(a) < 1.0)
     for _ in range(100):
@@ -129,7 +129,7 @@ def test_criterion_3_coda_igm_match_scalar_reference():
             arr[...] = 0.4 * rng.normal(size=arr.shape)
         z = rng.normal(size=(n, d))
         zp = rng.normal(size=(n, d))
-        out = igm(zp, z, params)
+        out = igm_forward(zp, z, params)[0]
         worst_igm = max(worst_igm, float(np.max(np.abs(out - igm_scalar(zp, z, params)))))
         assert np.all(np.abs(out) <= np.abs(z) + 1e-15)
     assert worst_coda < 1e-12

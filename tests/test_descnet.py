@@ -3,8 +3,7 @@ import pytest
 
 from claimspan.descnet import (
     DescNetParams,
-    coda,
-    coda_interact,
+    coda_forward,
     coda_interact_backward,
     coda_interact_forward,
     dpa_interact_backward,
@@ -12,7 +11,6 @@ from claimspan.descnet import (
     encode_description_bank,
     fuse_backward,
     fuse_forward,
-    igm,
     igm_backward,
     igm_forward,
     init_descnet_params,
@@ -43,7 +41,7 @@ def test_coda_matches_scalar_oracle():
         n, m, d = (int(x) for x in rng.integers(1, 7, size=3))
         q = rng.normal(scale=2.0, size=(n, d))
         k = rng.normal(scale=2.0, size=(m, d))
-        assert np.max(np.abs(coda(q, k) - coda_scalar(q, k))) < 1e-12
+        assert np.max(np.abs(coda_forward(q, k)[0] - coda_scalar(q, k))) < 1e-12
 
 
 def test_coda_entries_strictly_inside_unit_interval():
@@ -51,21 +49,21 @@ def test_coda_entries_strictly_inside_unit_interval():
     for scale in (0.1, 1.0, 100.0):
         q = rng.normal(scale=scale, size=(5, 8))
         k = rng.normal(scale=scale, size=(4, 8))
-        a = coda(q, k)
+        a = coda_forward(q, k)[0]
         assert np.all(a > -1.0) and np.all(a < 1.0)
 
 
 def test_coda_identical_rows_give_half_tanh():
     # q == k row: L1 distance 0, so the sigmoid damping is exactly 1/2
     q = np.array([[0.3, -0.7, 1.1]])
-    a = coda(q, q.copy())
+    a = coda_forward(q, q.copy())[0]
     expected = 0.5 * np.tanh((q @ q.T)[0, 0] / np.sqrt(3))
     assert a[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_coda_rows_are_not_normalized():
     rng = np.random.default_rng(2)
-    a = coda(rng.normal(size=(3, 6)), rng.normal(size=(5, 6)))
+    a = coda_forward(rng.normal(size=(3, 6)), rng.normal(size=(5, 6)))[0]
     assert not np.allclose(a.sum(axis=1), 1.0)
 
 
@@ -107,7 +105,7 @@ def test_igm_matches_scalar_oracle():
         p = rand_descnet(rng, d)
         z = rng.normal(size=(n, d))
         zp = rng.normal(size=(n, d))
-        assert np.max(np.abs(igm(zp, z, p) - igm_scalar(zp, z, p))) < 1e-12
+        assert np.max(np.abs(igm_forward(zp, z, p)[0] - igm_scalar(zp, z, p))) < 1e-12
 
 
 def test_igm_never_amplifies():
@@ -117,14 +115,14 @@ def test_igm_never_amplifies():
         p = rand_descnet(rng, d, scale=1.5)
         z = rng.normal(scale=3.0, size=(n, d))
         zp = rng.normal(scale=3.0, size=(n, d))
-        assert np.all(np.abs(igm(zp, z, p)) <= np.abs(z) + 1e-15)
+        assert np.all(np.abs(igm_forward(zp, z, p)[0]) <= np.abs(z) + 1e-15)
 
 
 def test_igm_shape_mismatch_rejected():
     rng = np.random.default_rng(7)
     p = rand_descnet(rng, 4)
     with pytest.raises(ValueError):
-        igm(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), p)
+        igm_forward(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), p)
 
 
 def test_igm_backward_matches_fd():

@@ -5,19 +5,15 @@ from claimspan.encoder import (
     EncoderBlockParams,
     ModelConfig,
     embed,
-    encode,
     encode_forward,
-    encoder_block,
     encoder_block_backward,
     encoder_block_forward,
-    feed_forward,
     ffn_backward,
     ffn_forward,
     init_block_params,
     init_encoder_params,
     mhsa_backward,
     mhsa_forward,
-    multi_head_self_attention,
 )
 from claimspan.numerics import (
     dropout,
@@ -159,8 +155,8 @@ def test_attention_permutation_consistency():
     blk = init_block_params(rng, 16, 32)
     z = rng.normal(size=(5, 16))
     perm = np.array([3, 1, 4, 0, 2])
-    out = multi_head_self_attention(z, blk, 2)
-    out_p = multi_head_self_attention(z[perm], blk, 2)
+    out = mhsa_forward(z, blk, 2)[0]
+    out_p = mhsa_forward(z[perm], blk, 2)[0]
     assert np.allclose(out[perm], out_p, atol=1e-12)
 
 
@@ -221,8 +217,8 @@ def test_encode_deterministic_and_shaped(tiny_config):
     rng = np.random.default_rng(0)
     params = init_encoder_params(rng, tiny_config, 30)
     ids = [3, 1, 4, 1, 5]
-    z1 = encode(ids, params, tiny_config)
-    z2 = encode(ids, params, tiny_config)
+    z1 = encode_forward(ids, params, tiny_config)[0]
+    z2 = encode_forward(ids, params, tiny_config)[0]
     assert z1.shape == (5, tiny_config.d)
     assert np.array_equal(z1, z2)
 
@@ -230,8 +226,8 @@ def test_encode_deterministic_and_shaped(tiny_config):
 def test_encode_position_sensitivity(tiny_config):
     rng = np.random.default_rng(0)
     params = init_encoder_params(rng, tiny_config, 30)
-    a = encode([3, 1, 4], params, tiny_config)
-    b = encode([4, 1, 3], params, tiny_config)
+    a = encode_forward([3, 1, 4], params, tiny_config)[0]
+    b = encode_forward([4, 1, 3], params, tiny_config)[0]
     assert not np.allclose(a, b)
 
 
@@ -258,7 +254,7 @@ def test_adapter_residual_variant(tiny_config):
     rng = np.random.default_rng(0)
     params = init_encoder_params(rng, cfg, 30)
     ids = [3, 1, 4]
-    plain = encode(ids, params, cfg)
+    plain = encode_forward(ids, params, cfg)[0]
 
     def adapter(z):
         return z * 0.0, None
@@ -271,6 +267,6 @@ def test_dropout_zero_train_equals_eval(tiny_config):
     rng = np.random.default_rng(0)
     params = init_encoder_params(rng, tiny_config, 30)
     ids = [2, 7, 9]
-    z_eval = encode(ids, params, tiny_config)
-    z_train = encode(ids, params, tiny_config, rng=np.random.default_rng(1), train=True)
+    z_eval = encode_forward(ids, params, tiny_config)[0]
+    z_train = encode_forward(ids, params, tiny_config, rng=np.random.default_rng(1), train=True)[0]
     assert np.array_equal(z_eval, z_train)

@@ -17,7 +17,6 @@ from claimspan.retrieval import (
     ndcg_at_k,
     precision_at_k,
     query,
-    save_judgments,
     span_query_text,
 )
 
@@ -237,10 +236,10 @@ def test_documents_io(tmp_path):
         load_documents(bad)
 
 
-def test_judgments_roundtrip(tmp_path):
+def test_load_judgments(tmp_path):
     path = tmp_path / "judged.jsonl"
-    save_judgments(path, [RetrievalJudgment("q1", ["a", "b"], {"b", "a"}),
-                          RetrievalJudgment("q2", [], set())])
+    path.write_text('{"query_id": "q1", "relevant": ["b", "a"]}\n'
+                    '{"query_id": "q2", "relevant": []}\n')
     loaded = load_judgments(path)
     assert loaded == {"q1": {"a", "b"}, "q2": set()}
 

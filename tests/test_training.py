@@ -8,7 +8,7 @@ import pytest
 import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
 from claimspan.encoder import ModelConfig
-from claimspan.model import init_model_params
+from claimspan.model import build_bank, init_model_params
 from claimspan.numerics import copy_struct, named_arrays, zeros_like_struct
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
 from claimspan.training import (
@@ -257,6 +257,52 @@ def test_train_nan_aborts_with_diagnostic(monkeypatch):
     monkeypatch.setattr(training_mod, "sequence_loss", poisoned)
     with pytest.raises(TrainingDiverged, match="epoch 1"):
         train(tr, va, synthetic_bank(), TINY_MC, TINY_TC)
+
+
+def test_train_applies_true_batch_gradient(monkeypatch):
+    # The gradient handed to Adam on a later step of an epoch must be the
+    # gradient of that batch's mean loss at that step's parameters, with the
+    # description bank encoded from those same parameters.
+    tr, va, _ = split_corpus(_mini_corpus())
+    tc = dataclasses.replace(TINY_TC, batch_size=6, max_epochs=1, patience=1,
+                             learning_rate=2e-2)
+    real_loss, real_adam = training_mod.sequence_loss, training_mod.adam_step
+    batch, steps = [], []
+
+    def recording_loss(params, config, token_ids, gold_tags, *args, **kwargs):
+        batch.append((token_ids, gold_tags))
+        return real_loss(params, config, token_ids, gold_tags, *args, **kwargs)
+
+    def recording_adam(params, grads, *args, **kwargs):
+        steps.append((copy_struct(params), copy_struct(grads), list(batch)))
+        batch.clear()
+        real_adam(params, grads, *args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "sequence_loss", recording_loss)
+    monkeypatch.setattr(training_mod, "adam_step", recording_adam)
+    res = train(tr, va, synthetic_bank(), TINY_MC, tc)
+    assert len(steps) >= 2
+    params, grads, examples = steps[-1]
+    mc = res.model_config
+
+    def mean_loss() -> float:
+        bank = build_bank(synthetic_bank(), res.vocab, params, mc)
+        return float(np.mean([real_loss(params, mc, ids, tags, bank)[0]
+                              for ids, tags in examples]))
+
+    # one central difference per tensor, along a random direction
+    rng = np.random.default_rng(0)
+    step = 1e-5
+    for (name, arr), (_n, g) in zip(named_arrays(params), named_arrays(grads)):
+        direction = rng.normal(size=arr.shape)
+        arr += step * direction
+        up = mean_loss()
+        arr -= 2 * step * direction
+        down = mean_loss()
+        arr += step * direction
+        fd = (up - down) / (2 * step)
+        analytic = float((g * direction).sum())
+        assert abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), 1e-3), name
 
 
 def test_train_validates_inputs():
