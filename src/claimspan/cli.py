@@ -139,7 +139,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     mc, tc = _load_configs(args)
     posts = load_corpus(args.input)
-    bank_texts = _load_bank_texts(args.bank) if mc.use_descnet or tc.use_descnet else None
+    bank_texts = _load_bank_texts(args.bank) if mc.use_descnet else None
     tr, va, _te = split_corpus(posts)
     log_path = args.output + ".log"
     result = train(tr, va, bank_texts, mc, tc, log_path=log_path)
@@ -219,13 +219,8 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     tolerance = 1e-4
-    if args.config:
-        _mc, tc = load_config(args.config)
-    else:
-        tc = TrainConfig(adapter_layer=2)
-    if args.seed is not None:
-        tc = replace(tc, seed=args.seed)
-    report = grad_check(train_config=tc, tolerance=tolerance)
+    mc, tc = _load_configs(args)
+    report = grad_check(mc, tc, tolerance=tolerance)
     doc = {"max_rel_err": report.max_rel_err, "parameter": report.parameter,
            "tolerance": tolerance, "passed": report.passed}
     if args.pretty:

@@ -84,69 +84,52 @@ def score_sequence(e: np.ndarray, crf: CrfParams, tag_ids: np.ndarray) -> float:
     return float(s)
 
 
-def _forward_messages(e: np.ndarray, crf: CrfParams) -> np.ndarray:
+def _forward_messages(e: np.ndarray, crf: CrfParams) -> tuple[np.ndarray, float]:
+    """Forward messages alpha (n x 3) and log Z, the log sum over all tag
+    sequences of exp(score)."""
     n = e.shape[0]
+    if n < 1:
+        raise ValueError("need at least one emission row")
     alpha = np.empty((n, N_TAGS))
     alpha[0] = crf.start_scores + e[0]
     for t in range(1, n):
         alpha[t] = log_sum_exp(alpha[t - 1][:, None] + crf.transitions, axis=0) + e[t]
-    return alpha
+    return alpha, float(log_sum_exp(alpha[-1] + crf.end_scores, axis=0))
 
 
-def _backward_messages(e: np.ndarray, crf: CrfParams) -> np.ndarray:
+def nll_loss(e: np.ndarray, crf: CrfParams,
+             tags: list[str]) -> tuple[float, tuple[np.ndarray, float]]:
+    """log Z minus the gold-sequence score, nonnegative up to roundoff, and the
+    forward messages ``(alpha, log_z)`` that ``nll_backward`` needs."""
+    messages = _forward_messages(e, crf)
+    return messages[1] - score_sequence(e, crf, tags_to_indices(tags)), messages
+
+
+def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
+                 messages: tuple[np.ndarray, float], g: CrfParams) -> np.ndarray:
+    """Accumulate CRF-parameter gradients of the NLL and return d(loss)/d(emissions).
+
+    ``messages`` are the forward messages ``nll_loss`` returned for the same
+    emissions and parameters. Uses the exact identity: the emission gradient
+    is marginals minus the gold one-hot; transition/start/end gradients are
+    expected counts minus observed counts. Pinned entries get zero gradient.
+    """
+    alpha, log_z = messages
+    tag_ids = tags_to_indices(tags)
     n = e.shape[0]
     beta = np.empty((n, N_TAGS))
     beta[n - 1] = crf.end_scores
     for t in range(n - 2, -1, -1):
         beta[t] = log_sum_exp(crf.transitions + (e[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
-
-
-def log_partition(e: np.ndarray, crf: CrfParams) -> float:
-    """log sum over all tag sequences of exp(score), by the forward recursion."""
-    if e.shape[0] < 1:
-        raise ValueError("need at least one emission row")
-    alpha = _forward_messages(e, crf)
-    return float(log_sum_exp(alpha[-1] + crf.end_scores, axis=0))
-
-
-def marginal_tags(e: np.ndarray, crf: CrfParams) -> np.ndarray:
-    """Per-position tag marginals via forward-backward; rows sum to 1."""
-    alpha = _forward_messages(e, crf)
-    beta = _backward_messages(e, crf)
-    log_z = log_sum_exp(alpha[-1] + crf.end_scores, axis=0)
-    return np.exp(alpha + beta - log_z)
-
-
-def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str]) -> float:
-    """log_partition minus the gold-sequence score; nonnegative up to roundoff."""
-    return log_partition(e, crf) - score_sequence(e, crf, tags_to_indices(tags))
-
-
-def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str], g: CrfParams) -> np.ndarray:
-    """Accumulate CRF-parameter gradients of the NLL and return d(loss)/d(emissions).
-
-    Uses the exact identity: the emission gradient is marginals minus the
-    gold one-hot; transition/start/end gradients are expected counts minus
-    observed counts. Pinned entries get zero gradient.
-    """
-    tag_ids = tags_to_indices(tags)
-    n = e.shape[0]
-    alpha = _forward_messages(e, crf)
-    beta = _backward_messages(e, crf)
-    log_z = log_sum_exp(alpha[-1] + crf.end_scores, axis=0)
 
     marginals = np.exp(alpha + beta - log_z)
     d_e = marginals.copy()
     d_e[np.arange(n), tag_ids] -= 1.0
 
-    d_trans = np.zeros((N_TAGS, N_TAGS))
-    for t in range(n - 1):
-        log_pair = (
-            alpha[t][:, None] + crf.transitions + (e[t + 1] + beta[t + 1])[None, :] - log_z
-        )
-        d_trans += np.exp(log_pair)
-        d_trans[tag_ids[t], tag_ids[t + 1]] -= 1.0
+    # pair marginals p(y_t = i, y_t+1 = j) for every t at once: (n-1) x 3 x 3
+    log_pair = alpha[:-1, :, None] + crf.transitions + (e[1:] + beta[1:])[:, None, :] - log_z
+    d_trans = np.exp(log_pair).sum(axis=0)
+    np.add.at(d_trans, (tag_ids[:-1], tag_ids[1:]), -1.0)
     d_start = marginals[0].copy()
     d_start[tag_ids[0]] -= 1.0
     d_end = marginals[-1].copy()

@@ -155,7 +155,8 @@ def sequence_loss(params: ModelParams, config: ModelConfig, token_ids: list[int]
                   gold_tags: list[str], bank: DescriptionBank | None,
                   rng=None, train=False):
     e, cache = sequence_forward(params, config, token_ids, bank, rng, train)
-    return nll_loss(e, params.crf, gold_tags), (e, cache)
+    loss, cache["crf"] = nll_loss(e, params.crf, gold_tags)
+    return loss, (e, cache)
 
 
 def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[str],
@@ -166,7 +167,7 @@ def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[
     With the adapter on, the gradient w.r.t. each description matrix is added
     into ``d_bank``; the caller runs ``bank_backward`` once per batch.
     """
-    d_e = nll_backward(e, params.crf, gold_tags, grads.crf)
+    d_e = nll_backward(e, params.crf, gold_tags, cache["crf"], grads.crf)
     d_z = emissions_backward(d_e, cache["z"], params.crf, grads.crf)
 
     adapter_backward = None
@@ -213,6 +214,8 @@ def load_checkpoint(path):
     """Returns (config, vocab, bank_texts, params); validates names and shapes."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')!r}")
     try:
@@ -223,13 +226,18 @@ def load_checkpoint(path):
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc
     bank_size = len(bank_texts) if bank_texts else 1
     params = init_model_params(config, len(vocab), bank_size, np.random.default_rng(0))
-    stored = doc["params"]
+    stored = doc.get("params")
+    if not isinstance(stored, dict):
+        raise CheckpointError("checkpoint has no params")
     seen = set()
     for name, arr in named_arrays(params):
         if name not in stored:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         entry = stored[name]
-        values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad tensor {name!r}: {exc!r}") from exc
         if values.shape != arr.shape:
             raise CheckpointError(f"tensor {name!r} has shape {values.shape}, expected {arr.shape}")
         arr[...] = values

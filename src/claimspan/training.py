@@ -18,7 +18,7 @@ import numpy as np
 
 from .crf import forbidden_masks, pin_forbidden
 from .descnet import DescriptionBank, bank_backward
-from .encoder import ATTENTION_VARIANTS, ModelConfig
+from .encoder import ModelConfig
 from .metrics import inspan_indices, mean_dice, overall_prf
 from .model import (
     Example,
@@ -52,8 +52,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     adapter_layer: int = 4
-    use_descnet: bool = True
-    attention_variant: str = "coda"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -63,8 +61,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.patience > self.max_epochs:
             raise ConfigError(f"patience {self.patience} exceeds max_epochs {self.max_epochs}")
-        if self.attention_variant not in ATTENTION_VARIANTS:
-            raise ConfigError(f"attention_variant must be one of {ATTENTION_VARIANTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +124,8 @@ def load_config(path) -> tuple[ModelConfig, TrainConfig]:
 
 
 def effective_model_config(mc: ModelConfig, tc: TrainConfig) -> ModelConfig:
-    """TrainConfig owns the run-level knobs it duplicates."""
-    return replace(mc, adapter_layer=tc.adapter_layer, use_descnet=tc.use_descnet,
-                   attention_variant=tc.attention_variant, seed=tc.seed)
+    """TrainConfig's ``adapter_layer`` and ``seed`` win over ModelConfig's."""
+    return replace(mc, adapter_layer=tc.adapter_layer, seed=tc.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +372,16 @@ def grad_check(model_config: ModelConfig | None = None,
     """Compare the training batch step's gradient on a batch of one against
     central finite differences of the sequence loss on a small instance.
 
+    The probe model's sizes are fixed; ``model_config`` supplies only its
+    switches (``use_descnet``, ``attention_variant``, ``use_igm``, ...).
     ``sabotage`` names a tensor whose analytic gradient gets perturbed before
     the comparison; it exists so tests can confirm the checker catches a
     broken gradient.
     """
     tc = train_config or TrainConfig(adapter_layer=2)
-    mc = model_config or ModelConfig(d=8, h=2, d_ff=16, layers=2, max_len=16,
-                                     vocab_size=64, dropout_p=0.0, adapter_layer=2,
-                                     seed=tc.seed)
-    mc = effective_model_config(mc, replace(tc, adapter_layer=min(tc.adapter_layer, mc.layers)))
+    mc = replace(model_config or ModelConfig(), d=8, h=2, d_ff=16, layers=2, max_len=16,
+                 vocab_size=64, dropout_p=0.0, adapter_layer=min(tc.adapter_layer, 2),
+                 seed=tc.seed)
     rng = np.random.default_rng(mc.seed)
 
     words = [f"w{i}" for i in range(30)] + ["claims", "numbers", "statistics",
@@ -465,9 +461,7 @@ def layer_sweep(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPos
             raise ValueError(f"adapter layer {layer} outside [1, {model_config.layers}]")
         tc = replace(train_config, adapter_layer=layer)
         result = train(corpus_train, corpus_val, bank_texts, model_config, tc)
-        mc = result.model_config
-        bank = build_bank(bank_texts, result.vocab, result.params, mc) if mc.use_descnet else None
-        val_ex = prepare_examples(corpus_val, result.vocab, mc)
-        _p, _r, f1, dsc = evaluate_split(result.params, mc, val_ex, bank)
-        rows.append({"layer": layer, "f1": f1, "dsc": dsc})
+        # train already scored the parameters it returns on the same split
+        rows.append({"layer": layer, "f1": result.records[result.best_epoch - 1].val_f1,
+                     "dsc": result.best_val_dsc})
     return rows

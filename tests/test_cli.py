@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+import numpy as np
+
 from claimspan.cli import main
+from claimspan.encoder import ModelConfig
+from claimspan.model import Vocabulary, init_model_params, save_checkpoint
 from claimspan.preprocess import load_corpus, save_corpus
 from claimspan.retrieval import load_judgments
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture
@@ -143,6 +147,23 @@ def test_eval_bad_checkpoint(tmp_path, corpus_file, capsys):
     bad.write_text('{"format_version": 99}')
     assert main(["eval", "--checkpoint", str(bad), "--input", str(corpus_file)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("breakage,match", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "no params"),
+    (lambda doc: {**doc, "params": {**doc["params"], "crf.b_emit": {"shape": [3]}}},
+     "crf.b_emit"),
+    (lambda doc: [doc], "not a JSON object"),
+])
+def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, match):
+    path = tmp_path / "ckpt.json"
+    config = ModelConfig(d=8, h=2, d_ff=16, layers=1, adapter_layer=1, use_descnet=False)
+    save_checkpoint(path, config, Vocabulary(["<unk>"]), None,
+                    init_model_params(config, 1, 1, np.random.default_rng(0)))
+    path.write_text(json.dumps(breakage(json.loads(path.read_text()))))
+    assert main(["eval", "--checkpoint", str(path), "--input", str(corpus_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ from claimspan.crf import (
     emissions_backward,
     emissions_from,
     forbidden_masks,
+    INDEX_TAG,
     init_crf_params,
-    log_partition,
-    marginal_tags,
     nll_backward,
     nll_loss,
     pin_forbidden,
@@ -30,6 +29,16 @@ def rand_crf(rng, scale=1.0) -> CrfParams:
     crf.end_scores[...] = scale * rng.normal(size=3)
     pin_forbidden(crf)
     return crf
+
+
+def log_z_and_marginals(e, crf, tags):
+    """log Z from the training loss and tag marginals from its gradient:
+    nll_loss plus the gold score, and nll_backward's d_e plus the gold one-hot."""
+    tag_ids = tags_to_indices(tags)
+    loss, messages = nll_loss(e, crf, tags)
+    marginals = nll_backward(e, crf, tags, messages, zeros_like_struct(crf))
+    marginals[np.arange(len(tags)), tag_ids] += 1.0
+    return loss + score_sequence(e, crf, tag_ids), marginals
 
 
 def test_tags_to_indices_and_validation():
@@ -54,8 +63,9 @@ def test_partition_and_marginals_match_enumeration():
         e = rng.normal(scale=2.0, size=(n, 3))
         crf = rand_crf(rng)
         log_z, marg, best = crf_enumerate(e, crf)
-        assert log_partition(e, crf) == pytest.approx(log_z, abs=1e-9)
-        assert np.allclose(marginal_tags(e, crf), marg, atol=1e-9)
+        got_log_z, got_marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in best])
+        assert got_log_z == pytest.approx(log_z, abs=1e-9)
+        assert np.allclose(got_marg, marg, atol=1e-9)
         assert [tags_to_indices(viterbi_decode(e, crf))[i] for i in range(n)] == best
 
 
@@ -63,7 +73,7 @@ def test_marginals_are_distributions():
     rng = np.random.default_rng(2)
     e = rng.normal(size=(5, 3))
     crf = rand_crf(rng)
-    m = marginal_tags(e, crf)
+    _log_z, m = log_z_and_marginals(e, crf, ["B", "I", "O", "O", "B"])
     assert np.all(m >= 0)
     assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
@@ -74,8 +84,9 @@ def test_score_sequence_is_lse_component():
     e = rng.normal(size=(4, 3))
     crf = rand_crf(rng)
     s = score_sequence(e, crf, tags_to_indices(["B", "I", "O", "B"]))
-    assert s <= log_partition(e, crf)
-    assert nll_loss(e, crf, ["B", "I", "O", "B"]) >= 0.0
+    loss, (_alpha, log_z) = nll_loss(e, crf, ["B", "I", "O", "B"])
+    assert s <= log_z
+    assert loss >= 0.0
 
 
 def test_viterbi_never_emits_forbidden_transitions():
@@ -124,8 +135,8 @@ def test_nll_gradient_is_marginals_minus_onehot():
     crf = rand_crf(rng)
     tags = ["O", "B", "I", "O", "B"]
     g = zeros_like_struct(crf)
-    d_e = nll_backward(e, crf, tags, g)
-    expected = marginal_tags(e, crf).copy()
+    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
+    expected = crf_enumerate(e, crf)[1].copy()
     for t, y in enumerate(tags_to_indices(tags)):
         expected[t, y] -= 1.0
     assert np.allclose(d_e, expected, atol=1e-12)
@@ -137,13 +148,13 @@ def test_nll_backward_matches_fd_on_all_params():
     crf = rand_crf(rng)
     tags = ["B", "I", "I", "O"]
     g = zeros_like_struct(crf)
-    d_e = nll_backward(e, crf, tags, g)
-    fd_e = fd_grad(lambda: nll_loss(e, crf, tags), e)
+    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
+    fd_e = fd_grad(lambda: nll_loss(e, crf, tags)[0], e)
     assert np.allclose(d_e, fd_e, atol=1e-6)
     trans_mask, start_mask = forbidden_masks()
-    fd_trans = fd_grad(lambda: nll_loss(e, crf, tags), crf.transitions)
-    fd_start = fd_grad(lambda: nll_loss(e, crf, tags), crf.start_scores)
-    fd_end = fd_grad(lambda: nll_loss(e, crf, tags), crf.end_scores)
+    fd_trans = fd_grad(lambda: nll_loss(e, crf, tags)[0], crf.transitions)
+    fd_start = fd_grad(lambda: nll_loss(e, crf, tags)[0], crf.start_scores)
+    fd_end = fd_grad(lambda: nll_loss(e, crf, tags)[0], crf.end_scores)
     assert np.allclose(np.where(trans_mask, 0.0, g.transitions),
                        np.where(trans_mask, 0.0, fd_trans), atol=1e-6)
     assert np.allclose(np.where(start_mask, 0.0, g.start_scores),
@@ -159,7 +170,9 @@ def test_single_token_sequence():
     e = rng.normal(size=(1, 3))
     crf = rand_crf(rng)
     log_z, marg, best = crf_enumerate(e, crf)
-    assert log_partition(e, crf) == pytest.approx(log_z, abs=1e-12)
+    got_log_z, got_marg = log_z_and_marginals(e, crf, ["O"])
+    assert got_log_z == pytest.approx(log_z, abs=1e-12)
+    assert np.allclose(got_marg, marg, atol=1e-12)
     assert viterbi_decode(e, crf) == [["B", "I", "O"][best[0]]]
 
 
@@ -167,6 +180,6 @@ def test_empty_emissions_rejected():
     rng = np.random.default_rng(9)
     crf = rand_crf(rng)
     with pytest.raises(ValueError):
-        log_partition(np.zeros((0, 3)), crf)
+        nll_loss(np.zeros((0, 3)), crf, [])
     with pytest.raises(ValueError):
         viterbi_decode(np.zeros((0, 3)), crf)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import claimspan.crf as crf_mod
 import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
 from claimspan.encoder import ModelConfig
-from claimspan.model import build_bank, init_model_params
+from claimspan.model import Vocabulary, build_bank, init_model_params
 from claimspan.numerics import copy_struct, named_arrays, zeros_like_struct
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
 from claimspan.training import (
@@ -147,7 +148,7 @@ def test_configs_from_mapping_types_and_sharing():
     })
     assert mc.d == 32 and mc.layers == 3
     assert mc.adapter_layer == 2 and tc.adapter_layer == 2
-    assert mc.use_descnet is False and tc.use_descnet is False
+    assert mc.use_descnet is False
     assert mc.seed == 9 and tc.seed == 9
     assert tc.learning_rate == 0.01
 
@@ -182,8 +183,8 @@ def _mini_corpus(n=24, seed=3):
 def test_train_memorizes_two_examples():
     posts = _mini_corpus(6)
     tc = dataclasses.replace(TINY_TC, max_epochs=150, patience=150,
-                             learning_rate=2e-2, batch_size=2, use_descnet=False)
-    res = train(posts[:2], posts[:2], None, TINY_MC, tc)
+                             learning_rate=2e-2, batch_size=2)
+    res = train(posts[:2], posts[:2], None, dataclasses.replace(TINY_MC, use_descnet=False), tc)
     assert res.records[-1].train_loss < 1e-3
 
 
@@ -305,6 +306,34 @@ def test_train_applies_true_batch_gradient(monkeypatch):
         assert abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), 1e-3), name
 
 
+def test_model_config_owns_adapter_switches():
+    # A TrainConfig carries no adapter switches that could override these.
+    tr, va, _ = split_corpus(_mini_corpus())
+    mc = dataclasses.replace(TINY_MC, use_descnet=False, attention_variant="dpa")
+    res = train(tr, va, None, mc, TrainConfig(adapter_layer=2, max_epochs=1, patience=1))
+    assert res.model_config.use_descnet is False
+    assert res.model_config.attention_variant == "dpa"
+    assert res.params.descnet is None
+
+
+def test_batch_gradients_runs_one_forward_recursion_per_example(monkeypatch):
+    # nll_backward reuses the forward messages nll_loss computed
+    tr, _va, _ = split_corpus(_mini_corpus())
+    vocab = Vocabulary.build([p.text.split() for p in tr], TINY_MC.vocab_size)
+    batch = training_mod.prepare_examples(tr[:5], vocab, TINY_MC)
+    params = init_model_params(TINY_MC, len(vocab), len(synthetic_bank()),
+                               np.random.default_rng(0))
+    real, calls = crf_mod._forward_messages, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(crf_mod, "_forward_messages", counting)
+    training_mod.batch_gradients(params, TINY_MC, batch, synthetic_bank(), vocab)
+    assert len(calls) == len(batch) == 5
+
+
 def test_train_validates_inputs():
     posts = _mini_corpus()
     with pytest.raises(ValueError):
@@ -348,5 +377,10 @@ def test_layer_sweep_rows():
     for row in rows:
         assert 0.0 <= row["f1"] <= 1.0
         assert 0.0 <= row["dsc"] <= 1.0
+        # each row is the validation score train recorded for the parameters it returns
+        res = train(tr, va, synthetic_bank(), TINY_MC,
+                    dataclasses.replace(tc, adapter_layer=row["layer"]))
+        assert row == {"layer": row["layer"], "f1": res.records[res.best_epoch - 1].val_f1,
+                       "dsc": res.best_val_dsc}
     with pytest.raises(ValueError):
         layer_sweep(tr, va, synthetic_bank(), TINY_MC, tc, [99])
