@@ -44,7 +44,6 @@ from .training import (
     grad_check,
     layer_sweep,
     load_config,
-    prepare_examples,
     train,
 )
 

@@ -47,7 +47,7 @@ def log_sum_exp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-approximation GELU; returns (value, tanh term) for the backward pass."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 
 TAG_B = "B"
 TAG_I = "I"
@@ -17,6 +18,8 @@ TAG_O = "O"
 TAGS = (TAG_B, TAG_I, TAG_O)
 
 _URL_RE = re.compile(r"https?://")
+_ASCII_ALNUM_RE = re.compile(r"[A-Za-z0-9]")
+_CHUNK_RE = re.compile(r"\S+")
 # Alternation order matters: hashtags first, then the n't contraction split,
 # then plain alphanumeric runs, then single punctuation characters.
 _TOKEN_RE = re.compile(r"#[A-Za-z0-9_]+|n't|[A-Za-z0-9]+(?=n't)|[A-Za-z0-9]+|[^\sA-Za-z0-9]")
@@ -95,9 +98,7 @@ class OffsetMap:
 def _is_junk_chunk(chunk: str) -> bool:
     # URL tokens, and tokens with no ASCII alphanumeric character at all
     # (emoji, arrows, bare punctuation runs), get dropped wholesale.
-    if _URL_RE.match(chunk):
-        return True
-    return not any(c.isascii() and c.isalnum() for c in chunk)
+    return bool(_URL_RE.match(chunk)) or not _ASCII_ALNUM_RE.search(chunk)
 
 
 def normalize_text(raw: str) -> tuple[str, OffsetMap]:
@@ -107,10 +108,12 @@ def normalize_text(raw: str) -> tuple[str, OffsetMap]:
     it ends the text) so the remaining tokens stay singly spaced. Idempotent:
     a clean text maps through unchanged.
     """
-    keep = [True] * len(raw)
-    for m in re.finditer(r"\S+", raw):
+    keep = None
+    for m in _CHUNK_RE.finditer(raw):
         if not _is_junk_chunk(m.group()):
             continue
+        if keep is None:
+            keep = [True] * len(raw)
         for j in range(m.start(), m.end()):
             keep[j] = False
         j = m.end()
@@ -123,15 +126,13 @@ def normalize_text(raw: str) -> tuple[str, OffsetMap]:
             while j >= 0 and raw[j].isspace() and keep[j]:
                 keep[j] = False
                 j -= 1
-    norm_chars = []
-    norm_to_raw = []
+    if keep is None:
+        return raw, OffsetMap(list(range(len(raw))), list(range(len(raw))))
+    norm_to_raw = list(compress(range(len(raw)), keep))
     raw_to_norm = [-1] * len(raw)
-    for j, c in enumerate(raw):
-        if keep[j]:
-            raw_to_norm[j] = len(norm_chars)
-            norm_chars.append(c)
-            norm_to_raw.append(j)
-    return "".join(norm_chars), OffsetMap(norm_to_raw, raw_to_norm)
+    for i, j in enumerate(norm_to_raw):
+        raw_to_norm[j] = i
+    return "".join(compress(raw, keep)), OffsetMap(norm_to_raw, raw_to_norm)
 
 
 def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:

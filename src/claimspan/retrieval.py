@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .preprocess import AnnotatedPost, CorpusFormatError, normalize_text, tokenize
 
@@ -25,15 +28,23 @@ def index_terms(text: str) -> list[str]:
             if any(c.isalnum() for c in t.surface)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bm25Index:
+    """An inverted index: ``postings[term]`` holds the indices of the
+    documents containing ``term`` (ascending, intp) and its count in each
+    (float64). ``doc_norm[d]`` is document d's length normalization
+    ``k1 * (1 - b + b * len / avgdl)``; ``doc_rank[d]`` is its position in
+    doc-id order, which breaks score ties."""
+
     doc_ids: tuple[str, ...]
-    doc_terms: tuple[dict, ...]          # term -> tf per document
     doc_lengths: tuple[int, ...]
     doc_freq: dict
     avgdl: float
     k1: float
     b: float
+    postings: dict
+    doc_norm: np.ndarray
+    doc_rank: np.ndarray
 
     @property
     def n_docs(self) -> int:
@@ -42,25 +53,36 @@ class Bm25Index:
 
 def build_index(docs: list[dict], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
     """``docs`` entries need "id" and "text"; duplicate ids are rejected."""
-    ids, term_maps, lengths = [], [], []
-    doc_freq: dict[str, int] = {}
+    ids, lengths = [], []
+    postings: dict[str, tuple[list[int], list[int]]] = {}
     seen = set()
-    for doc in docs:
+    for di, doc in enumerate(docs):
         doc_id = doc["id"]
         if doc_id in seen:
             raise ValueError(f"duplicate document id {doc_id!r}")
         seen.add(doc_id)
         terms = index_terms(doc["text"])
-        tf: dict[str, int] = {}
-        for term in terms:
-            tf[term] = tf.get(term, 0) + 1
-        for term in tf:
-            doc_freq[term] = doc_freq.get(term, 0) + 1
+        for term, count in Counter(terms).items():
+            entry = postings.get(term)
+            if entry is None:
+                entry = postings[term] = ([], [])
+            entry[0].append(di)
+            entry[1].append(count)
         ids.append(doc_id)
-        term_maps.append(tf)
         lengths.append(len(terms))
     avgdl = sum(lengths) / len(lengths) if lengths else 0.0
-    return Bm25Index(tuple(ids), tuple(term_maps), tuple(lengths), doc_freq, avgdl, k1, b)
+    # avgdl is 0 only when no document has a term, so no posting reads doc_norm.
+    if avgdl > 0.0:
+        doc_norm = k1 * (1.0 - b + b * np.array(lengths, dtype=np.float64) / avgdl)
+    else:
+        doc_norm = np.zeros(len(lengths))
+    doc_rank = np.empty(len(ids), dtype=np.intp)
+    doc_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    doc_freq = {term: len(d) for term, (d, _t) in postings.items()}
+    arrays = {term: (np.array(d, dtype=np.intp), np.array(t, dtype=np.float64))
+              for term, (d, t) in postings.items()}
+    return Bm25Index(tuple(ids), tuple(lengths), doc_freq, avgdl, k1, b,
+                     arrays, doc_norm, doc_rank)
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -73,21 +95,23 @@ def query(index: Bm25Index, text: str, k: int) -> list[tuple[str, float]]:
 
     Every occurrence of a query term contributes; documents sharing no term
     with the query are not returned, so an all-unknown query yields [].
+    Only the postings of the query terms are read. Each document's score
+    adds its per-term values in query-term order, as a full scan would.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    terms = index_terms(text)
-    scores: dict[int, float] = {}
-    for term in terms:
-        term_idf = idf(index, term)
-        for di in range(index.n_docs):
-            tf = index.doc_terms[di].get(term, 0)
-            if tf == 0:
-                continue
-            norm = index.k1 * (1.0 - index.b + index.b * index.doc_lengths[di] / index.avgdl)
-            scores[di] = scores.get(di, 0.0) + term_idf * tf * (index.k1 + 1.0) / (tf + norm)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], index.doc_ids[kv[0]]))
-    return [(index.doc_ids[di], s) for di, s in ranked[:k]]
+    scores = np.zeros(index.n_docs)
+    touched = np.zeros(index.n_docs, dtype=bool)
+    for term in index_terms(text):
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        docs, tf = posting
+        scores[docs] += idf(index, term) * tf * (index.k1 + 1.0) / (tf + index.doc_norm[docs])
+        touched[docs] = True
+    hits = np.flatnonzero(touched)
+    top = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))[:k]]
+    return [(index.doc_ids[di], float(scores[di])) for di in top]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ fixed order.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from claimspan.retrieval import index_terms
+
 
 def sig(x: float) -> float:
     if x >= 0:
@@ -106,3 +108,32 @@ def bm25_score_scalar(query_terms, doc_terms, all_doc_term_lists,
         idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
         score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     return score
+
+
+def bm25_full_scan(docs, text, k, k1: float = 1.2, b: float = 0.75):
+    """Top-k (doc_id, score) by probing every document for every query term.
+
+    The arithmetic of each (document, term) value and the order of the sums
+    are those of ``retrieval.query``, so the results must be equal, not close.
+    """
+    doc_terms = []
+    for doc in docs:
+        tf = {}
+        for term in index_terms(doc["text"]):
+            tf[term] = tf.get(term, 0) + 1
+        doc_terms.append(tf)
+    lengths = [sum(tf.values()) for tf in doc_terms]
+    avgdl = sum(lengths) / len(lengths) if lengths else 0.0
+    n_docs = len(docs)
+    scores = {}
+    for term in index_terms(text):
+        df = sum(1 for tf in doc_terms if term in tf)
+        term_idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        for di in range(n_docs):
+            tf = doc_terms[di].get(term, 0)
+            if tf == 0:
+                continue
+            norm = k1 * (1.0 - b + b * lengths[di] / avgdl)
+            scores[di] = scores.get(di, 0.0) + term_idf * tf * (k1 + 1.0) / (tf + norm)
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], docs[kv[0]]["id"]))
+    return [(docs[di]["id"], s) for di, s in ranked[:k]]

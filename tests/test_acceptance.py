@@ -5,7 +5,6 @@ with the measured values so a log scrape shows the whole scorecard.
 """
 
 import dataclasses
-import json
 import math
 import time
 from collections import namedtuple

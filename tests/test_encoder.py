@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from claimspan.encoder import (
-    EncoderBlockParams,
     ModelConfig,
     embed,
     encode_forward,

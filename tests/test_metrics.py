@@ -14,9 +14,7 @@ from claimspan.metrics import (
     inspan_indices,
     mean_dice,
     micro_overall_prf,
-    overall_prf,
     paired_f1_ttest,
-    per_tag_prf,
     reg_inc_beta,
     span_count_ratio,
     student_t_sf_two_sided,

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from claimspan.encoder import ModelConfig
 from claimspan.model import (
     CheckpointError,
     Vocabulary,

@@ -94,6 +94,28 @@ def test_normalize_idempotent():
     assert once == twice
 
 
+_NORM_PIECES = ["garlic", "Cures", "5G", "don't", "#WuhanLab", "naïve", "ÉCOLE", "日本",
+                "https://t.co/x1", "http://a.b", "🙂", "x🙂", "→→", "!!!", "..."]
+_NORM_GAPS = ["", " ", "  ", "\t", "\n", " \n\t"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_NORM_PIECES), st.sampled_from(_NORM_GAPS)),
+                max_size=12),
+       st.sampled_from(["", "🙂 ", "https://t.co/a ", "\t", " "]),
+       st.sampled_from(["", " →", " https://t.co/z", "\n", " "]))
+def test_normalize_offset_map_property(pieces, lead, trail):
+    raw = lead + "".join(p + g for p, g in pieces) + trail
+    norm, omap = normalize_text(raw)
+    assert len(omap.norm_to_raw) == len(norm)
+    assert len(omap.raw_to_norm) == len(raw)
+    for i, j in enumerate(omap.norm_to_raw):
+        assert norm[i] == raw[j]
+        assert omap.raw_to_norm[j] == i
+    kept = set(omap.norm_to_raw)
+    assert all(omap.raw_to_norm[j] == -1 for j in range(len(raw)) if j not in kept)
+
+
 def test_normalize_post_remaps_spans():
     post = AnnotatedPost(id="x", text="see https://t.co/q garlic cures flu ok",
                          spans=[CharSpan(19, 35)])

@@ -1,12 +1,12 @@
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimspan.preprocess import AnnotatedPost, CharSpan, CorpusFormatError
 from claimspan.retrieval import (
-    Bm25Index,
     RetrievalJudgment,
     build_index,
     compare_conditions,
@@ -20,7 +20,7 @@ from claimspan.retrieval import (
     span_query_text,
 )
 
-from oracles import bm25_score_scalar
+from oracles import bm25_full_scan, bm25_score_scalar
 
 DOCS3 = [
     {"id": "d1", "text": "garlic cures covid"},
@@ -52,7 +52,9 @@ def test_index_stats_hand_tally():
     # "garlic" appears in two documents (tf inside a doc does not add df)
     assert index.doc_freq["garlic"] == 2
     assert index.doc_freq["covid"] == 1
-    assert index.doc_terms[1]["garlic"] == 2
+    docs, tf = index.postings["garlic"]
+    assert docs.tolist() == [0, 1]
+    assert tf.tolist() == [1.0, 2.0]
 
 
 def test_idf_hand_value():
@@ -131,6 +133,41 @@ def test_query_scores_match_oracle_random(doc_words, query_words):
             assert got[doc["id"]] == pytest.approx(expected, abs=1e-12)
         else:
             assert expected == 0.0
+
+
+# Words drawn from a small pool so documents repeat (equal scores) and
+# queries repeat terms; "zz" is in no document and "!!" is no term at all.
+_POOL_TEXTS = ["a b", "a b", "b c c", "c", "a a a d", "d e", "!!", "e b a"]
+_QUERY_WORDS = ["a", "b", "c", "d", "e", "zz", "!!"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_POOL_TEXTS), min_size=1, max_size=10),
+       st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(_QUERY_WORDS), min_size=1, max_size=6),
+       st.integers(1, 13))
+# "a" ties d0 and d1 (both "a b") across the cut-off at k=1.
+@example(["a b", "a b", "c"], None, ["a"], 1)
+# Repeated and missing terms, k beyond the number of matches.
+@example(["a a a d", "d e", "!!", "a b"], None, ["a", "zz", "a", "d"], 9)
+def test_query_equals_full_scan(texts, rnd, query_words, k):
+    ids = [f"d{i}" for i in range(len(texts))]
+    if rnd is not None:
+        rnd.shuffle(ids)   # doc-id order differs from index order
+    docs = [{"id": i, "text": t} for i, t in zip(ids, texts)]
+    text = " ".join(query_words)
+    assert query(build_index(docs), text, k) == bm25_full_scan(docs, text, k)
+
+
+@pytest.mark.parametrize("docs", [[], [{"id": "x", "text": "!! ..."},
+                                       {"id": "y", "text": ""}]],
+                         ids=["empty", "term-free"])
+def test_index_without_terms(docs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = build_index(docs)
+        assert index.avgdl == 0.0
+        assert query(index, "garlic !!", k=3) == []
 
 
 # ---------------------------------------------------------------------------
