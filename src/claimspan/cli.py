@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
 
 def _load_model(args):
     config, vocab, bank_texts, params = load_checkpoint(args.checkpoint)
-    bank = build_bank(bank_texts, vocab, params, config) if config.use_descnet else None
+    bank = build_bank(bank_texts, vocab, params, config)
     return config, vocab, bank, params
 
 
@@ -217,11 +217,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    tolerance = 1e-4
     mc, tc = _load_configs(args)
-    report = grad_check(mc, tc, tolerance=tolerance)
+    report = grad_check(mc, tc)
     doc = {"max_rel_err": report.max_rel_err, "parameter": report.parameter,
-           "tolerance": tolerance, "passed": report.passed}
+           "tolerance": report.tolerance, "passed": report.passed}
     if args.pretty:
         doc["per_tensor"] = report.per_tensor
     print(json.dumps(doc, indent=2 if args.pretty else None))

@@ -227,39 +227,3 @@ def encoder_block_backward(d_out, cache, blk: EncoderBlockParams, config: ModelC
     g.ln1_bias += d_b1
     d_attn = dropout_backward(d_res1, cache["mask1"], config.dropout_p)
     return d_res1 + mhsa_backward(d_attn, cache["attn"], blk, g)
-
-
-def encode_forward(token_ids, params: EncoderParams, config: ModelConfig,
-                   rng=None, train=False, adapter=None):
-    """Run embeddings and all blocks; after block ``config.adapter_layer`` the
-    optional ``adapter(z)`` callback rewrites the running representation.
-
-    ``adapter`` must return (z_new, adapter_cache). Returns (z, cache).
-    """
-    z = embed(token_ids, params, config)
-    block_caches = []
-    adapter_cache = None
-    for i, blk in enumerate(params.blocks, start=1):
-        z, bc = encoder_block_forward(z, blk, config, rng, train)
-        block_caches.append(bc)
-        if adapter is not None and i == config.adapter_layer:
-            z_in = z
-            z, adapter_cache = adapter(z)
-            if config.adapter_residual:
-                z = z + z_in
-    cache = {"token_ids": list(token_ids), "blocks": block_caches, "adapter": adapter_cache}
-    return z, cache
-
-
-def encode_backward(d_z, cache, params: EncoderParams, config: ModelConfig,
-                    grads: EncoderParams, adapter_backward=None) -> None:
-    """Mirror of ``encode_forward``; ``adapter_backward(d_out, cache)`` must
-    return the gradient w.r.t. the adapter's input."""
-    for i in range(len(params.blocks), 0, -1):
-        if adapter_backward is not None and i == config.adapter_layer:
-            d_adapter_in = adapter_backward(d_z, cache["adapter"])
-            if config.adapter_residual:
-                d_adapter_in = d_adapter_in + d_z
-            d_z = d_adapter_in
-        d_z = encoder_block_backward(d_z, cache["blocks"][i - 1], params.blocks[i - 1], config, grads.blocks[i - 1])
-    embed_backward(d_z, cache["token_ids"], grads)

@@ -12,7 +12,6 @@ Averaging rules, pinned by tests:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -49,9 +48,6 @@ class EvalReport:
             doc["overall_micro"] = {"p": self.overall_micro.p, "r": self.overall_micro.r,
                                     "f1": self.overall_micro.f1, "averaging": "micro-over-tokens"}
         return doc
-
-    def to_json(self, pretty: bool = False) -> str:
-        return json.dumps(self.to_dict(), indent=2 if pretty else None)
 
 
 def _ratio(num: int, den: int, other_empty: bool) -> float:

@@ -24,8 +24,16 @@ from .descnet import (
     encode_description_bank,
     init_descnet_params,
 )
-from .encoder import EncoderParams, ModelConfig, encode_backward, encode_forward, init_encoder_params
-from .numerics import named_arrays, zeros_like_struct
+from .encoder import (
+    EncoderParams,
+    ModelConfig,
+    embed,
+    embed_backward,
+    encoder_block_backward,
+    encoder_block_forward,
+    init_encoder_params,
+)
+from .numerics import named_arrays
 from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Token, decode_bio, encode_bio, normalize_post, tokenize
 
 CHECKPOINT_VERSION = 1
@@ -82,10 +90,6 @@ def init_model_params(config: ModelConfig, vocab_size: int, bank_size: int,
     return ModelParams(encoder=enc, crf=head, descnet=desc)
 
 
-def zero_grads(params: ModelParams) -> ModelParams:
-    return zeros_like_struct(params)
-
-
 @dataclass
 class Example:
     """A post converted to model inputs, with the bookkeeping to map
@@ -120,11 +124,12 @@ def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:
     return out
 
 
-def build_bank(texts: list[str], vocab: Vocabulary, params: ModelParams,
-               config: ModelConfig) -> DescriptionBank:
-    """Tokenize description texts and encode them with the current weights."""
+def build_bank(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
+               config: ModelConfig) -> DescriptionBank | None:
+    """Tokenize description texts and encode them with the current weights;
+    None for a model without adapter weights."""
     if params.descnet is None:
-        raise ValueError("model has no adapter; no bank to encode")
+        return None
     id_lists = []
     for text in texts:
         toks = tokenize(text)
@@ -137,18 +142,22 @@ def build_bank(texts: list[str], vocab: Vocabulary, params: ModelParams,
 
 def sequence_forward(params: ModelParams, config: ModelConfig, token_ids: list[int],
                      bank: DescriptionBank | None, rng=None, train=False):
-    """Encoder + optional adapter + emission projection; returns (emissions, cache)."""
-    adapter = None
-    if config.use_descnet and params.descnet is not None:
-        if bank is None:
-            raise ValueError("adapter enabled but no description bank supplied")
-
-        def adapter(z):
-            return descnet_forward(z, bank, params.descnet, config, rng, train)
-
-    z, enc_cache = encode_forward(token_ids, params.encoder, config, rng, train, adapter)
+    """Embeddings, the encoder blocks with the adapter after block
+    ``config.adapter_layer`` if the model has adapter weights, then the
+    emission projection; returns (emissions, cache)."""
+    if params.descnet is not None and bank is None:
+        raise ValueError("adapter enabled but no description bank supplied")
+    z = embed(token_ids, params.encoder, config)
+    block_caches = []
+    adapter_cache = None
+    for i, blk in enumerate(params.encoder.blocks, start=1):
+        z, bc = encoder_block_forward(z, blk, config, rng, train)
+        block_caches.append(bc)
+        if params.descnet is not None and i == config.adapter_layer:
+            z_hat, adapter_cache = descnet_forward(z, bank, params.descnet, config, rng, train)
+            z = z_hat + z if config.adapter_residual else z_hat
     e = emissions_from(z, params.crf)
-    return e, {"enc": enc_cache, "z": z}
+    return e, {"token_ids": token_ids, "blocks": block_caches, "adapter": adapter_cache, "z": z}
 
 
 def sequence_loss(params: ModelParams, config: ModelConfig, token_ids: list[int],
@@ -169,15 +178,15 @@ def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[
     """
     d_e = nll_backward(e, params.crf, gold_tags, cache["crf"], grads.crf)
     d_z = emissions_backward(d_e, cache["z"], params.crf, grads.crf)
-
-    adapter_backward = None
-    if config.use_descnet and params.descnet is not None:
-
-        def adapter_backward(d_out, adapter_cache):
-            return descnet_backward(d_out, adapter_cache, params.descnet, config,
+    blocks, g_blocks = params.encoder.blocks, grads.encoder.blocks
+    for i in range(len(blocks), 0, -1):
+        if params.descnet is not None and i == config.adapter_layer:
+            d_in = descnet_backward(d_z, cache["adapter"], params.descnet, config,
                                     grads.descnet, d_bank)
-
-    encode_backward(d_z, cache["enc"], params.encoder, config, grads.encoder, adapter_backward)
+            d_z = d_in + d_z if config.adapter_residual else d_in
+        d_z = encoder_block_backward(d_z, cache["blocks"][i - 1], blocks[i - 1], config,
+                                     g_blocks[i - 1])
+    embed_backward(d_z, cache["token_ids"], grads.encoder)
 
 
 def predict_tags(params: ModelParams, config: ModelConfig, token_ids: list[int],
@@ -224,8 +233,13 @@ def load_checkpoint(path):
         bank_texts = doc["bank_texts"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+    if bank_texts is not None and not (isinstance(bank_texts, list)
+                                       and all(isinstance(t, str) for t in bank_texts)):
+        raise CheckpointError("bank_texts must be null or a list of strings")
     bank_size = len(bank_texts) if bank_texts else 1
     params = init_model_params(config, len(vocab), bank_size, np.random.default_rng(0))
+    if params.descnet is not None and not bank_texts:
+        raise CheckpointError("checkpoint has adapter weights but no bank_texts")
     stored = doc.get("params")
     if not isinstance(stored, dict):
         raise CheckpointError("checkpoint has no params")

@@ -108,33 +108,28 @@ def named_arrays(obj, prefix: str = ""):
             yield from named_arrays(v, f"{name}.")
 
 
-def zeros_like_struct(obj):
-    """A structural copy of a parameter dataclass tree with all arrays zeroed."""
+def _map_arrays(fn, obj):
+    """A structural copy of a parameter dataclass tree with ``fn`` applied to
+    every array; other fields are shared."""
     kwargs = {}
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
         if isinstance(v, np.ndarray):
-            kwargs[f.name] = np.zeros_like(v)
+            kwargs[f.name] = fn(v)
         elif isinstance(v, list) and v and dataclasses.is_dataclass(v[0]):
-            kwargs[f.name] = [zeros_like_struct(x) for x in v]
+            kwargs[f.name] = [_map_arrays(fn, x) for x in v]
         elif dataclasses.is_dataclass(v):
-            kwargs[f.name] = zeros_like_struct(v)
+            kwargs[f.name] = _map_arrays(fn, v)
         else:
             kwargs[f.name] = v
     return type(obj)(**kwargs)
+
+
+def zeros_like_struct(obj):
+    """A structural copy of a parameter dataclass tree with all arrays zeroed."""
+    return _map_arrays(np.zeros_like, obj)
 
 
 def copy_struct(obj):
     """Deep copy of a parameter dataclass tree (arrays copied)."""
-    kwargs = {}
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, np.ndarray):
-            kwargs[f.name] = v.copy()
-        elif isinstance(v, list) and v and dataclasses.is_dataclass(v[0]):
-            kwargs[f.name] = [copy_struct(x) for x in v]
-        elif dataclasses.is_dataclass(v):
-            kwargs[f.name] = copy_struct(v)
-        else:
-            kwargs[f.name] = v
-    return type(obj)(**kwargs)
+    return _map_arrays(np.ndarray.copy, obj)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from claimspan.encoder import ModelConfig
 from claimspan.model import Vocabulary, init_model_params
 from claimspan.preprocess import AnnotatedPost, CharSpan
+
+# Tier-1 runs the same Hypothesis examples on every run, with no wall-clock
+# deadline, so its outcome does not depend on chance or machine load.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -47,8 +47,7 @@ FullRun = namedtuple("FullRun", "result train_s f1 dsc")
 
 def _held_out_scores(result, test_posts):
     mc = result.model_config
-    bank = (build_bank(result.bank_texts, result.vocab, result.params, mc)
-            if mc.use_descnet else None)
+    bank = build_bank(result.bank_texts, result.vocab, result.params, mc)
     test_ex = prepare_examples(test_posts, result.vocab, mc)
     _p, _r, f1, dsc = evaluate_split(result.params, mc, test_ex, bank)
     return f1, dsc

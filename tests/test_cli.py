@@ -154,6 +154,8 @@ def test_eval_bad_checkpoint(tmp_path, corpus_file, capsys):
     (lambda doc: {**doc, "params": {**doc["params"], "crf.b_emit": {"shape": [3]}}},
      "crf.b_emit"),
     (lambda doc: [doc], "not a JSON object"),
+    (lambda doc: {**doc, "bank_texts": [1, 2, 3]}, "bank_texts"),
+    (lambda doc: {**doc, "bank_texts": "abc"}, "bank_texts"),
 ])
 def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, match):
     path = tmp_path / "ckpt.json"

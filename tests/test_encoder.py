@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import claimspan.model as model_mod
 from claimspan.encoder import (
     ModelConfig,
     embed,
-    encode_forward,
     encoder_block_backward,
     encoder_block_forward,
     ffn_backward,
@@ -26,6 +28,7 @@ from claimspan.numerics import (
     softmax_rows_backward,
     zeros_like_struct,
 )
+from claimspan.model import build_bank, sequence_forward
 
 
 def fd_grad(f, x, step=1e-6):
@@ -210,62 +213,60 @@ def test_block_backward_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# full encoder
+# full encoder stack, run through the model's sequence forward pass
 
-def test_encode_deterministic_and_shaped(tiny_config):
-    rng = np.random.default_rng(0)
-    params = init_encoder_params(rng, tiny_config, 30)
+@pytest.fixture
+def tiny_bank(tiny_config, tiny_vocab, tiny_params):
+    return build_bank(["claims with numbers", "a quote"], tiny_vocab, tiny_params, tiny_config)
+
+
+def zero_adapter(monkeypatch):
+    """Replace the adapter by one that records its input shapes and outputs zeros."""
+    calls = []
+
+    def adapter(z, bank, params, config, rng=None, train=False):
+        calls.append(z.shape)
+        return np.zeros_like(z), None
+
+    monkeypatch.setattr(model_mod, "descnet_forward", adapter)
+    return calls
+
+
+def test_encode_deterministic_and_shaped(tiny_config, tiny_params, tiny_bank):
     ids = [3, 1, 4, 1, 5]
-    z1 = encode_forward(ids, params, tiny_config)[0]
-    z2 = encode_forward(ids, params, tiny_config)[0]
-    assert z1.shape == (5, tiny_config.d)
-    assert np.array_equal(z1, z2)
+    e1, cache = sequence_forward(tiny_params, tiny_config, ids, tiny_bank)
+    e2 = sequence_forward(tiny_params, tiny_config, ids, tiny_bank)[0]
+    assert cache["z"].shape == (5, tiny_config.d)
+    assert e1.shape == (5, 3)
+    assert np.array_equal(e1, e2)
 
 
-def test_encode_position_sensitivity(tiny_config):
-    rng = np.random.default_rng(0)
-    params = init_encoder_params(rng, tiny_config, 30)
-    a = encode_forward([3, 1, 4], params, tiny_config)[0]
-    b = encode_forward([4, 1, 3], params, tiny_config)[0]
+def test_encode_position_sensitivity(tiny_config, tiny_params, tiny_bank):
+    a = sequence_forward(tiny_params, tiny_config, [3, 1, 4], tiny_bank)[0]
+    b = sequence_forward(tiny_params, tiny_config, [4, 1, 3], tiny_bank)[0]
     assert not np.allclose(a, b)
 
 
-def test_adapter_callback_rewrites_representation(tiny_config):
-    rng = np.random.default_rng(0)
-    params = init_encoder_params(rng, tiny_config, 30)
-    ids = [3, 1, 4]
-
-    calls = []
-
-    def adapter(z):
-        calls.append(z.shape)
-        return z * 0.0, None
-
-    z, _cache = encode_forward(ids, params, tiny_config, adapter=adapter)
+def test_adapter_rewrites_representation(monkeypatch, tiny_config, tiny_params, tiny_bank):
+    calls = zero_adapter(monkeypatch)
+    e, _cache = sequence_forward(tiny_params, tiny_config, [3, 1, 4], tiny_bank)
     assert calls == [(3, tiny_config.d)]
     # adapter at layer 2 of 2: zeroed output goes through no further blocks
-    assert np.allclose(z, 0.0)
+    assert np.array_equal(e, np.broadcast_to(tiny_params.crf.b_emit, e.shape))
 
 
-def test_adapter_residual_variant(tiny_config):
-    import dataclasses
+def test_adapter_residual_variant(monkeypatch, tiny_config, tiny_params, tiny_bank):
     cfg = dataclasses.replace(tiny_config, adapter_residual=True)
-    rng = np.random.default_rng(0)
-    params = init_encoder_params(rng, cfg, 30)
     ids = [3, 1, 4]
-    plain = encode_forward(ids, params, cfg)[0]
-
-    def adapter(z):
-        return z * 0.0, None
-
-    z, _ = encode_forward(ids, params, cfg, adapter=adapter)
-    assert np.allclose(z, plain)
+    plain = sequence_forward(dataclasses.replace(tiny_params, descnet=None), cfg, ids, None)[0]
+    zero_adapter(monkeypatch)
+    e, _ = sequence_forward(tiny_params, cfg, ids, tiny_bank)
+    assert np.allclose(e, plain)
 
 
-def test_dropout_zero_train_equals_eval(tiny_config):
-    rng = np.random.default_rng(0)
-    params = init_encoder_params(rng, tiny_config, 30)
+def test_dropout_zero_train_equals_eval(tiny_config, tiny_params, tiny_bank):
     ids = [2, 7, 9]
-    z_eval = encode_forward(ids, params, tiny_config)[0]
-    z_train = encode_forward(ids, params, tiny_config, rng=np.random.default_rng(1), train=True)[0]
-    assert np.array_equal(z_eval, z_train)
+    e_eval = sequence_forward(tiny_params, tiny_config, ids, tiny_bank)[0]
+    e_train = sequence_forward(tiny_params, tiny_config, ids, tiny_bank,
+                               rng=np.random.default_rng(1), train=True)[0]
+    assert np.array_equal(e_eval, e_train)

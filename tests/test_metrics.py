@@ -260,7 +260,7 @@ def test_build_report_and_json():
     assert report.n_posts == 2
     assert report.averaging == "macro-over-posts"
     assert report.span_count_ratio == 0.5
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["overall"]["averaging"] == "macro-over-posts"
     assert doc["overall_micro"]["averaging"] == "micro-over-tokens"
     assert set(doc["per_tag"]) == {"B", "I", "O"}

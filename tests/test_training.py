@@ -330,8 +330,32 @@ def test_batch_gradients_runs_one_forward_recursion_per_example(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(crf_mod, "_forward_messages", counting)
-    training_mod.batch_gradients(params, TINY_MC, batch, synthetic_bank(), vocab)
+    bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
+    training_mod.batch_gradients(params, TINY_MC, batch, bank)
     assert len(calls) == len(batch) == 5
+
+
+def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
+    # one bank before the first step and one after each Adam step; validation
+    # reuses the bank of the epoch's last step
+    tr, va, _ = split_corpus(_mini_corpus())
+    tc = dataclasses.replace(TINY_TC, max_epochs=2, patience=2)
+    real_bank, real_adam = training_mod.build_bank, training_mod.adam_step
+    banks, steps = [], []
+
+    def counting_bank(*args, **kwargs):
+        banks.append(1)
+        return real_bank(*args, **kwargs)
+
+    def counting_adam(*args, **kwargs):
+        steps.append(1)
+        real_adam(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "build_bank", counting_bank)
+    monkeypatch.setattr(training_mod, "adam_step", counting_adam)
+    res = train(tr, va, synthetic_bank(), TINY_MC, tc)
+    assert len(res.records) == 2
+    assert len(banks) == len(steps) + 1
 
 
 def test_train_validates_inputs():
@@ -351,8 +375,16 @@ def test_grad_check_passes_default_instance():
     assert report.max_rel_err < 1e-4
 
 
-def test_grad_check_catches_sabotage():
-    report = grad_check(sabotage="descnet.w_proj")
+def test_grad_check_catches_sabotage(monkeypatch):
+    real = training_mod.batch_gradients
+
+    def sabotaged(*args, **kwargs):
+        grads, losses = real(*args, **kwargs)
+        grads.descnet.w_proj.flat[0] += 1.0
+        return grads, losses
+
+    monkeypatch.setattr(training_mod, "batch_gradients", sabotaged)
+    report = grad_check()
     assert not report.passed
     assert report.parameter == "descnet.w_proj"
 
