@@ -23,7 +23,7 @@ from .model import (
     build_bank,
     load_checkpoint,
     post_to_example,
-    predict_tags,
+    predict_sequences,
     save_checkpoint,
     spans_to_raw,
 )
@@ -163,11 +163,11 @@ def _load_model(args):
 
 
 def _predict_corpus(posts, config, vocab, bank, params):
-    """Yields (post, example, predicted tags); empty posts get no tags."""
-    for post in posts:
-        ex = post_to_example(post, vocab, config)
-        tags = predict_tags(params, config, ex.token_ids, bank) if ex.token_ids else []
-        yield post, ex, tags
+    """(post, example, predicted tags) per post, the posts run in packed
+    chunks; empty posts get no tags."""
+    examples = [post_to_example(post, vocab, config) for post in posts]
+    tags = predict_sequences(params, config, [ex.token_ids for ex in examples], bank)
+    return zip(posts, examples, tags)
 
 
 def render_report(doc: dict) -> str:

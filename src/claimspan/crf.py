@@ -1,6 +1,7 @@
 """Linear-chain CRF head over BIO tags.
 
-All recursions run in log space. Structurally forbidden moves (starting on I,
+All recursions run in log space, with one time loop over a whole packed
+chunk of sequences. Structurally forbidden moves (starting on I,
 O followed by I) are pinned to a large negative score and masked out of
 gradient updates, which guarantees Viterbi never emits an undecodable tag
 sequence. Tag order is B, I, O; argmax ties resolve to the lowest index.
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import init_normal, log_sum_exp
+from .packing import Packing
 
 TAG_INDEX = {"B": 0, "I": 1, "O": 2}
 INDEX_TAG = ("B", "I", "O")
@@ -74,66 +76,88 @@ def tags_to_indices(tags: list[str]) -> np.ndarray:
         raise ValueError(f"unknown tag {exc.args[0]!r}") from exc
 
 
-def score_sequence(e: np.ndarray, crf: CrfParams, tag_ids: np.ndarray) -> float:
-    n = e.shape[0]
-    if len(tag_ids) != n:
-        raise ValueError(f"{len(tag_ids)} tags for {n} emission rows")
-    s = crf.start_scores[tag_ids[0]] + e[np.arange(n), tag_ids].sum() + crf.end_scores[tag_ids[-1]]
-    if n > 1:
-        s += crf.transitions[tag_ids[:-1], tag_ids[1:]].sum()
-    return float(s)
+def score_sequence(e: np.ndarray, crf: CrfParams, tag_ids: np.ndarray,
+                   packing: Packing | None = None) -> np.ndarray:
+    """Score of each sequence's tag path in a chunk's packed emissions, as a
+    (sequences,) array."""
+    packing = packing or Packing.single(len(e))
+    if len(tag_ids) != len(e):
+        raise ValueError(f"{len(tag_ids)} tags for {len(e)} emission rows")
+    seg, pairs = packing.seg, packing.pair_rows
+    emit = np.bincount(seg, weights=e[np.arange(len(e)), tag_ids], minlength=packing.size)
+    trans = np.bincount(seg[pairs], weights=crf.transitions[tag_ids[pairs], tag_ids[pairs + 1]],
+                        minlength=packing.size)
+    return (crf.start_scores[tag_ids[packing.starts]] + emit + trans
+            + crf.end_scores[tag_ids[packing.ends]])
 
 
-def _forward_messages(e: np.ndarray, crf: CrfParams) -> tuple[np.ndarray, float]:
-    """Forward messages alpha (n x 3) and log Z, the log sum over all tag
-    sequences of exp(score)."""
-    n = e.shape[0]
-    if n < 1:
-        raise ValueError("need at least one emission row")
-    alpha = np.empty((n, N_TAGS))
-    alpha[0] = crf.start_scores + e[0]
-    for t in range(1, n):
-        alpha[t] = log_sum_exp(alpha[t - 1][:, None] + crf.transitions, axis=0) + e[t]
-    return alpha, float(log_sum_exp(alpha[-1] + crf.end_scores, axis=0))
+def _forward_messages(e: np.ndarray, crf: CrfParams,
+                      packing: Packing) -> tuple[np.ndarray, np.ndarray]:
+    """Forward messages alpha (sequences, longest, 3) and log Z per sequence:
+    the log sum over all its tag paths of exp(score).
+
+    One time loop serves the whole chunk; past a sequence's end its row runs
+    on with zero emissions, and nothing reads those values."""
+    em = packing.pad(e, 0.0)
+    alpha = np.empty(em.shape)
+    step = alpha[:, 0] = crf.start_scores + em[:, 0]
+    for t in range(1, packing.n_max):
+        step = alpha[:, t] = log_sum_exp(step[:, :, None] + crf.transitions, axis=1) + em[:, t]
+    last = alpha[np.arange(packing.size), packing.lengths - 1]
+    return alpha, log_sum_exp(last + crf.end_scores, axis=1)
 
 
-def nll_loss(e: np.ndarray, crf: CrfParams,
-             tags: list[str]) -> tuple[float, tuple[np.ndarray, float]]:
-    """log Z minus the gold-sequence score, nonnegative up to roundoff, and the
-    forward messages ``(alpha, log_z)`` that ``nll_backward`` needs."""
-    messages = _forward_messages(e, crf)
-    return messages[1] - score_sequence(e, crf, tags_to_indices(tags)), messages
+def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str],
+             packing: Packing | None = None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Each sequence's log Z minus its gold-path score, nonnegative up to
+    roundoff, as a (sequences,) array, and the forward messages
+    ``(alpha, log_z)`` that ``nll_backward`` needs.
+
+    ``e`` and ``tags`` are the chunk's packed emission rows and gold tags.
+    """
+    packing = packing or Packing.single(len(e))
+    messages = _forward_messages(e, crf, packing)
+    return messages[1] - score_sequence(e, crf, tags_to_indices(tags), packing), messages
 
 
 def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
-                 messages: tuple[np.ndarray, float], g: CrfParams) -> np.ndarray:
-    """Accumulate CRF-parameter gradients of the NLL and return d(loss)/d(emissions).
+                 messages: tuple[np.ndarray, np.ndarray], g: CrfParams,
+                 packing: Packing | None = None) -> np.ndarray:
+    """Accumulate CRF-parameter gradients of the chunk's summed NLL and return
+    d(loss)/d(emissions) for its packed rows.
 
     ``messages`` are the forward messages ``nll_loss`` returned for the same
     emissions and parameters. Uses the exact identity: the emission gradient
     is marginals minus the gold one-hot; transition/start/end gradients are
     expected counts minus observed counts. Pinned entries get zero gradient.
     """
+    packing = packing or Packing.single(len(e))
     alpha, log_z = messages
     tag_ids = tags_to_indices(tags)
-    n = e.shape[0]
-    beta = np.empty((n, N_TAGS))
-    beta[n - 1] = crf.end_scores
-    for t in range(n - 2, -1, -1):
-        beta[t] = log_sum_exp(crf.transitions + (e[t + 1] + beta[t + 1])[None, :], axis=1)
+    em = packing.pad(e, 0.0)
+    beta = np.empty(em.shape)
+    step = beta[:, -1] = crf.end_scores
+    for t in range(packing.n_max - 2, -1, -1):
+        step = log_sum_exp(crf.transitions + (em[:, t + 1] + step)[:, None, :], axis=2)
+        ending = packing.ending.get(t)
+        if ending is not None:  # these sequences' beta starts here
+            step[ending] = crf.end_scores
+        beta[:, t] = step
 
-    marginals = np.exp(alpha + beta - log_z)
-    d_e = marginals.copy()
-    d_e[np.arange(n), tag_ids] -= 1.0
-
-    # pair marginals p(y_t = i, y_t+1 = j) for every t at once: (n-1) x 3 x 3
-    log_pair = alpha[:-1, :, None] + crf.transitions + (e[1:] + beta[1:])[:, None, :] - log_z
+    # marginals minus the gold one-hot, and the pair marginals
+    # p(y_t = i, y_t+1 = j) of every step of every sequence at once, all on
+    # the packed rows, so no value past a sequence's end is read
+    alpha, beta, log_z = packing.unpad(alpha), packing.unpad(beta), log_z[packing.seg]
+    d_e = np.exp(alpha + beta - log_z[:, None])
+    d_e[np.arange(len(e)), tag_ids] -= 1.0
+    pairs = packing.pair_rows
+    log_pair = (alpha[pairs, :, None] + crf.transitions
+                + (e[pairs + 1] + beta[pairs + 1])[:, None, :] - log_z[pairs, None, None])
     d_trans = np.exp(log_pair).sum(axis=0)
-    np.add.at(d_trans, (tag_ids[:-1], tag_ids[1:]), -1.0)
-    d_start = marginals[0].copy()
-    d_start[tag_ids[0]] -= 1.0
-    d_end = marginals[-1].copy()
-    d_end[tag_ids[-1]] -= 1.0
+    d_trans -= np.bincount(tag_ids[pairs] * N_TAGS + tag_ids[pairs + 1],
+                           minlength=N_TAGS * N_TAGS).reshape(N_TAGS, N_TAGS)
+    d_start = d_e[packing.starts].sum(axis=0)
+    d_end = d_e[packing.ends].sum(axis=0)
 
     trans_mask, start_mask = forbidden_masks()
     d_trans[trans_mask] = 0.0
@@ -145,21 +169,28 @@ def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
     return d_e
 
 
-def viterbi_decode(e: np.ndarray, crf: CrfParams) -> list[str]:
-    """Highest-scoring valid tag sequence; ties break toward B < I < O."""
-    n = e.shape[0]
-    if n < 1:
-        raise ValueError("need at least one emission row")
-    v = crf.start_scores + e[0]
-    backptr = np.empty((n, N_TAGS), dtype=np.intp)
-    for t in range(1, n):
-        cand = v[:, None] + crf.transitions
-        backptr[t] = cand.argmax(axis=0)
-        v = cand.max(axis=0) + e[t]
-    final = v + crf.end_scores
-    best = int(final.argmax())
-    path = [best]
-    for t in range(n - 1, 0, -1):
-        path.append(int(backptr[t, path[-1]]))
-    path.reverse()
-    return [INDEX_TAG[i] for i in path]
+def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing | None = None) -> list[str]:
+    """Highest-scoring valid tag path of each sequence in a chunk's packed
+    emissions, as packed tags; ties break toward B < I < O."""
+    packing = packing or Packing.single(len(e))
+    em = packing.pad(e, 0.0)
+    v = crf.start_scores + em[:, 0]
+    final = np.empty_like(v)
+    backptr = np.empty(em.shape, dtype=np.intp)
+    for t in range(packing.n_max):
+        if t:
+            cand = v[:, :, None] + crf.transitions
+            backptr[:, t] = cand.argmax(axis=1)
+            v = cand.max(axis=1) + em[:, t]
+        ending = packing.ending.get(t)
+        if ending is not None:
+            final[ending] = v[ending]
+    best = (final + crf.end_scores).argmax(axis=1).tolist()
+    pointers = backptr.tolist()
+    out = []
+    for seq, n in enumerate(packing.lengths.tolist()):
+        path, steps = [best[seq]], pointers[seq]
+        for t in range(n - 1, 0, -1):
+            path.append(steps[t][path[-1]])
+        out.extend(INDEX_TAG[i] for i in reversed(path))
+    return out

@@ -1,11 +1,12 @@
 """Description-infusing adapter: quasi-attention over an encoded description
 bank, description fusion, and an interactive gating mechanism.
 
-The adapter takes the running token representation Z (n x d), lets every
-token interact with each encoded claim description through compositional
-de-attention (weights in (-1, 1), so descriptions can add, ignore, or
-subtract), fuses the m interaction outputs, and gates Z with a pooled
-d-vector built from a conflict gate and a refine gate.
+The adapter takes the running token representation Z (the packed rows of a
+chunk's sequences, rows x d), lets every token interact with each encoded
+claim description through compositional de-attention (weights in (-1, 1), so
+descriptions can add, ignore, or subtract), fuses the m interaction outputs,
+and gates each sequence's rows of Z with a d-vector pooled from that
+sequence, built from a conflict gate and a refine gate.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .encoder import (
     init_block_params,
 )
 from .numerics import dropout, dropout_backward, init_normal, sigmoid, softmax_rows, softmax_rows_backward
+from .packing import Packing
 
 
 @dataclass
@@ -53,15 +55,14 @@ class DescNetParams:
 class DescriptionBank:
     """Encoded claim descriptions: one (tokens x d) matrix per description.
 
-    ``caches`` holds the description-encoder forward intermediates so
-    gradients can flow back into the shared embeddings and the dedicated
-    encoder block.
+    The descriptions are encoded as one packed chunk; ``cache`` holds its
+    packed token ids, packing and encoder intermediates so gradients can flow
+    back into the shared embeddings and the dedicated encoder block.
     """
 
     texts: list[str]
-    token_ids: list[list[int]]
     matrices: list[np.ndarray]
-    caches: list[dict]
+    cache: dict
 
     @property
     def size(self) -> int:
@@ -114,15 +115,15 @@ def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
     encoder block (no dropout on the description path)."""
     if not texts:
         raise ValueError("empty description bank")
-    matrices, caches = [], []
     for text, ids in zip(texts, token_id_lists):
         if not ids:
             raise ValueError(f"description tokenizes to nothing: {text!r}")
-        z0 = embed(ids, enc_params, config)
-        d_j, block_cache = encoder_block_forward(z0, desc_block, config, rng=None, train=False)
-        matrices.append(d_j)
-        caches.append(block_cache)
-    return DescriptionBank(list(texts), [list(i) for i in token_id_lists], matrices, caches)
+    packing = Packing([len(ids) for ids in token_id_lists])
+    flat = np.array([t for ids in token_id_lists for t in ids], dtype=np.intp)
+    z0 = embed(flat, enc_params, config, packing)
+    out, block_cache = encoder_block_forward(z0, desc_block, config, packing=packing)
+    return DescriptionBank(list(texts), np.split(out, packing.starts[1:]),
+                           {"ids": flat, "packing": packing, "block": block_cache})
 
 
 def bank_backward(d_matrices: list[np.ndarray], bank: DescriptionBank,
@@ -130,14 +131,10 @@ def bank_backward(d_matrices: list[np.ndarray], bank: DescriptionBank,
                   g_desc_block: EncoderBlockParams, g_enc: EncoderParams) -> None:
     """Push description-matrix gradients back into the description encoder
     block and the shared embeddings; one call covers a batch sharing ``bank``."""
-    for d_mat, cache, ids in zip(d_matrices, bank.caches, bank.token_ids):
-        d_z0 = encoder_block_backward(d_mat, cache, desc_block, config, g_desc_block)
-        embed_backward(d_z0, ids, g_enc)
-
-
-def negative_l1_matrix(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """G[s, t] = -sum_f |q[s, f] - k[t, f]|."""
-    return -np.abs(q[:, None, :] - k[None, :, :]).sum(axis=-1)
+    cache = bank.cache
+    d_z0 = encoder_block_backward(np.concatenate(d_matrices), cache["block"], desc_block,
+                                  config, g_desc_block)
+    embed_backward(d_z0, cache["ids"], g_enc, cache["packing"])
 
 
 def coda_forward(q: np.ndarray, k: np.ndarray):
@@ -149,7 +146,11 @@ def coda_forward(q: np.ndarray, k: np.ndarray):
     """
     scale = np.sqrt(q.shape[1])
     t = np.tanh(q @ k.T / scale)
-    gs = sigmoid(negative_l1_matrix(q, k) / scale)
+    # negative L1 distance G[s, t] = -sum_f |q[s, f] - k[t, f]|, through one
+    # (rows, tokens, d) temporary taken in place
+    dist = q[:, None, :] - k[None, :, :]
+    np.abs(dist, out=dist)
+    gs = sigmoid(-dist.sum(axis=-1) / scale)
     return t * gs, {"q": q, "k": k, "t": t, "gs": gs, "scale": scale}
 
 
@@ -161,9 +162,12 @@ def coda_backward(d_a: np.ndarray, cache):
     d_q = d_s @ k
     d_k = d_s.T @ q
     d_g = d_gs * gs * (1.0 - gs) / scale
-    sgn = np.sign(q[:, None, :] - k[None, :, :])
-    d_q += np.einsum("sm,smf->sf", d_g, -sgn)
-    d_k += np.einsum("sm,smf->mf", d_g, sgn)
+    # d_g times the sign of q - k, in one (rows, tokens, d) temporary
+    term = q[:, None, :] - k[None, :, :]
+    np.sign(term, out=term)
+    term *= d_g[:, :, None]
+    d_q -= term.sum(axis=1)
+    d_k += term.sum(axis=0)
     return d_q, d_k
 
 
@@ -215,27 +219,30 @@ def fuse_backward(d_fused: np.ndarray, cache, params: DescNetParams, g: DescNetP
     return np.split(d_concat, cache["n_parts"], axis=1)
 
 
-def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams):
-    """Interactive gating: pooled conflict/refine gates rescale every row of z;
-    returns (out, cache)."""
+def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams,
+                packing: Packing | None = None):
+    """Interactive gating: conflict/refine gates pooled from each sequence of
+    the chunk rescale every row of that sequence in z; returns (out, cache).
+
+    The gates of all sequences are (sequences, d) arrays.
+    """
     if zp.shape != z.shape:
         raise ValueError(f"shape mismatch {zp.shape} vs {z.shape}")
     p = params
-    z_vec = z.max(axis=0)
-    zp_vec = zp.max(axis=0)
-    idx_z = z.argmax(axis=0)
-    idx_zp = zp.argmax(axis=0)
+    packing = packing or Packing.single(len(z))
+    z_vec, idx_z = packing.seg_argmax(z)
+    zp_vec, idx_zp = packing.seg_argmax(zp)
     mu_c = sigmoid(z_vec @ p.w_c1 + zp_vec @ p.w_c2 + p.b_c1)
     conflict = np.tanh((z_vec * mu_c) @ p.w_c3 + (zp_vec * (1.0 - mu_c)) @ p.w_c4 + p.b_c2)
     mu_r = sigmoid(z_vec @ p.w_r1 + zp_vec @ p.w_r2 + p.b_r1)
     refine = np.tanh((z_vec * mu_r) @ p.w_r3 + (zp_vec * mu_r) @ p.w_r4 + p.b_r2)
     adaptive = refine + (1.0 - mu_r) * conflict
     gate = np.tanh(adaptive @ p.w_a + p.b_a)
-    out = z * gate
+    out = z * gate[packing.seg]
     cache = {
         "z": z, "zp": zp, "z_vec": z_vec, "zp_vec": zp_vec, "idx_z": idx_z, "idx_zp": idx_zp,
         "mu_c": mu_c, "conflict": conflict, "mu_r": mu_r, "refine": refine,
-        "adaptive": adaptive, "gate": gate,
+        "adaptive": adaptive, "gate": gate, "packing": packing,
     }
     return out, cache
 
@@ -243,17 +250,17 @@ def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams):
 def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
     """Returns (d_zp, d_z); the max-pool routes pooled gradients back to the
     argmax rows, the gate itself carries gradient to every row of z."""
-    z, zp = cache["z"], cache["zp"]
+    z, zp, packing = cache["z"], cache["zp"], cache["packing"]
     z_vec, zp_vec = cache["z_vec"], cache["zp_vec"]
     mu_c, conflict = cache["mu_c"], cache["conflict"]
     mu_r, refine = cache["mu_r"], cache["refine"]
     adaptive, gate = cache["adaptive"], cache["gate"]
 
-    d_z = d_out * gate
-    d_gate = (d_out * z).sum(axis=0)
+    d_z = d_out * gate[packing.seg]
+    d_gate = packing.seg_sum(d_out * z)
     d_pre_gate = d_gate * (1.0 - gate**2)
-    g.w_a += np.outer(adaptive, d_pre_gate)
-    g.b_a += d_pre_gate
+    g.w_a += adaptive.T @ d_pre_gate
+    g.b_a += d_pre_gate.sum(axis=0)
     d_adaptive = d_pre_gate @ p.w_a.T
 
     d_refine = d_adaptive
@@ -261,37 +268,38 @@ def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
     d_mu_r = -d_adaptive * conflict
 
     d_pre_r = d_refine * (1.0 - refine**2)
-    g.w_r3 += np.outer(z_vec * mu_r, d_pre_r)
-    g.w_r4 += np.outer(zp_vec * mu_r, d_pre_r)
-    g.b_r2 += d_pre_r
+    g.w_r3 += (z_vec * mu_r).T @ d_pre_r
+    g.w_r4 += (zp_vec * mu_r).T @ d_pre_r
+    g.b_r2 += d_pre_r.sum(axis=0)
     t3 = d_pre_r @ p.w_r3.T
     t4 = d_pre_r @ p.w_r4.T
     d_z_vec = t3 * mu_r
     d_zp_vec = t4 * mu_r
     d_mu_r += t3 * z_vec + t4 * zp_vec
     d_u_r = d_mu_r * mu_r * (1.0 - mu_r)
-    g.w_r1 += np.outer(z_vec, d_u_r)
-    g.w_r2 += np.outer(zp_vec, d_u_r)
-    g.b_r1 += d_u_r
+    g.w_r1 += z_vec.T @ d_u_r
+    g.w_r2 += zp_vec.T @ d_u_r
+    g.b_r1 += d_u_r.sum(axis=0)
     d_z_vec += d_u_r @ p.w_r1.T
     d_zp_vec += d_u_r @ p.w_r2.T
 
     d_pre_c = d_conflict * (1.0 - conflict**2)
-    g.w_c3 += np.outer(z_vec * mu_c, d_pre_c)
-    g.w_c4 += np.outer(zp_vec * (1.0 - mu_c), d_pre_c)
-    g.b_c2 += d_pre_c
+    g.w_c3 += (z_vec * mu_c).T @ d_pre_c
+    g.w_c4 += (zp_vec * (1.0 - mu_c)).T @ d_pre_c
+    g.b_c2 += d_pre_c.sum(axis=0)
     s3 = d_pre_c @ p.w_c3.T
     s4 = d_pre_c @ p.w_c4.T
     d_z_vec += s3 * mu_c
     d_zp_vec += s4 * (1.0 - mu_c)
     d_mu_c = s3 * z_vec - s4 * zp_vec
     d_u_c = d_mu_c * mu_c * (1.0 - mu_c)
-    g.w_c1 += np.outer(z_vec, d_u_c)
-    g.w_c2 += np.outer(zp_vec, d_u_c)
-    g.b_c1 += d_u_c
+    g.w_c1 += z_vec.T @ d_u_c
+    g.w_c2 += zp_vec.T @ d_u_c
+    g.b_c1 += d_u_c.sum(axis=0)
     d_z_vec += d_u_c @ p.w_c1.T
     d_zp_vec += d_u_c @ p.w_c2.T
 
+    # each (row, column) pair is the maximum of one sequence only
     cols = np.arange(z.shape[1])
     d_zp = np.zeros_like(zp)
     d_zp[cache["idx_zp"], cols] += d_zp_vec
@@ -300,8 +308,8 @@ def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
 
 
 def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,
-                    config: ModelConfig, rng=None, train=False):
-    """Full adapter pass; returns (z_hat, cache)."""
+                    config: ModelConfig, rng=None, train=False, packing: Packing | None = None):
+    """Full adapter pass over a chunk's packed rows; returns (z_hat, cache)."""
     if bank.size * config.d != params.w_fuse.shape[0]:
         raise ValueError(f"bank of {bank.size} descriptions does not match fusion "
                          f"weights built for {params.w_fuse.shape[0] // config.d}")
@@ -314,7 +322,7 @@ def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,
     fused, fuse_cache = fuse_forward(parts, params, rng, train, config.dropout_p)
     zp = fused @ params.w_proj
     if config.use_igm:
-        z_hat, igm_cache = igm_forward(zp, z, params)
+        z_hat, igm_cache = igm_forward(zp, z, params, packing)
     else:
         z_hat, igm_cache = zp, None
     cache = {"parts": part_caches, "fuse": fuse_cache, "fused": fused, "igm": igm_cache}

@@ -1,7 +1,10 @@
 """Toy transformer token encoder: embeddings plus a stack of encoder blocks.
 
-Runs one sequence at a time in float64. Forward passes return caches that the
-matching ``*_backward`` functions consume; backward accumulates parameter
+Runs in float64 on a packed chunk: the rows of all its sequences stacked in
+one array, described by a ``Packing`` (one sequence when none is given).
+Token-wise steps run on the rows at once; attention pads them to the chunk's
+longest sequence and masks the padded keys. Forward passes return caches that
+the matching ``*_backward`` functions consume; backward accumulates parameter
 gradients in place so a batch can share one gradient structure.
 """
 
@@ -22,6 +25,7 @@ from .numerics import (
     softmax_rows,
     softmax_rows_backward,
 )
+from .packing import Packing
 
 ATTENTION_VARIANTS = ("coda", "dpa")
 
@@ -116,64 +120,77 @@ def init_encoder_params(rng: np.random.Generator, config: ModelConfig, vocab_siz
     )
 
 
-def embed(token_ids: list[int], params: EncoderParams, config: ModelConfig) -> np.ndarray:
-    """Token embeddings plus learned positional embeddings, pointwise."""
-    n = len(token_ids)
-    if n == 0:
-        raise ValueError("cannot embed an empty sequence")
-    if n > config.max_len:
-        raise ValueError(f"sequence of {n} tokens exceeds max length {config.max_len}")
+def embed(token_ids, params: EncoderParams, config: ModelConfig,
+          packing: Packing | None = None) -> np.ndarray:
+    """Token embeddings plus learned positional embeddings for a chunk's
+    packed token ids."""
     ids = np.asarray(token_ids, dtype=np.intp)
+    if ids.size == 0:
+        raise ValueError("cannot embed an empty sequence")
+    packing = packing or Packing.single(ids.size)
+    if packing.n_rows != ids.size:
+        raise ValueError(f"{ids.size} token ids for a chunk of {packing.n_rows} rows")
+    if packing.n_max > config.max_len:
+        raise ValueError(f"sequence of {packing.n_max} tokens exceeds max length {config.max_len}")
     if ids.min() < 0 or ids.max() >= params.token_embedding.shape[0]:
         raise ValueError("token id outside vocabulary range")
-    return params.token_embedding[ids] + params.positional_embedding[:n]
+    return params.token_embedding[ids] + params.positional_embedding[packing.positions]
 
 
-def embed_backward(d_z: np.ndarray, token_ids: list[int], grads: EncoderParams) -> None:
+def embed_backward(d_z: np.ndarray, token_ids, grads: EncoderParams,
+                   packing: Packing | None = None) -> None:
     ids = np.asarray(token_ids, dtype=np.intp)
+    packing = packing or Packing.single(ids.size)
     np.add.at(grads.token_embedding, ids, d_z)
-    grads.positional_embedding[: len(token_ids)] += d_z
+    np.add.at(grads.positional_embedding, packing.positions, d_z)
 
 
-def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int):
-    """Scaled dot-product self-attention over h heads; returns (out, cache)."""
-    n, d = z.shape
-    dh = d // n_heads
-    q = z @ blk.w_q + blk.b_q
-    k = z @ blk.w_k + blk.b_k
-    v = z @ blk.w_v + blk.b_v
-    # (h, n, dh) views per head
-    qh = q.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int,
+                 packing: Packing | None = None):
+    """Scaled dot-product self-attention over h heads within each sequence
+    of the chunk; returns (out, cache)."""
+    packing = packing or Packing.single(len(z))
+    dh = z.shape[1] // n_heads
+    shape = (packing.size, packing.n_max, n_heads, dh)
+
+    def heads(x):  # (sequences, h, longest, dh), zero rows past each end
+        return packing.pad(x, 0.0).reshape(shape).transpose(0, 2, 1, 3)
+
+    qh = heads(z @ blk.w_q + blk.b_q)
+    kh = heads(z @ blk.w_k + blk.b_k)
+    vh = heads(z @ blk.w_v + blk.b_v)
+    scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    if not packing.uniform:
+        scores += packing.key_mask
     probs = softmax_rows(scores)
-    heads = probs @ vh
-    concat = heads.transpose(1, 0, 2).reshape(n, d)
+    concat = _packed_rows(probs @ vh, packing)
     out = concat @ blk.w_o + blk.b_o
-    cache = {"z": z, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "concat": concat}
+    cache = {"z": z, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "concat": concat,
+             "packing": packing}
     return out, cache
 
 
+def _packed_rows(x: np.ndarray, packing: Packing) -> np.ndarray:
+    """(sequences, h, longest, dh) per-head rows back to packed (rows, d)."""
+    return packing.unpad(x.transpose(0, 2, 1, 3)).reshape(packing.n_rows, -1)
+
+
 def mhsa_backward(d_out: np.ndarray, cache, blk: EncoderBlockParams, g: EncoderBlockParams) -> np.ndarray:
-    z, qh, kh, vh, probs, concat = (
+    z, qh, kh, vh, probs, concat, packing = (
         cache["z"], cache["qh"], cache["kh"], cache["vh"], cache["probs"], cache["concat"],
+        cache["packing"],
     )
-    n, d = z.shape
-    n_heads = qh.shape[0]
-    dh = d // n_heads
+    b, n_heads, n, dh = qh.shape
     g.w_o += concat.T @ d_out
     g.b_o += d_out.sum(axis=0)
-    d_concat = d_out @ blk.w_o.T
-    d_heads = d_concat.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    d_probs = d_heads @ vh.transpose(0, 2, 1)
-    d_vh = probs.transpose(0, 2, 1) @ d_heads
+    d_concat = packing.pad(d_out @ blk.w_o.T, 0.0)
+    d_heads = d_concat.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+    d_probs = d_heads @ vh.transpose(0, 1, 3, 2)
+    d_vh = probs.transpose(0, 1, 3, 2) @ d_heads
     d_scores = softmax_rows_backward(probs, d_probs) / np.sqrt(dh)
-    d_qh = d_scores @ kh
-    d_kh = d_scores.transpose(0, 2, 1) @ qh
-    d_q = d_qh.transpose(1, 0, 2).reshape(n, d)
-    d_k = d_kh.transpose(1, 0, 2).reshape(n, d)
-    d_v = d_vh.transpose(1, 0, 2).reshape(n, d)
+    d_q = _packed_rows(d_scores @ kh, packing)
+    d_k = _packed_rows(d_scores.transpose(0, 1, 3, 2) @ qh, packing)
+    d_v = _packed_rows(d_vh, packing)
     g.w_q += z.T @ d_q
     g.b_q += d_q.sum(axis=0)
     g.w_k += z.T @ d_k
@@ -187,22 +204,27 @@ def ffn_forward(u: np.ndarray, blk: EncoderBlockParams):
     h1 = u @ blk.w_ff1 + blk.b_ff1
     act, tanh_term = gelu(h1)
     out = act @ blk.w_ff2 + blk.b_ff2
-    return out, {"u": u, "h1": h1, "act": act, "tanh_term": tanh_term}
+    # the activation is rebuilt from h1 and the tanh term in backward
+    return out, {"u": u, "h1": h1, "tanh_term": tanh_term}
 
 
 def ffn_backward(d_out: np.ndarray, cache, blk: EncoderBlockParams, g: EncoderBlockParams) -> np.ndarray:
-    g.w_ff2 += cache["act"].T @ d_out
+    h1, tanh_term = cache["h1"], cache["tanh_term"]
+    act = 0.5 * h1 * (1.0 + tanh_term)
+    g.w_ff2 += act.T @ d_out
     g.b_ff2 += d_out.sum(axis=0)
     d_act = d_out @ blk.w_ff2.T
-    d_h1 = gelu_backward(d_act, cache["h1"], cache["tanh_term"])
+    d_h1 = gelu_backward(d_act, h1, tanh_term)
     g.w_ff1 += cache["u"].T @ d_h1
     g.b_ff1 += d_h1.sum(axis=0)
     return d_h1 @ blk.w_ff1.T
 
 
-def encoder_block_forward(z, blk: EncoderBlockParams, config: ModelConfig, rng=None, train=False):
-    """One block: LN(z + Dropout(MHSA(z))) then LN(. + Dropout(FFN(.)))."""
-    attn, attn_cache = mhsa_forward(z, blk, config.h)
+def encoder_block_forward(z, blk: EncoderBlockParams, config: ModelConfig, rng=None, train=False,
+                          packing: Packing | None = None):
+    """One block on a chunk's packed rows: LN(z + Dropout(MHSA(z))) then
+    LN(. + Dropout(FFN(.)))."""
+    attn, attn_cache = mhsa_forward(z, blk, config.h, packing)
     attn_drop, mask1 = dropout(attn, config.dropout_p, rng, train)
     u, ln1_cache = layer_norm(z + attn_drop, blk.ln1_gain, blk.ln1_bias)
     ff, ffn_cache = ffn_forward(u, blk)

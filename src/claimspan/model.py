@@ -1,9 +1,11 @@
-"""Full tagger assembly: vocabulary, parameter bundle, per-sequence loss, and
-JSON checkpoint serialization.
+"""Full tagger assembly: vocabulary, parameter bundle, the loss and tags of a
+packed chunk of sequences, and JSON checkpoint serialization.
 
 The encoder, adapter, and CRF modules each own their math; this module wires
-them into one differentiable loss per sequence and handles everything a saved
-model needs to be reloaded and run (config, vocab, bank texts, tensors).
+them into one forward and backward pass over a chunk (a single sequence is a
+chunk of one), giving each sequence its own differentiable loss, and handles
+everything a saved model needs to be reloaded and run (config, vocab, bank
+texts, tensors).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .encoder import (
     init_encoder_params,
 )
 from .numerics import named_arrays
+from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Token, decode_bio, encode_bio, normalize_post, tokenize
 
 CHECKPOINT_VERSION = 1
@@ -140,43 +143,51 @@ def build_bank(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
                                    params.descnet.description_encoder, config)
 
 
-def sequence_forward(params: ModelParams, config: ModelConfig, token_ids: list[int],
-                     bank: DescriptionBank | None, rng=None, train=False):
+def sequence_forward(params: ModelParams, config: ModelConfig, token_ids,
+                     bank: DescriptionBank | None, rng=None, train=False,
+                     packing: Packing | None = None):
     """Embeddings, the encoder blocks with the adapter after block
     ``config.adapter_layer`` if the model has adapter weights, then the
-    emission projection; returns (emissions, cache)."""
+    emission projection, over a chunk's packed token ids (one sequence when
+    ``packing`` is None); returns (emissions, cache)."""
     if params.descnet is not None and bank is None:
         raise ValueError("adapter enabled but no description bank supplied")
-    z = embed(token_ids, params.encoder, config)
+    packing = packing or Packing.single(len(token_ids))
+    z = embed(token_ids, params.encoder, config, packing)
     block_caches = []
     adapter_cache = None
     for i, blk in enumerate(params.encoder.blocks, start=1):
-        z, bc = encoder_block_forward(z, blk, config, rng, train)
+        z, bc = encoder_block_forward(z, blk, config, rng, train, packing)
         block_caches.append(bc)
         if params.descnet is not None and i == config.adapter_layer:
-            z_hat, adapter_cache = descnet_forward(z, bank, params.descnet, config, rng, train)
+            z_hat, adapter_cache = descnet_forward(z, bank, params.descnet, config, rng, train,
+                                                   packing)
             z = z_hat + z if config.adapter_residual else z_hat
     e = emissions_from(z, params.crf)
-    return e, {"token_ids": token_ids, "blocks": block_caches, "adapter": adapter_cache, "z": z}
+    return e, {"token_ids": token_ids, "packing": packing, "blocks": block_caches,
+               "adapter": adapter_cache, "z": z}
 
 
-def sequence_loss(params: ModelParams, config: ModelConfig, token_ids: list[int],
-                  gold_tags: list[str], bank: DescriptionBank | None,
-                  rng=None, train=False):
-    e, cache = sequence_forward(params, config, token_ids, bank, rng, train)
-    loss, cache["crf"] = nll_loss(e, params.crf, gold_tags)
-    return loss, (e, cache)
+def sequence_loss(params: ModelParams, config: ModelConfig, token_ids, gold_tags: list[str],
+                  bank: DescriptionBank | None, rng=None, train=False,
+                  packing: Packing | None = None):
+    """Each sequence's loss as a (sequences,) array, and (emissions, cache)
+    for ``sequence_backward``; ``gold_tags`` are the chunk's packed tags."""
+    e, cache = sequence_forward(params, config, token_ids, bank, rng, train, packing)
+    losses, cache["crf"] = nll_loss(e, params.crf, gold_tags, cache["packing"])
+    return losses, (e, cache)
 
 
 def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[str],
                       e: np.ndarray, cache, grads: ModelParams,
                       d_bank: list[np.ndarray] | None) -> None:
-    """Accumulate d(nll)/d(params) for one sequence into ``grads``.
+    """Accumulate the gradient of the chunk's summed loss into ``grads``.
 
     With the adapter on, the gradient w.r.t. each description matrix is added
     into ``d_bank``; the caller runs ``bank_backward`` once per batch.
     """
-    d_e = nll_backward(e, params.crf, gold_tags, cache["crf"], grads.crf)
+    packing = cache["packing"]
+    d_e = nll_backward(e, params.crf, gold_tags, cache["crf"], grads.crf, packing)
     d_z = emissions_backward(d_e, cache["z"], params.crf, grads.crf)
     blocks, g_blocks = params.encoder.blocks, grads.encoder.blocks
     for i in range(len(blocks), 0, -1):
@@ -186,13 +197,28 @@ def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[
             d_z = d_in + d_z if config.adapter_residual else d_in
         d_z = encoder_block_backward(d_z, cache["blocks"][i - 1], blocks[i - 1], config,
                                      g_blocks[i - 1])
-    embed_backward(d_z, cache["token_ids"], grads.encoder)
+    embed_backward(d_z, cache["token_ids"], grads.encoder, packing)
 
 
-def predict_tags(params: ModelParams, config: ModelConfig, token_ids: list[int],
-                 bank: DescriptionBank | None) -> list[str]:
-    e, _ = sequence_forward(params, config, token_ids, bank, rng=None, train=False)
-    return crf_mod.viterbi_decode(e, params.crf)
+def predict_tags(params: ModelParams, config: ModelConfig, token_ids,
+                 bank: DescriptionBank | None, packing: Packing | None = None) -> list[str]:
+    """Viterbi tags of a chunk's sequences, packed like its token ids."""
+    e, cache = sequence_forward(params, config, token_ids, bank, rng=None, train=False,
+                                packing=packing)
+    return crf_mod.viterbi_decode(e, params.crf, cache["packing"])
+
+
+def predict_sequences(params: ModelParams, config: ModelConfig, id_lists: list[list[int]],
+                      bank: DescriptionBank | None) -> list[list[str]]:
+    """Tags of each token-id list, run in packed chunks; an empty list gets
+    no tags."""
+    out: list[list[str]] = [[] for _ in id_lists]
+    nonempty = [i for i, ids in enumerate(id_lists) if ids]
+    for chunk in make_chunks([id_lists[i] for i in nonempty]):
+        tags = predict_tags(params, config, chunk.token_ids, bank, chunk.packing)
+        for j, seq_tags in zip(chunk.order, chunk.split(tags)):
+            out[nonempty[j]] = seq_tags
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ from .model import (
     build_bank,
     init_model_params,
     post_to_example,
-    predict_tags,
+    predict_sequences,
     sequence_backward,
     sequence_loss,
 )
 from .numerics import copy_struct, named_arrays, zeros_like_struct
+from .packing import make_chunks
 from .preprocess import AnnotatedPost, CharSpan, normalize_post, tokenize
 
 
@@ -236,35 +237,37 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
 
     ``bank`` must be encoded from the current weights (``build_bank``; None
     for a model without the adapter). The whole batch shares it, and it is
-    back-propagated once with the summed description-matrix gradients. This
-    is the only place a gradient is computed: ``train`` calls it once per
-    Adam step and ``grad_check`` on a batch of one.
+    back-propagated once with the summed description-matrix gradients. The
+    examples run in packed chunks, each chunk's forward and backward pass
+    before the next, so only one chunk's caches are alive at a time. This is
+    the only place a gradient is computed: ``train`` calls it once per Adam
+    step and ``grad_check`` on a batch of one.
     """
     grads = zeros_like_struct(params)
     d_bank = [np.zeros_like(m) for m in bank.matrices] if bank is not None else None
-    losses = []
-    for ex in batch:
-        loss, (e, cache) = sequence_loss(params, config, ex.token_ids, ex.gold_tags,
-                                         bank, rng, train=train)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss {loss} at post {ex.post_id}")
-        losses.append(loss)
-        sequence_backward(params, config, ex.gold_tags, e, cache, grads, d_bank)
+    losses = np.empty(len(batch))
+    for chunk in make_chunks([ex.token_ids for ex in batch]):
+        tags = [t for i in chunk.order for t in batch[i].gold_tags]
+        chunk_losses, (e, cache) = sequence_loss(params, config, chunk.token_ids, tags, bank,
+                                                 rng, train, chunk.packing)
+        for i, loss in zip(chunk.order, chunk_losses):
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss {loss} at post {batch[i].post_id}")
+            losses[i] = loss
+        sequence_backward(params, config, tags, e, cache, grads, d_bank)
     if bank is not None:
         bank_backward(d_bank, bank, params.descnet.description_encoder, config,
                       grads.descnet.description_encoder, grads.encoder)
     _scale_grads(grads, 1.0 / len(batch))
-    return grads, losses
+    return grads, losses.tolist()
 
 
 def evaluate_split(params: ModelParams, config: ModelConfig, examples: list[Example],
                    bank: DescriptionBank | None) -> tuple[float, float, float, float]:
     """Returns (precision, recall, f1, dice) over in-span token sets."""
-    golds, preds = [], []
-    for ex in examples:
-        tags = predict_tags(params, config, ex.token_ids, bank)
-        golds.append(inspan_indices(ex.gold_tags))
-        preds.append(inspan_indices(tags))
+    tags = predict_sequences(params, config, [ex.token_ids for ex in examples], bank)
+    golds = [inspan_indices(ex.gold_tags) for ex in examples]
+    preds = [inspan_indices(t) for t in tags]
     scores = overall_prf(preds, golds)
     return scores.p, scores.r, scores.f1, mean_dice(preds, golds)
 
@@ -403,7 +406,7 @@ def grad_check(model_config: ModelConfig | None = None,
 
     def loss_at(p: ModelParams) -> float:
         bank = build_bank(_CHECK_BANK, vocab, p, mc)
-        return sequence_loss(p, mc, probe.token_ids, probe.gold_tags, bank)[0]
+        return float(sequence_loss(p, mc, probe.token_ids, probe.gold_tags, bank)[0][0])
 
     bank = build_bank(_CHECK_BANK, vocab, params, mc)
     grads, _losses = batch_gradients(params, mc, [probe], bank)

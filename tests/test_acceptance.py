@@ -84,7 +84,7 @@ def test_criterion_1_crf_matches_enumeration():
         pin_forbidden(crf)
         ref_lp, ref_marg, ref_best = crf_enumerate(e, crf)
         # log Z and marginals as training sees them, through nll_loss/nll_backward
-        lp, marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in ref_best])
+        (lp,), marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in ref_best])
         max_lp_err = max(max_lp_err, abs(lp - ref_lp))
         max_marg_err = max(max_marg_err, float(np.max(np.abs(marg - ref_marg))))
         assert viterbi_decode(e, crf) == [INDEX_TAG[i] for i in ref_best]

@@ -5,9 +5,19 @@ import pytest
 import numpy as np
 
 from claimspan.cli import main
+from claimspan.crf import pin_forbidden
 from claimspan.encoder import ModelConfig
-from claimspan.model import Vocabulary, init_model_params, save_checkpoint
-from claimspan.preprocess import load_corpus, save_corpus
+from claimspan.metrics import build_report
+from claimspan.model import (
+    Vocabulary,
+    build_bank,
+    init_model_params,
+    post_to_example,
+    predict_tags,
+    save_checkpoint,
+)
+from claimspan.numerics import named_arrays
+from claimspan.preprocess import AnnotatedPost, CharSpan, decode_bio, load_corpus, save_corpus
 from claimspan.retrieval import load_judgments
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture
 
@@ -129,6 +139,67 @@ def test_train_eval_predict_roundtrip(tmp_path, corpus_file, config_file, capsys
         assert post.predicted_spans is not None
         for span in post.predicted_spans:
             assert 0 <= span.start < span.end <= len(post.text)
+
+
+def _mixed_corpus_and_checkpoint(tmp_path):
+    """A corpus of ordinary posts filling several packed chunks, posts that
+    normalize to zero tokens and posts cut at max_len, and a checkpoint with
+    O(1)-scale weights so predictions differ from post to post."""
+    posts = generate_corpus(n_posts=30, seed=5)
+    long_text = " ".join(p.text for p in posts[:3])
+    posts.insert(4, AnnotatedPost("empty-url", "https://t.co/abc", []))
+    posts.insert(11, AnnotatedPost("long", long_text, [CharSpan(0, 6)]))
+    posts.insert(17, AnnotatedPost("empty-emoji", "\U0001F600 \U0001F643", []))
+    posts.append(AnnotatedPost("long-2", long_text + " " + long_text, []))
+    path = tmp_path / "mixed.jsonl"
+    save_corpus(posts, path)
+
+    config = ModelConfig(d=16, h=2, d_ff=32, layers=2, max_len=12, vocab_size=256,
+                         dropout_p=0.0, adapter_layer=2)
+    vocab = Vocabulary.build([p.text.lower().split() for p in posts], config.vocab_size)
+    rng = np.random.default_rng(2)
+    bank = ["claims with numbers", "a quote from someone"]
+    params = init_model_params(config, len(vocab), len(bank), rng)
+    for _name, arr in named_arrays(params):
+        arr[...] = 0.5 * rng.normal(size=arr.shape)
+    pin_forbidden(params.crf)
+    ckpt = tmp_path / "mixed.ckpt.json"
+    save_checkpoint(ckpt, config, vocab, bank, params)
+    return posts, path, ckpt, config, vocab, bank, params
+
+
+def test_eval_and_predict_keep_each_post_prediction(tmp_path, capsys):
+    # posts run in packed chunks sorted by length; each post's prediction
+    # must still be the one it gets alone
+    posts, path, ckpt, config, vocab, bank, params = _mixed_corpus_and_checkpoint(tmp_path)
+    out = tmp_path / "predicted.jsonl"
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(path),
+                 "--output", str(out)]) == 0
+    together = load_corpus(out)
+    assert [p.id for p in together] == [p.id for p in posts]
+
+    alone_spans = []
+    for i, post in enumerate(posts):
+        one_in, one_out = tmp_path / f"one-{i}.jsonl", tmp_path / f"one-{i}.out.jsonl"
+        save_corpus([post], one_in)
+        assert main(["predict", "--checkpoint", str(ckpt), "--input", str(one_in),
+                     "--output", str(one_out)]) == 0
+        alone_spans.append(load_corpus(one_out)[0].predicted_spans)
+    assert [p.predicted_spans for p in together] == alone_spans
+    assert together[4].predicted_spans == [] and together[17].predicted_spans == []
+    assert len({tuple(s) for s in alone_spans}) > 3, "predictions do not vary across posts"
+
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(path),
+                 "--output", str(report_path)]) == 0
+    encoded = build_bank(bank, vocab, params, config)
+    examples = [post_to_example(p, vocab, config) for p in posts]
+    tags = [predict_tags(params, config, ex.token_ids, encoded) if ex.token_ids else []
+            for ex in examples]
+    expected = build_report(tags, [ex.gold_tags for ex in examples],
+                            [decode_bio(ex.tokens, t)[0] for ex, t in zip(examples, tags)],
+                            [p.spans for p in posts])
+    assert json.loads(report_path.read_text()) == json.loads(json.dumps(expected.to_dict()))
 
 
 def test_eval_pretty_table(tmp_path, corpus_file, config_file, capsys):

@@ -17,6 +17,7 @@ from claimspan.crf import (
     viterbi_decode,
 )
 from claimspan.numerics import zeros_like_struct
+from claimspan.packing import Packing
 
 from oracles import crf_enumerate
 from test_encoder import fd_grad
@@ -31,14 +32,15 @@ def rand_crf(rng, scale=1.0) -> CrfParams:
     return crf
 
 
-def log_z_and_marginals(e, crf, tags):
-    """log Z from the training loss and tag marginals from its gradient:
-    nll_loss plus the gold score, and nll_backward's d_e plus the gold one-hot."""
+def log_z_and_marginals(e, crf, tags, packing=None):
+    """log Z per sequence from the training loss and tag marginals from its
+    gradient: nll_loss plus the gold score, and nll_backward's d_e plus the
+    gold one-hot, for a packed chunk (one sequence when packing is None)."""
     tag_ids = tags_to_indices(tags)
-    loss, messages = nll_loss(e, crf, tags)
-    marginals = nll_backward(e, crf, tags, messages, zeros_like_struct(crf))
+    loss, messages = nll_loss(e, crf, tags, packing)
+    marginals = nll_backward(e, crf, tags, messages, zeros_like_struct(crf), packing)
     marginals[np.arange(len(tags)), tag_ids] += 1.0
-    return loss + score_sequence(e, crf, tag_ids), marginals
+    return loss + score_sequence(e, crf, tag_ids, packing), marginals
 
 
 def test_tags_to_indices_and_validation():
@@ -67,6 +69,25 @@ def test_partition_and_marginals_match_enumeration():
         assert got_log_z == pytest.approx(log_z, abs=1e-9)
         assert np.allclose(got_marg, marg, atol=1e-9)
         assert [tags_to_indices(viterbi_decode(e, crf))[i] for i in range(n)] == best
+
+
+def test_ragged_chunk_matches_enumeration_per_sequence():
+    # one time loop over a ragged chunk gives every sequence its own log Z,
+    # marginals and Viterbi path, whatever the order of the lengths
+    rng = np.random.default_rng(11)
+    for lengths in ([1, 3, 6], [5, 1, 4, 1], [2, 2, 2], [6, 6, 1]):
+        crf = rand_crf(rng)
+        packing = Packing(lengths)
+        e = rng.normal(scale=2.0, size=(packing.n_rows, 3))
+        refs = [crf_enumerate(e[lo:lo + n], crf) for lo, n in zip(packing.starts, lengths)]
+        tags = [INDEX_TAG[i] for _lz, _m, best in refs for i in best]
+        log_z, marg = log_z_and_marginals(e, crf, tags, packing)
+        assert log_z.shape == (len(lengths),)
+        for b, (ref_log_z, ref_marg, _best) in enumerate(refs):
+            lo = packing.starts[b]
+            assert log_z[b] == pytest.approx(ref_log_z, abs=1e-9)
+            assert np.allclose(marg[lo:lo + lengths[b]], ref_marg, atol=1e-9)
+        assert viterbi_decode(e, crf, packing) == tags
 
 
 def test_marginals_are_distributions():
@@ -149,12 +170,12 @@ def test_nll_backward_matches_fd_on_all_params():
     tags = ["B", "I", "I", "O"]
     g = zeros_like_struct(crf)
     d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
-    fd_e = fd_grad(lambda: nll_loss(e, crf, tags)[0], e)
+    fd_e = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), e)
     assert np.allclose(d_e, fd_e, atol=1e-6)
     trans_mask, start_mask = forbidden_masks()
-    fd_trans = fd_grad(lambda: nll_loss(e, crf, tags)[0], crf.transitions)
-    fd_start = fd_grad(lambda: nll_loss(e, crf, tags)[0], crf.start_scores)
-    fd_end = fd_grad(lambda: nll_loss(e, crf, tags)[0], crf.end_scores)
+    fd_trans = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), crf.transitions)
+    fd_start = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), crf.start_scores)
+    fd_end = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), crf.end_scores)
     assert np.allclose(np.where(trans_mask, 0.0, g.transitions),
                        np.where(trans_mask, 0.0, fd_trans), atol=1e-6)
     assert np.allclose(np.where(start_mask, 0.0, g.start_scores),

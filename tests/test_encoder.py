@@ -29,6 +29,7 @@ from claimspan.numerics import (
     zeros_like_struct,
 )
 from claimspan.model import build_bank, sequence_forward
+from claimspan.packing import Packing
 
 
 def fd_grad(f, x, step=1e-6):
@@ -147,7 +148,7 @@ def test_attention_probabilities_row_normalized():
     blk = init_block_params(rng, 16, 32)
     z = rng.normal(size=(6, 16))
     _out, cache = mhsa_forward(z, blk, n_heads=2)
-    assert cache["probs"].shape == (2, 6, 6)
+    assert cache["probs"].shape == (1, 2, 6, 6)
     assert np.allclose(cache["probs"].sum(axis=-1), 1.0)
 
 
@@ -198,6 +199,31 @@ def test_ffn_backward_matches_fd():
     assert np.allclose(g.w_ff1, fd_w1, atol=1e-6)
 
 
+def test_block_on_ragged_chunk_matches_each_sequence():
+    # attention stays within each sequence: a ragged chunk gives every
+    # sequence the rows it gets alone, and its backward matches differences
+    blk, _z, _c = _block_fd_case(seed=10)
+    config = ModelConfig(d=8, h=2, d_ff=12, layers=1, max_len=8, vocab_size=16,
+                         dropout_p=0.0, adapter_layer=1)
+    packing = Packing([3, 1, 4])
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(8, 8))
+    c = rng.normal(size=(8, 8))
+    out, cache = encoder_block_forward(z, blk, config, packing=packing)
+    for lo, n in zip(packing.starts, packing.lengths):
+        alone = encoder_block_forward(z[lo:lo + n], blk, config)[0]
+        assert np.max(np.abs(out[lo:lo + n] - alone)) < 1e-12
+
+    def loss():
+        return float((encoder_block_forward(z, blk, config, packing=packing)[0] * c).sum())
+
+    g = zeros_like_struct(blk)
+    dz = encoder_block_backward(c, cache, blk, config, g)
+    assert np.allclose(dz, fd_grad(loss, z), atol=1e-6)
+    assert np.allclose(g.w_k, fd_grad(loss, blk.w_k), atol=1e-6)
+    assert np.allclose(g.w_v, fd_grad(loss, blk.w_v), atol=1e-6)
+
+
 def test_block_backward_matches_fd():
     blk, z, c = _block_fd_case(seed=9)
     config = ModelConfig(d=8, h=2, d_ff=12, layers=1, max_len=8, vocab_size=16,
@@ -224,7 +250,7 @@ def zero_adapter(monkeypatch):
     """Replace the adapter by one that records its input shapes and outputs zeros."""
     calls = []
 
-    def adapter(z, bank, params, config, rng=None, train=False):
+    def adapter(z, bank, params, config, rng=None, train=False, packing=None):
         calls.append(z.shape)
         return np.zeros_like(z), None
 

@@ -4,13 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import claimspan.crf as crf_mod
 import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
 from claimspan.encoder import ModelConfig
-from claimspan.model import Vocabulary, build_bank, init_model_params
+from claimspan.crf import INDEX_TAG
+from claimspan.model import (
+    Example,
+    Vocabulary,
+    build_bank,
+    init_model_params,
+    post_to_example,
+    predict_sequences,
+    predict_tags,
+    sequence_loss,
+)
 from claimspan.numerics import copy_struct, named_arrays, zeros_like_struct
+from claimspan.packing import make_chunks
+from claimspan.preprocess import AnnotatedPost, CharSpan
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
 from claimspan.training import (
     AdamState,
@@ -250,10 +264,11 @@ def test_train_nan_aborts_with_diagnostic(monkeypatch):
 
     def poisoned(*args, **kwargs):
         calls["n"] += 1
-        loss, rest = real(*args, **kwargs)
+        losses, rest = real(*args, **kwargs)
         if calls["n"] == 3:
-            return float("nan"), rest
-        return loss, rest
+            losses = losses.copy()
+            losses[-1] = float("nan")
+        return losses, rest
 
     monkeypatch.setattr(training_mod, "sequence_loss", poisoned)
     with pytest.raises(TrainingDiverged, match="epoch 1"):
@@ -267,19 +282,18 @@ def test_train_applies_true_batch_gradient(monkeypatch):
     tr, va, _ = split_corpus(_mini_corpus())
     tc = dataclasses.replace(TINY_TC, batch_size=6, max_epochs=1, patience=1,
                              learning_rate=2e-2)
-    real_loss, real_adam = training_mod.sequence_loss, training_mod.adam_step
+    real_grads, real_adam = training_mod.batch_gradients, training_mod.adam_step
     batch, steps = [], []
 
-    def recording_loss(params, config, token_ids, gold_tags, *args, **kwargs):
-        batch.append((token_ids, gold_tags))
-        return real_loss(params, config, token_ids, gold_tags, *args, **kwargs)
+    def recording_grads(params, config, examples, *args, **kwargs):
+        batch[:] = examples
+        return real_grads(params, config, examples, *args, **kwargs)
 
     def recording_adam(params, grads, *args, **kwargs):
         steps.append((copy_struct(params), copy_struct(grads), list(batch)))
-        batch.clear()
         real_adam(params, grads, *args, **kwargs)
 
-    monkeypatch.setattr(training_mod, "sequence_loss", recording_loss)
+    monkeypatch.setattr(training_mod, "batch_gradients", recording_grads)
     monkeypatch.setattr(training_mod, "adam_step", recording_adam)
     res = train(tr, va, synthetic_bank(), TINY_MC, tc)
     assert len(steps) >= 2
@@ -287,9 +301,10 @@ def test_train_applies_true_batch_gradient(monkeypatch):
     mc = res.model_config
 
     def mean_loss() -> float:
+        # each example run alone, as a chunk of one
         bank = build_bank(synthetic_bank(), res.vocab, params, mc)
-        return float(np.mean([real_loss(params, mc, ids, tags, bank)[0]
-                              for ids, tags in examples]))
+        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank)[0][0]
+                              for ex in examples]))
 
     # one central difference per tensor, along a random direction
     rng = np.random.default_rng(0)
@@ -323,16 +338,120 @@ def test_batch_gradients_runs_one_forward_recursion_per_example(monkeypatch):
     batch = training_mod.prepare_examples(tr[:5], vocab, TINY_MC)
     params = init_model_params(TINY_MC, len(vocab), len(synthetic_bank()),
                                np.random.default_rng(0))
-    real, calls = crf_mod._forward_messages, []
+    real, rows = crf_mod._forward_messages, []
 
     def counting(*args):
-        calls.append(1)
-        return real(*args)
+        alpha, log_z = real(*args)
+        rows.append(len(log_z))
+        return alpha, log_z
 
     monkeypatch.setattr(crf_mod, "_forward_messages", counting)
     bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
     training_mod.batch_gradients(params, TINY_MC, batch, bank)
-    assert len(calls) == len(batch) == 5
+    # the chunks' recursions cover every example exactly once
+    assert sum(rows) == len(batch) == 5
+
+
+def _ragged_batch():
+    """Vocabulary and a batch of synthetic posts plus a one-token post and a
+    post cut at max_len, spanning several packed chunks."""
+    tr, _va, _ = split_corpus(_mini_corpus())
+    vocab = Vocabulary.build([p.text.lower().split() for p in tr], TINY_MC.vocab_size)
+    words = " ".join(vocab.words[1:41])
+    posts = tr[:6] + [AnnotatedPost("one", "garlic", [CharSpan(0, 6)]),
+                      AnnotatedPost("long", words, [CharSpan(0, len(vocab.words[1]))])]
+    batch = [post_to_example(p, vocab, TINY_MC) for p in posts]
+    lengths = [len(ex.token_ids) for ex in batch]
+    assert min(lengths) == 1 and max(lengths) == TINY_MC.max_len
+    assert len(make_chunks([ex.token_ids for ex in batch])) >= 2
+    return vocab, batch
+
+
+def _probe_params(vocab, seed):
+    """Weights at O(1) scale, as in grad_check, so no backward formula hides
+    behind a small gradient."""
+    rng = np.random.default_rng(seed)
+    params = init_model_params(TINY_MC, len(vocab), len(synthetic_bank()), rng)
+    for name, arr in named_arrays(params):
+        if name.endswith("_gain"):
+            arr[...] = 1.0 + 0.2 * rng.normal(size=arr.shape)
+        else:
+            arr[...] = 0.3 * rng.normal(size=arr.shape)
+    crf_mod.pin_forbidden(params.crf)
+    return params
+
+
+def test_batch_gradients_match_fd_on_ragged_batch():
+    # the packed batch step's gradient is the gradient of the batch's mean
+    # loss, each example's loss taken alone. The loss is only piecewise
+    # smooth (CoDA's L1 distance, IGM's max-pool); as in grad_check, the
+    # probe point is fixed, and no difference step from it crosses a kink.
+    vocab, batch = _ragged_batch()
+    params = _probe_params(vocab, seed=1)
+    grads, losses = training_mod.batch_gradients(
+        params, TINY_MC, batch, build_bank(synthetic_bank(), vocab, params, TINY_MC))
+
+    def mean_loss() -> float:
+        bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
+        return float(np.mean([sequence_loss(params, TINY_MC, ex.token_ids, ex.gold_tags,
+                                            bank)[0][0] for ex in batch]))
+
+    assert np.mean(losses) == pytest.approx(mean_loss(), rel=1e-12)
+    rng = np.random.default_rng(1)
+    step = 1e-5
+    for (name, arr), (_n, g) in zip(named_arrays(params), named_arrays(grads)):
+        direction = rng.normal(size=arr.shape)
+        arr += step * direction
+        up = mean_loss()
+        arr -= 2 * step * direction
+        down = mean_loss()
+        arr += step * direction
+        fd = (up - down) / (2 * step)
+        analytic = float((g * direction).sum())
+        assert abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), 1e-3), name
+
+
+@st.composite
+def _ragged_sequences(draw):
+    """Token ids and valid BIO tags of a batch holding lengths 1 and max_len
+    and enough tokens for several chunks, and the index of one sequence."""
+    top = TINY_MC.max_len
+    lengths = [1, top, top, top] + draw(st.lists(st.integers(1, top), max_size=4))
+    lengths = draw(st.permutations(lengths))
+    seqs = []
+    for n in lengths:
+        ids = draw(st.lists(st.integers(0, 19), min_size=n, max_size=n))
+        tags = draw(st.lists(st.sampled_from(INDEX_TAG), min_size=n, max_size=n))
+        tags = ["B" if t == "I" and (i == 0 or tags[i - 1] == "O") else t
+                for i, t in enumerate(tags)]
+        seqs.append((ids, tags))
+    return seqs, draw(st.integers(0, len(seqs) - 1))
+
+
+@settings(max_examples=15)
+@given(case=_ragged_sequences())
+def test_batch_invariance_of_loss_gradient_and_tags(case):
+    seqs, pick = case
+    vocab = Vocabulary.build([[f"w{i}" for i in range(19)] + synthetic_bank()], 64)
+    params = _probe_params(vocab, seed=len(seqs))
+    bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
+    batch = [Example(f"s{i}", [], ids, tags, None, "") for i, (ids, tags) in enumerate(seqs)]
+    assert len(make_chunks([ex.token_ids for ex in batch])) >= 2
+
+    def summed(examples):
+        grads, losses = training_mod.batch_gradients(params, TINY_MC, examples, bank)
+        return dict(named_arrays(grads)), losses, len(examples)
+
+    alone, (alone_loss,), _ = summed([batch[pick]])
+    full, losses, n_full = summed(batch)
+    rest, _losses, n_rest = summed(batch[:pick] + batch[pick + 1:])
+    assert abs(losses[pick] - alone_loss) <= 1e-12 * max(1.0, abs(alone_loss))
+    for name, g in alone.items():
+        contribution = full[name] * n_full - rest[name] * n_rest
+        scale = max(1.0, float(np.max(np.abs(full[name] * n_full), initial=0.0)))
+        assert np.max(np.abs(contribution - g), initial=0.0) <= 1e-12 * scale, name
+    tags = predict_sequences(params, TINY_MC, [ex.token_ids for ex in batch], bank)
+    assert tags[pick] == predict_tags(params, TINY_MC, batch[pick].token_ids, bank)
 
 
 def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
