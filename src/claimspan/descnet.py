@@ -2,11 +2,14 @@
 bank, description fusion, and an interactive gating mechanism.
 
 The adapter takes the running token representation Z (the packed rows of a
-chunk's sequences, rows x d), lets every token interact with each encoded
-claim description through compositional de-attention (weights in (-1, 1), so
-descriptions can add, ignore, or subtract), fuses the m interaction outputs,
-and gates each sequence's rows of Z with a d-vector pooled from that
-sequence, built from a conflict gate and a refine gate.
+chunk's sequences, rows x d) and lets every token interact with all m encoded
+claim descriptions through compositional de-attention (weights in (-1, 1), so
+descriptions can add, ignore, or subtract). The bank is packed like a chunk,
+so a chunk computes one (rows, bank rows) CoDA matrix, through one
+(rows, bank rows, d) temporary, and one product with the bank's
+block-diagonal values gives the m interaction outputs side by side for
+fusion. Each sequence's rows of Z are then gated with a d-vector pooled from
+that sequence, built from a conflict gate and a refine gate.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .encoder import (
     encoder_block_forward,
     init_block_params,
 )
-from .numerics import dropout, dropout_backward, init_normal, sigmoid, softmax_rows, softmax_rows_backward
+from .numerics import dropout, dropout_backward, init_normal, sigmoid
 from .packing import Packing
 
 
@@ -53,20 +56,28 @@ class DescNetParams:
 
 @dataclass
 class DescriptionBank:
-    """Encoded claim descriptions: one (tokens x d) matrix per description.
-
-    The descriptions are encoded as one packed chunk; ``cache`` holds its
-    packed token ids, packing and encoder intermediates so gradients can flow
-    back into the shared embeddings and the dedicated encoder block.
+    """Encoded claim descriptions, packed as one chunk: ``keys`` holds every
+    description's tokens as (bank rows, d), ``packing`` where each one sits,
+    and ``values`` the block-diagonal (bank rows, m*d) matrix with description
+    j's rows in column block j. ``cache`` holds the packed token ids and
+    encoder intermediates so gradients can flow back into the shared
+    embeddings and the dedicated encoder block.
     """
 
     texts: list[str]
-    matrices: list[np.ndarray]
+    keys: np.ndarray
+    packing: Packing
+    values: np.ndarray
     cache: dict
 
     @property
     def size(self) -> int:
-        return len(self.matrices)
+        return self.packing.size
+
+    def diagonal_blocks(self, x: np.ndarray) -> np.ndarray:
+        """Each row's own description block of a (bank rows, m*d) array."""
+        rows = self.packing.n_rows
+        return x.reshape(rows, self.size, -1)[np.arange(rows), self.packing.seg]
 
 
 def init_descnet_params(rng: np.random.Generator, config: ModelConfig, bank_size: int) -> DescNetParams:
@@ -122,19 +133,20 @@ def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
     flat = np.array([t for ids in token_id_lists for t in ids], dtype=np.intp)
     z0 = embed(flat, enc_params, config, packing)
     out, block_cache = encoder_block_forward(z0, desc_block, config, packing=packing)
-    return DescriptionBank(list(texts), np.split(out, packing.starts[1:]),
-                           {"ids": flat, "packing": packing, "block": block_cache})
+    values = np.zeros((packing.n_rows, packing.size, out.shape[1]))
+    values[np.arange(packing.n_rows), packing.seg] = out
+    return DescriptionBank(list(texts), out, packing, values.reshape(packing.n_rows, -1),
+                           {"ids": flat, "block": block_cache})
 
 
-def bank_backward(d_matrices: list[np.ndarray], bank: DescriptionBank,
+def bank_backward(d_keys: np.ndarray, bank: DescriptionBank,
                   desc_block: EncoderBlockParams, config: ModelConfig,
                   g_desc_block: EncoderBlockParams, g_enc: EncoderParams) -> None:
-    """Push description-matrix gradients back into the description encoder
-    block and the shared embeddings; one call covers a batch sharing ``bank``."""
+    """Push the keys' gradient back into the description encoder block and
+    the shared embeddings; one call covers a batch sharing ``bank``."""
     cache = bank.cache
-    d_z0 = encoder_block_backward(np.concatenate(d_matrices), cache["block"], desc_block,
-                                  config, g_desc_block)
-    embed_backward(d_z0, cache["ids"], g_enc, cache["packing"])
+    d_z0 = encoder_block_backward(d_keys, cache["block"], desc_block, config, g_desc_block)
+    embed_backward(d_z0, cache["ids"], g_enc, bank.packing)
 
 
 def coda_forward(q: np.ndarray, k: np.ndarray):
@@ -171,43 +183,47 @@ def coda_backward(d_a: np.ndarray, cache):
     return d_q, d_k
 
 
-def coda_interact_forward(z: np.ndarray, desc: np.ndarray):
-    """Tokens-to-description interaction: the CoDA matrix of (z, desc) applied
-    to desc as values."""
-    a, a_cache = coda_forward(z, desc)
-    return a @ desc, {"a": a, "a_cache": a_cache, "desc": desc}
+def coda_interact_forward(z: np.ndarray, bank: DescriptionBank):
+    """Tokens-to-descriptions interaction: one CoDA matrix of z against every
+    token of the bank, applied to the block-diagonal values, so column block
+    j of the (rows, m*d) output is description j's CoDA matrix times its
+    token matrix."""
+    a, a_cache = coda_forward(z, bank.keys)
+    return a @ bank.values, {"a": a, "a_cache": a_cache, "bank": bank}
 
 
 def coda_interact_backward(d_out: np.ndarray, cache):
-    a, desc = cache["a"], cache["desc"]
-    d_a = d_out @ desc.T
-    d_desc = a.T @ d_out
-    d_z, d_k = coda_backward(d_a, cache["a_cache"])
-    return d_z, d_desc + d_k
+    """Returns (d_z, d_keys) for a (rows, m*d) upstream gradient."""
+    a, bank = cache["a"], cache["bank"]
+    d_z, d_k = coda_backward(d_out @ bank.values.T, cache["a_cache"])
+    return d_z, bank.diagonal_blocks(a.T @ d_out) + d_k
 
 
-def dpa_interact_forward(z: np.ndarray, desc: np.ndarray):
-    """Ablation variant: plain softmax dot-product attention over the description."""
+def dpa_interact_forward(z: np.ndarray, bank: DescriptionBank):
+    """Ablation variant: plain dot-product attention, one softmax over each
+    description's tokens."""
     scale = np.sqrt(z.shape[1])
-    p = softmax_rows(z @ desc.T / scale)
-    return p @ desc, {"p": p, "z": z, "desc": desc, "scale": scale}
+    starts, seg = bank.packing.starts, bank.packing.seg
+    s = z @ bank.keys.T / scale
+    e = np.exp(s - np.maximum.reduceat(s, starts, axis=1)[:, seg])
+    p = e / np.add.reduceat(e, starts, axis=1)[:, seg]
+    return p @ bank.values, {"p": p, "z": z, "bank": bank, "scale": scale}
 
 
 def dpa_interact_backward(d_out: np.ndarray, cache):
-    p, z, desc, scale = cache["p"], cache["z"], cache["desc"], cache["scale"]
-    d_p = d_out @ desc.T
-    d_desc = p.T @ d_out
-    d_s = softmax_rows_backward(p, d_p) / scale
-    d_z = d_s @ desc
-    d_desc += d_s.T @ z
-    return d_z, d_desc
+    """Returns (d_z, d_keys) for a (rows, m*d) upstream gradient."""
+    p, z, bank, scale = cache["p"], cache["z"], cache["bank"], cache["scale"]
+    d_p = d_out @ bank.values.T
+    inner = np.add.reduceat(d_p * p, bank.packing.starts, axis=1)[:, bank.packing.seg]
+    d_s = p * (d_p - inner) / scale
+    return d_s @ bank.keys, bank.diagonal_blocks(p.T @ d_out) + d_s.T @ z
 
 
-def fuse_forward(parts: list[np.ndarray], params: DescNetParams, rng, train, dropout_p):
-    concat = np.concatenate(parts, axis=1)
+def fuse_forward(concat: np.ndarray, params: DescNetParams, rng, train, dropout_p):
+    """Fuses the (rows, m*d) interaction outputs into (rows, d)."""
     dropped, mask = dropout(concat, dropout_p, rng, train)
     fused = np.tanh(dropped @ params.w_fuse + params.b_fuse)
-    return fused, {"dropped": dropped, "mask": mask, "fused": fused, "n_parts": len(parts)}
+    return fused, {"dropped": dropped, "mask": mask, "fused": fused}
 
 
 def fuse_backward(d_fused: np.ndarray, cache, params: DescNetParams, g: DescNetParams, dropout_p):
@@ -215,8 +231,7 @@ def fuse_backward(d_fused: np.ndarray, cache, params: DescNetParams, g: DescNetP
     d_pre = d_fused * (1.0 - fused**2)
     g.w_fuse += cache["dropped"].T @ d_pre
     g.b_fuse += d_pre.sum(axis=0)
-    d_concat = dropout_backward(d_pre @ params.w_fuse.T, cache["mask"], dropout_p)
-    return np.split(d_concat, cache["n_parts"], axis=1)
+    return dropout_backward(d_pre @ params.w_fuse.T, cache["mask"], dropout_p)
 
 
 def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams,
@@ -314,28 +329,24 @@ def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,
         raise ValueError(f"bank of {bank.size} descriptions does not match fusion "
                          f"weights built for {params.w_fuse.shape[0] // config.d}")
     interact_fwd = coda_interact_forward if config.attention_variant == "coda" else dpa_interact_forward
-    parts, part_caches = [], []
-    for desc in bank.matrices:
-        out, c = interact_fwd(z, desc)
-        parts.append(out)
-        part_caches.append(c)
-    fused, fuse_cache = fuse_forward(parts, params, rng, train, config.dropout_p)
+    concat, interact_cache = interact_fwd(z, bank)
+    fused, fuse_cache = fuse_forward(concat, params, rng, train, config.dropout_p)
     zp = fused @ params.w_proj
     if config.use_igm:
         z_hat, igm_cache = igm_forward(zp, z, params, packing)
     else:
         z_hat, igm_cache = zp, None
-    cache = {"parts": part_caches, "fuse": fuse_cache, "fused": fused, "igm": igm_cache}
+    cache = {"interact": interact_cache, "fuse": fuse_cache, "fused": fused, "igm": igm_cache}
     return z_hat, cache
 
 
 def descnet_backward(d_out: np.ndarray, cache, params: DescNetParams, config: ModelConfig,
-                     g_desc: DescNetParams, d_bank: list[np.ndarray]) -> np.ndarray:
+                     g_desc: DescNetParams, d_bank: np.ndarray) -> np.ndarray:
     """Mirror of ``descnet_forward``; returns the gradient w.r.t. z.
 
-    Adds the gradient w.r.t. each description matrix into ``d_bank`` for the
-    caller, which runs ``bank_backward`` once for the whole batch that shares
-    the bank.
+    Adds the gradient w.r.t. the bank's keys into ``d_bank`` for the caller,
+    which runs ``bank_backward`` once for the whole batch that shares the
+    bank.
     """
     interact_bwd = coda_interact_backward if config.attention_variant == "coda" else dpa_interact_backward
     if config.use_igm:
@@ -345,9 +356,7 @@ def descnet_backward(d_out: np.ndarray, cache, params: DescNetParams, config: Mo
         d_z = 0.0
     g_desc.w_proj += cache["fused"].T @ d_zp
     d_fused = d_zp @ params.w_proj.T
-    d_parts = fuse_backward(d_fused, cache["fuse"], params, g_desc, config.dropout_p)
-    for j, (d_part, part_cache) in enumerate(zip(d_parts, cache["parts"])):
-        d_z_j, d_desc_j = interact_bwd(d_part, part_cache)
-        d_z = d_z + d_z_j
-        d_bank[j] += d_desc_j
-    return d_z
+    d_concat = fuse_backward(d_fused, cache["fuse"], params, g_desc, config.dropout_p)
+    d_z_bank, d_keys = interact_bwd(d_concat, cache["interact"])
+    d_bank += d_keys
+    return d_z + d_z_bank

@@ -1,5 +1,6 @@
 """Full tagger assembly: vocabulary, parameter bundle, the loss and tags of a
-packed chunk of sequences, and JSON checkpoint serialization.
+packed chunk of sequences, and checkpoint serialization (a JSON document
+holding each tensor as base64 of its little-endian float64 bytes).
 
 The encoder, adapter, and CRF modules each own their math; this module wires
 them into one forward and backward pass over a chunk (a single sequence is a
@@ -10,6 +11,7 @@ texts, tensors).
 
 from __future__ import annotations
 
+import base64
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -39,7 +41,7 @@ from .numerics import named_arrays
 from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Token, decode_bio, encode_bio, normalize_post, tokenize
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 UNK = "<unk>"
 
 
@@ -180,11 +182,11 @@ def sequence_loss(params: ModelParams, config: ModelConfig, token_ids, gold_tags
 
 def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[str],
                       e: np.ndarray, cache, grads: ModelParams,
-                      d_bank: list[np.ndarray] | None) -> None:
+                      d_bank: np.ndarray | None) -> None:
     """Accumulate the gradient of the chunk's summed loss into ``grads``.
 
-    With the adapter on, the gradient w.r.t. each description matrix is added
-    into ``d_bank``; the caller runs ``bank_backward`` once per batch.
+    With the adapter on, the gradient w.r.t. the bank's keys is added into
+    ``d_bank``; the caller runs ``bank_backward`` once per batch.
     """
     packing = cache["packing"]
     d_e = nll_backward(e, params.crf, gold_tags, cache["crf"], grads.crf, packing)
@@ -236,7 +238,8 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary,
         "vocab": vocab.words,
         "bank_texts": bank_texts,
         "params": {
-            name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+            name: {"shape": list(arr.shape),
+                   "values": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
             for name, arr in named_arrays(params)
         },
     }
@@ -246,7 +249,8 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary,
 
 
 def load_checkpoint(path):
-    """Returns (config, vocab, bank_texts, params); validates names and shapes."""
+    """Returns (config, vocab, bank_texts, params); validates names, shapes
+    and each tensor's byte count."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -275,12 +279,16 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         entry = stored[name]
         try:
-            values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            shape = tuple(entry["shape"])
+            raw = base64.b64decode(entry["values"], validate=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad tensor {name!r}: {exc!r}") from exc
-        if values.shape != arr.shape:
-            raise CheckpointError(f"tensor {name!r} has shape {values.shape}, expected {arr.shape}")
-        arr[...] = values
+        if shape != arr.shape:
+            raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {arr.shape}")
+        if len(raw) != arr.nbytes:
+            raise CheckpointError(f"tensor {name!r} holds {len(raw)} bytes, "
+                                  f"shape {shape} needs {arr.nbytes}")
+        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
         seen.add(name)
     extra = set(stored) - seen
     if extra:

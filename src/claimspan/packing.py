@@ -19,10 +19,12 @@ import numpy as np
 # chunk's backward pass (about 11 KB a token at d=32 with two blocks and three
 # descriptions, attention adding the longest sequence squared) and the
 # backward's temporaries grow with the chunk too; only one chunk's caches are
-# alive at a time. With 64 tokens training peaks about 2.5% above running one
-# sequence at a time; 80 and 96 tokens ran faster but peaked 3.6% and 4.5%
-# above, too close to the 5% the benchmark allows for a model with a larger
-# description bank.
+# alive at a time. The largest is CoDA's (rows, bank rows, d) L1 temporary
+# against the packed description bank: 1.4 MB at 64 rows and d=32 for a
+# 9-description bank of 88 tokens, 0.5 MB for a 3-description bank. With 64
+# tokens training peaks about 2.5% above running one sequence at a time; 80
+# and 96 tokens ran faster but peaked 3.6% and 4.5% above, too close to the
+# 5% the benchmark allows for a model with a larger description bank.
 _CHUNK_TOKENS = 64
 
 

@@ -237,14 +237,14 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
 
     ``bank`` must be encoded from the current weights (``build_bank``; None
     for a model without the adapter). The whole batch shares it, and it is
-    back-propagated once with the summed description-matrix gradients. The
+    back-propagated once with the summed gradient of its keys. The
     examples run in packed chunks, each chunk's forward and backward pass
     before the next, so only one chunk's caches are alive at a time. This is
     the only place a gradient is computed: ``train`` calls it once per Adam
     step and ``grad_check`` on a batch of one.
     """
     grads = zeros_like_struct(params)
-    d_bank = [np.zeros_like(m) for m in bank.matrices] if bank is not None else None
+    d_bank = np.zeros_like(bank.keys) if bank is not None else None
     losses = np.empty(len(batch))
     for chunk in make_chunks([ex.token_ids for ex in batch]):
         tags = [t for i in chunk.order for t in batch[i].gold_tags]

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from claimspan.descnet import coda_backward, coda_forward
+from claimspan.numerics import softmax_rows, softmax_rows_backward
 from claimspan.retrieval import index_terms
 
 
@@ -35,6 +37,38 @@ def coda_scalar(q, k) -> np.ndarray:
                 l1 += abs(q[s, f] - k[t, f])
             out[s, t] = math.tanh(dot / root) * sig(-l1 / root)
     return out
+
+
+def _coda_one_description(z, desc, d_out):
+    a, cache = coda_forward(z, desc)
+    d_z, d_k = coda_backward(d_out @ desc.T, cache)
+    return a @ desc, d_z, a.T @ d_out + d_k
+
+
+def _dpa_one_description(z, desc, d_out):
+    scale = math.sqrt(z.shape[1])
+    p = softmax_rows(z @ desc.T / scale)
+    d_s = softmax_rows_backward(p, d_out @ desc.T) / scale
+    return p @ desc, d_s @ desc, p.T @ d_out + d_s.T @ z
+
+
+def interact_per_description(variant, z, descs, d_out):
+    """The adapter's token-description interaction run one description at a
+    time (CoDA or softmax attention of z over that description's tokens,
+    applied to the same tokens as values), the outputs concatenated.
+
+    Returns (output (rows, m*d), d_z, d_keys (bank rows, d)) for the upstream
+    gradient ``d_out``; a reference for the bank-wide vectorized path.
+    """
+    one = _coda_one_description if variant == "coda" else _dpa_one_description
+    d = z.shape[1]
+    outs, d_z, d_keys = [], np.zeros_like(z), []
+    for j, desc in enumerate(descs):
+        out, d_z_j, d_desc = one(z, desc, d_out[:, j * d:(j + 1) * d])
+        outs.append(out)
+        d_z += d_z_j
+        d_keys.append(d_desc)
+    return np.concatenate(outs, axis=1), d_z, np.concatenate(d_keys)
 
 
 def igm_scalar(zp, z, p) -> np.ndarray:

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -227,6 +228,16 @@ def test_eval_bad_checkpoint(tmp_path, corpus_file, capsys):
     (lambda doc: [doc], "not a JSON object"),
     (lambda doc: {**doc, "bank_texts": [1, 2, 3]}, "bank_texts"),
     (lambda doc: {**doc, "bank_texts": "abc"}, "bank_texts"),
+    (lambda doc: {**doc, "params": {**doc["params"],
+                                    "crf.w_emit": {"shape": [8, 3], "values": "not base64!"}}},
+     "bad tensor 'crf.w_emit'"),
+    (lambda doc: {**doc, "params": {**doc["params"], "crf.b_emit": {
+        "shape": [3], "values": base64.b64encode(np.zeros(2).tobytes()).decode("ascii")}}},
+     "'crf.b_emit' holds 16 bytes"),
+    (lambda doc: {**doc, "format_version": 1, "params": {
+        name: {"shape": entry["shape"], "values": [0.0] * int(np.prod(entry["shape"]))}
+        for name, entry in doc["params"].items()}},
+     "version 1"),
 ])
 def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, match):
     path = tmp_path / "ckpt.json"

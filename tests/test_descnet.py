@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimspan.descnet import (
     DescNetParams,
+    DescriptionBank,
     coda_forward,
     coda_interact_backward,
     coda_interact_forward,
@@ -20,7 +23,7 @@ from claimspan.encoder import ModelConfig
 from claimspan.numerics import named_arrays, zeros_like_struct
 from claimspan.packing import Packing
 
-from oracles import coda_scalar, igm_scalar
+from oracles import coda_scalar, igm_scalar, interact_per_description
 from test_encoder import fd_grad
 
 
@@ -31,6 +34,17 @@ def rand_descnet(rng, d, bank_size=2, scale=0.4) -> DescNetParams:
     for _name, arr in named_arrays(params):
         arr[...] = scale * rng.normal(size=arr.shape)
     return params
+
+
+def bank_of(keys, lengths) -> DescriptionBank:
+    """A bank over given keys: description j is the next ``lengths[j]`` rows,
+    its values in column block j of an otherwise zero matrix."""
+    packing = Packing(lengths)
+    d = keys.shape[1]
+    values = np.zeros((len(keys), len(lengths) * d))
+    for j, (lo, n) in enumerate(zip(packing.starts, lengths)):
+        values[lo:lo + n, j * d:(j + 1) * d] = keys[lo:lo + n]
+    return DescriptionBank([f"d{j}" for j in range(len(lengths))], keys, packing, values, {})
 
 
 # ---------------------------------------------------------------------------
@@ -70,29 +84,63 @@ def test_coda_rows_are_not_normalized():
 
 def test_coda_interact_backward_matches_fd():
     rng = np.random.default_rng(3)
+    lengths = [3, 1, 2]
     z = rng.normal(size=(4, 6))
-    desc = rng.normal(size=(3, 6))
-    c = rng.normal(size=(4, 6))
-    _out, cache = coda_interact_forward(z, desc)
-    d_z, d_desc = coda_interact_backward(c, cache)
-    fd_z = fd_grad(lambda: float((coda_interact_forward(z, desc)[0] * c).sum()), z)
-    fd_desc = fd_grad(lambda: float((coda_interact_forward(z, desc)[0] * c).sum()), desc)
+    keys = rng.normal(size=(6, 6))
+    c = rng.normal(size=(4, 3 * 6))
+    _out, cache = coda_interact_forward(z, bank_of(keys, lengths))
+    d_z, d_keys = coda_interact_backward(c, cache)
+    fd_z = fd_grad(lambda: float((coda_interact_forward(z, bank_of(keys, lengths))[0] * c).sum()), z)
+    fd_keys = fd_grad(lambda: float((coda_interact_forward(z, bank_of(keys, lengths))[0] * c).sum()),
+                      keys)
     assert np.allclose(d_z, fd_z, atol=1e-7)
-    assert np.allclose(d_desc, fd_desc, atol=1e-7)
+    assert np.allclose(d_keys, fd_keys, atol=1e-7)
 
 
 def test_dpa_rows_normalized_and_backward():
     rng = np.random.default_rng(4)
+    lengths = [3, 1, 2]
     z = rng.normal(size=(4, 6))
-    desc = rng.normal(size=(3, 6))
-    c = rng.normal(size=(4, 6))
-    _out, cache = dpa_interact_forward(z, desc)
-    assert np.allclose(cache["p"].sum(axis=1), 1.0)
-    d_z, d_desc = dpa_interact_backward(c, cache)
-    fd_z = fd_grad(lambda: float((dpa_interact_forward(z, desc)[0] * c).sum()), z)
-    fd_desc = fd_grad(lambda: float((dpa_interact_forward(z, desc)[0] * c).sum()), desc)
+    keys = rng.normal(size=(6, 6))
+    c = rng.normal(size=(4, 3 * 6))
+    bank = bank_of(keys, lengths)
+    _out, cache = dpa_interact_forward(z, bank)
+    # one distribution over each description's tokens
+    assert np.allclose(np.add.reduceat(cache["p"], bank.packing.starts, axis=1), 1.0)
+    d_z, d_keys = dpa_interact_backward(c, cache)
+    fd_z = fd_grad(lambda: float((dpa_interact_forward(z, bank_of(keys, lengths))[0] * c).sum()), z)
+    fd_keys = fd_grad(lambda: float((dpa_interact_forward(z, bank_of(keys, lengths))[0] * c).sum()),
+                      keys)
     assert np.allclose(d_z, fd_z, atol=1e-7)
-    assert np.allclose(d_desc, fd_desc, atol=1e-7)
+    assert np.allclose(d_keys, fd_keys, atol=1e-7)
+
+
+@settings(max_examples=60)
+@given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       rows=st.integers(1, 6), d=st.integers(1, 6), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(["coda", "dpa"]))
+@example(lengths=[1, 1, 1], rows=3, d=4, seed=0, variant="coda")
+@example(lengths=[1, 1, 1], rows=3, d=4, seed=0, variant="dpa")
+@example(lengths=[4], rows=5, d=3, seed=1, variant="coda")
+@example(lengths=[4], rows=5, d=3, seed=1, variant="dpa")
+@example(lengths=[1, 5, 2], rows=2, d=6, seed=2, variant="coda")
+@example(lengths=[1, 5, 2], rows=2, d=6, seed=2, variant="dpa")
+def test_bank_interaction_matches_per_description_oracle(lengths, rows, d, seed, variant):
+    # one interaction against the packed bank equals running each description
+    # on its own and concatenating, forward and backward
+    rng = np.random.default_rng(seed)
+    keys = rng.normal(size=(sum(lengths), d))
+    z = rng.normal(size=(rows, d))
+    d_out = rng.normal(size=(rows, len(lengths) * d))
+    forward, backward = ((coda_interact_forward, coda_interact_backward) if variant == "coda"
+                         else (dpa_interact_forward, dpa_interact_backward))
+    out, cache = forward(z, bank_of(keys, lengths))
+    d_z, d_keys = backward(d_out, cache)
+    ref_out, ref_d_z, ref_d_keys = interact_per_description(
+        variant, z, np.split(keys, np.cumsum(lengths)[:-1]), d_out)
+    for got, ref in [(out, ref_out), (d_z, ref_d_z), (d_keys, ref_d_keys)]:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +241,17 @@ def test_fuse_shapes_and_backward():
     p = init_descnet_params(rng, cfg, m)
     for _name, arr in named_arrays(p):
         arr[...] = 0.4 * rng.normal(size=arr.shape)
-    parts = [rng.normal(size=(n, d)) for _ in range(m)]
+    concat = rng.normal(size=(n, m * d))
     c = rng.normal(size=(n, d))
-    fused, cache = fuse_forward(parts, p, None, False, 0.0)
+    fused, cache = fuse_forward(concat, p, None, False, 0.0)
     assert fused.shape == (n, d)
     assert np.all(np.abs(fused) < 1.0)
     g = zeros_like_struct(p)
-    d_parts = fuse_backward(c, cache, p, g, 0.0)
-    assert len(d_parts) == m
-    for j in range(m):
-        fd = fd_grad(lambda: float((fuse_forward(parts, p, None, False, 0.0)[0] * c).sum()),
-                     parts[j])
-        assert np.allclose(d_parts[j], fd, atol=1e-7)
-    fd_w = fd_grad(lambda: float((fuse_forward(parts, p, None, False, 0.0)[0] * c).sum()),
+    d_concat = fuse_backward(c, cache, p, g, 0.0)
+    assert d_concat.shape == (n, m * d)
+    fd = fd_grad(lambda: float((fuse_forward(concat, p, None, False, 0.0)[0] * c).sum()), concat)
+    assert np.allclose(d_concat, fd, atol=1e-7)
+    fd_w = fd_grad(lambda: float((fuse_forward(concat, p, None, False, 0.0)[0] * c).sum()),
                    p.w_fuse)
     assert np.allclose(g.w_fuse, fd_w, atol=1e-7)
 
@@ -219,7 +265,9 @@ def test_bank_identical_texts_identical_matrices(tiny_config, tiny_params, tiny_
     bank = encode_description_bank(texts, ids, tiny_params.encoder,
                                    tiny_params.descnet.description_encoder, tiny_config)
     assert bank.size == 2
-    assert np.array_equal(bank.matrices[0], bank.matrices[1])
+    first, second = np.split(bank.keys, bank.packing.starts[1:])
+    assert np.array_equal(first, second)
+    assert np.array_equal(bank.values, bank_of(bank.keys, [3, 3]).values)
 
 
 def test_bank_single_description(tiny_config, tiny_params, tiny_vocab):
@@ -227,7 +275,8 @@ def test_bank_single_description(tiny_config, tiny_params, tiny_vocab):
                                    tiny_params.encoder,
                                    tiny_params.descnet.description_encoder, tiny_config)
     assert bank.size == 1
-    assert bank.matrices[0].shape == (3, tiny_config.d)
+    assert bank.keys.shape == (3, tiny_config.d)
+    assert np.array_equal(bank.values, bank.keys)
 
 
 def test_bank_rejects_empty(tiny_config, tiny_params):

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 
@@ -87,6 +88,12 @@ def test_backbone_init_shared_across_adapter_variants(tiny_config, tiny_vocab):
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _tensor_entry(values) -> dict:
+    """A checkpoint tensor entry, encoded as ``save_checkpoint`` writes it."""
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "values": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
 def _roundtrip(tmp_path, config, vocab, bank_texts, params):
     path = tmp_path / "model.json"
     save_checkpoint(path, config, vocab, bank_texts, params)
@@ -142,7 +149,7 @@ def test_checkpoint_rejects_missing_and_unknown_tensors(tmp_path, tiny_config, t
 
     save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
     doc = json.loads(path.read_text())
-    doc["params"]["bogus.tensor"] = {"shape": [1], "values": [0.0]}
+    doc["params"]["bogus.tensor"] = _tensor_entry([0.0])
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="unknown"):
         load_checkpoint(path)
@@ -152,7 +159,7 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path, tiny_config, tiny_vocab, ti
     path = tmp_path / "model.json"
     save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
     doc = json.loads(path.read_text())
-    doc["params"]["crf.b_emit"] = {"shape": [5], "values": [0.0] * 5}
+    doc["params"]["crf.b_emit"] = _tensor_entry([0.0] * 5)
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path)
