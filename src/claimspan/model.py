@@ -83,11 +83,13 @@ class ModelParams:
 
 
 def init_model_params(config: ModelConfig, vocab_size: int, bank_size: int,
-                      rng: np.random.Generator) -> ModelParams:
+                      rng: np.random.Generator | None) -> ModelParams:
     """Draw all weights in canonical order so a seed pins every tensor.
 
     Encoder and CRF are drawn before the adapter, so ablation variants that
-    share a seed also share their backbone initialization.
+    share a seed also share their backbone initialization. With ``rng``
+    None the random weights are left uninitialised (checkpoint loading
+    overwrites every tensor).
     """
     enc = init_encoder_params(rng, config, vocab_size)
     head = init_crf_params(rng, config.d)
@@ -267,7 +269,7 @@ def load_checkpoint(path):
                                        and all(isinstance(t, str) for t in bank_texts)):
         raise CheckpointError("bank_texts must be null or a list of strings")
     bank_size = len(bank_texts) if bank_texts else 1
-    params = init_model_params(config, len(vocab), bank_size, np.random.default_rng(0))
+    params = init_model_params(config, len(vocab), bank_size, None)
     if params.descnet is not None and not bank_texts:
         raise CheckpointError("checkpoint has adapter weights but no bank_texts")
     stored = doc.get("params")

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from typing import NamedTuple
 
 TAG_B = "B"
 TAG_I = "I"
 TAG_O = "O"
 TAGS = (TAG_B, TAG_I, TAG_O)
 
-_URL_RE = re.compile(r"https?://")
-_ASCII_ALNUM_RE = re.compile(r"[A-Za-z0-9]")
-_CHUNK_RE = re.compile(r"\S+")
+# A junk chunk (a whitespace-delimited run) is a URL, or has no ASCII
+# alphanumeric character at all (emoji, arrows, bare punctuation runs). The
+# lookbehind and the lookahead pin a match to whole chunks; group 1 is the
+# whitespace run after the chunk, which the chunk swallows.
+_JUNK_RE = re.compile(r"(?<!\S)(?:https?://\S*|[^\sA-Za-z0-9]+(?!\S))(\s*)")
 # Alternation order matters: hashtags first, then the n't contraction split,
 # then plain alphanumeric runs, then single punctuation characters.
 _TOKEN_RE = re.compile(r"#[A-Za-z0-9_]+|n't|[A-Za-z0-9]+(?=n't)|[A-Za-z0-9]+|[^\sA-Za-z0-9]")
@@ -40,8 +43,10 @@ class CharSpan:
             raise ValueError(f"empty or inverted span [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """An immutable ``(surface, start, end)`` tuple: the token's text and its
+    character range in the text it was cut from."""
+
     surface: str
     start: int
     end: int
@@ -77,11 +82,12 @@ class OffsetMap:
 
     ``norm_to_raw[i]`` is the raw index of the character at normalized
     position ``i``. ``raw_to_norm[j]`` is the normalized index of raw
-    character ``j``, or -1 if it was removed.
+    character ``j``, or -1 if it was removed. A text that normalization
+    leaves as it is gets ``range`` objects for both.
     """
 
-    norm_to_raw: list[int]
-    raw_to_norm: list[int]
+    norm_to_raw: Sequence[int]
+    raw_to_norm: Sequence[int]
 
     def remap_span(self, start: int, end: int) -> tuple[int, int] | None:
         """Project a raw-text span onto the normalized text.
@@ -95,12 +101,6 @@ class OffsetMap:
         return kept[0], kept[-1] + 1
 
 
-def _is_junk_chunk(chunk: str) -> bool:
-    # URL tokens, and tokens with no ASCII alphanumeric character at all
-    # (emoji, arrows, bare punctuation runs), get dropped wholesale.
-    return bool(_URL_RE.match(chunk)) or not _ASCII_ALNUM_RE.search(chunk)
-
-
 def normalize_text(raw: str) -> tuple[str, OffsetMap]:
     """Strip URL tokens and special-character-only tokens, keeping an offset map.
 
@@ -108,31 +108,27 @@ def normalize_text(raw: str) -> tuple[str, OffsetMap]:
     it ends the text) so the remaining tokens stay singly spaced. Idempotent:
     a clean text maps through unchanged.
     """
-    keep = None
-    for m in _CHUNK_RE.finditer(raw):
-        if not _is_junk_chunk(m.group()):
-            continue
-        if keep is None:
-            keep = [True] * len(raw)
-        for j in range(m.start(), m.end()):
-            keep[j] = False
-        j = m.end()
-        if j < len(raw) and raw[j].isspace():
-            while j < len(raw) and raw[j].isspace():
-                keep[j] = False
-                j += 1
-        else:
-            j = m.start() - 1
-            while j >= 0 and raw[j].isspace() and keep[j]:
-                keep[j] = False
-                j -= 1
-    if keep is None:
-        return raw, OffsetMap(list(range(len(raw))), list(range(len(raw))))
-    norm_to_raw = list(compress(range(len(raw)), keep))
+    kept = []  # [start, end) raw ranges that survive, in order
+    lo = 0
+    for m in _JUNK_RE.finditer(raw):
+        start = m.start()
+        if m.end() == len(raw) and not m.group(1):
+            # The chunk ends the text: it takes the whitespace before it, back
+            # to where the previous removal stopped.
+            start = lo + len(raw[lo:start].rstrip())
+        if start > lo:
+            kept.append((lo, start))
+        lo = m.end()
+    if lo == 0:  # no junk chunk
+        return raw, OffsetMap(range(len(raw)), range(len(raw)))
+    if lo < len(raw):
+        kept.append((lo, len(raw)))
+    norm_to_raw: list[int] = []
     raw_to_norm = [-1] * len(raw)
-    for i, j in enumerate(norm_to_raw):
-        raw_to_norm[j] = i
-    return "".join(compress(raw, keep)), OffsetMap(norm_to_raw, raw_to_norm)
+    for a, b in kept:
+        raw_to_norm[a:b] = range(len(norm_to_raw), len(norm_to_raw) + b - a)
+        norm_to_raw += range(a, b)
+    return "".join(raw[a:b] for a, b in kept), OffsetMap(norm_to_raw, raw_to_norm)
 
 
 def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:
@@ -178,14 +174,14 @@ def tokenize(text: str) -> list[Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         surface = m.group()
-        if surface.startswith("#") and len(surface) > 1:
+        if surface[0] == "#" and len(surface) > 1:
             cursor = m.start()
             for piece in split_hashtag(surface):
                 at = text.index(piece, cursor)
                 tokens.append(Token(piece, at, at + len(piece)))
                 cursor = at + len(piece)
         else:
-            tokens.append(Token(surface, m.start(), m.end()))
+            tokens.append(Token(surface, *m.span()))
     return tokens
 
 

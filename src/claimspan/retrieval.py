@@ -24,8 +24,10 @@ def index_terms(text: str) -> list[str]:
     """Query/document terms: URL-stripped, tokenized, lowercased; tokens with
     no alphanumeric character are dropped."""
     clean, _ = normalize_text(text)
-    return [t.surface.lower() for t in tokenize(clean)
-            if any(c.isalnum() for c in t.surface)]
+    # Only a one-character token can lack an alphanumeric character: hashtag
+    # pieces and alphanumeric runs are alphanumeric, and n't holds n and t.
+    return [s.lower() for s, _start, _end in tokenize(clean)
+            if len(s) > 1 or s.isalnum()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from .descnet import DescriptionBank, bank_backward
 from .encoder import ModelConfig
 from .metrics import inspan_indices, mean_dice, overall_prf
 from .model import (
+    UNK,
     Example,
     ModelParams,
     Vocabulary,
@@ -32,7 +33,7 @@ from .model import (
 )
 from .numerics import copy_struct, named_arrays, zeros_like_struct
 from .packing import make_chunks
-from .preprocess import AnnotatedPost, CharSpan, normalize_post, tokenize
+from .preprocess import AnnotatedPost, CharSpan
 
 
 class ConfigError(ValueError):
@@ -208,11 +209,6 @@ class TrainResult:
     stopped_early: bool
 
 
-def _token_surfaces(post: AnnotatedPost, max_len: int) -> list[str]:
-    norm, _omap, _dropped = normalize_post(post)
-    return [t.surface for t in tokenize(norm.text)[:max_len]]
-
-
 def prepare_examples(corpus: list[AnnotatedPost], vocab: Vocabulary,
                      config: ModelConfig) -> list[Example]:
     """Posts as model inputs; posts with no surviving tokens are dropped."""
@@ -288,9 +284,13 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
         raise ValueError("adapter enabled but no description bank given")
 
     rng = np.random.default_rng(tc.seed)
-    surfaces = [_token_surfaces(p, mc.max_len) for p in corpus_train]
-    vocab = Vocabulary.build(surfaces, mc.vocab_size)
-    train_ex = prepare_examples(corpus_train, vocab, mc)
+    # Each post is tokenized once: the training examples are made against a
+    # vocabulary of <unk> alone, the vocabulary is built from their tokens,
+    # and then their ids are looked up in it.
+    train_ex = prepare_examples(corpus_train, Vocabulary([UNK]), mc)
+    vocab = Vocabulary.build([[t.surface for t in ex.tokens] for ex in train_ex], mc.vocab_size)
+    for ex in train_ex:
+        ex.token_ids = [vocab.lookup(t.surface) for t in ex.tokens]
     val_ex = prepare_examples(corpus_val, vocab, mc)
     if not train_ex or not val_ex:
         raise ValueError("no usable examples after preprocessing")

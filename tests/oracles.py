@@ -7,11 +7,13 @@ unlikely.
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 from claimspan.descnet import coda_backward, coda_forward
 from claimspan.numerics import softmax_rows, softmax_rows_backward
+from claimspan.preprocess import split_hashtag
 from claimspan.retrieval import index_terms
 
 
@@ -171,3 +173,67 @@ def bm25_full_scan(docs, text, k, k1: float = 1.2, b: float = 0.75):
             scores[di] = scores.get(di, 0.0) + term_idf * tf * (k1 + 1.0) / (tf + norm)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], docs[kv[0]]["id"]))
     return [(docs[di]["id"], s) for di, s in ranked[:k]]
+
+
+# ---------------------------------------------------------------------------
+# Text front end: one chunk and one character at a time
+
+_URL_PREFIX = re.compile(r"https?://")
+_ASCII_ALNUM = re.compile(r"[A-Za-z0-9]")
+_CHUNK = re.compile(r"\S+")
+_TOKEN = re.compile(r"#[A-Za-z0-9_]+|n't|[A-Za-z0-9]+(?=n't)|[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+
+
+def normalize_text_scalar(raw: str):
+    """(text, norm_to_raw, raw_to_norm) with a keep flag per raw character.
+
+    A whitespace chunk is junk if it starts with a URL scheme or holds no
+    ASCII alphanumeric; it is removed with the whitespace run after it, or,
+    when it ends the text, with the still-kept whitespace run before it.
+    """
+    keep = [True] * len(raw)
+    for m in _CHUNK.finditer(raw):
+        chunk = m.group()
+        if not (_URL_PREFIX.match(chunk) or not _ASCII_ALNUM.search(chunk)):
+            continue
+        for j in range(m.start(), m.end()):
+            keep[j] = False
+        j = m.end()
+        if j < len(raw) and raw[j].isspace():
+            while j < len(raw) and raw[j].isspace():
+                keep[j] = False
+                j += 1
+        else:
+            j = m.start() - 1
+            while j >= 0 and raw[j].isspace() and keep[j]:
+                keep[j] = False
+                j -= 1
+    norm_to_raw = [j for j in range(len(raw)) if keep[j]]
+    raw_to_norm = [-1] * len(raw)
+    for i, j in enumerate(norm_to_raw):
+        raw_to_norm[j] = i
+    return "".join(raw[j] for j in norm_to_raw), norm_to_raw, raw_to_norm
+
+
+def tokenize_scalar(text: str) -> list[tuple[str, int, int]]:
+    """(surface, start, end) per token, hashtags expanded piece by piece."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        surface = m.group()
+        if surface.startswith("#") and len(surface) > 1:
+            cursor = m.start()
+            for piece in split_hashtag(surface):
+                at = text.index(piece, cursor)
+                tokens.append((piece, at, at + len(piece)))
+                cursor = at + len(piece)
+        else:
+            tokens.append((surface, m.start(), m.end()))
+    return tokens
+
+
+def index_terms_scalar(text: str) -> list[str]:
+    """Lowercased tokens of the normalized text that hold an alphanumeric
+    character, tested character by character."""
+    clean = normalize_text_scalar(text)[0]
+    return [s.lower() for s, _a, _b in tokenize_scalar(clean)
+            if any(c.isalnum() for c in s)]

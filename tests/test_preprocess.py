@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimspan.preprocess import (
@@ -18,6 +18,9 @@ from claimspan.preprocess import (
     split_hashtag,
     tokenize,
 )
+from claimspan.retrieval import index_terms
+
+from oracles import index_terms_scalar, normalize_text_scalar, tokenize_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,31 @@ def test_normalize_offset_map_property(pieces, lead, trail):
         assert omap.raw_to_norm[j] == i
     kept = set(omap.norm_to_raw)
     assert all(omap.raw_to_norm[j] == -1 for j in range(len(raw)) if j not in kept)
+
+
+# Pieces are joined with no gap, so they also make mixed chunks such as
+# "!!!word", "x🙂" or "https://a.b#WuhanLab".
+_FRONT_END_ALPHABET = [
+    "http://", "https://", "https://t.co/x1", "🙂", "→→", "!!!", "...", "-",
+    "#covid_19", "#WuhanLab", "#", "n't", "N'T", "don't", "é", "İ", "²", "_",
+    "a", "Z", "5", "word", "Cures", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c",
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_FRONT_END_ALPHABET), max_size=16).map("".join))
+@example("!!!word 🙂")
+@example("a ²")
+@example("x https://t.co/x1")
+def test_front_end_matches_scalar_oracle(raw):
+    norm, omap = normalize_text(raw)
+    ref_norm, ref_norm_to_raw, ref_raw_to_norm = normalize_text_scalar(raw)
+    assert norm == ref_norm
+    assert list(omap.norm_to_raw) == ref_norm_to_raw
+    assert list(omap.raw_to_norm) == ref_raw_to_norm
+    assert tokenize(raw) == tokenize_scalar(raw)
+    assert tokenize(norm) == tokenize_scalar(ref_norm)
+    assert index_terms(raw) == index_terms_scalar(raw)
 
 
 def test_normalize_post_remaps_spans():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import claimspan.crf as crf_mod
+import claimspan.model as model_mod
 import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
 from claimspan.encoder import ModelConfig
@@ -485,6 +486,27 @@ def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
     res = train(tr, va, synthetic_bank(), TINY_MC, tc)
     assert len(res.records) == 2
     assert len(banks) == len(steps) + 1
+
+
+def test_train_normalizes_each_post_once(monkeypatch):
+    # the vocabulary is built from the examples' tokens, not from a second
+    # normalize-and-tokenize pass over the training posts
+    tr, va, _ = split_corpus(_mini_corpus())
+    tc = dataclasses.replace(TINY_TC, max_epochs=1, patience=1)
+    real = model_mod.normalize_post
+    calls = []
+
+    def counting(post):
+        calls.append(post.id)
+        return real(post)
+
+    # patch every module that holds the function, so a second pass in
+    # training would be counted too
+    for mod in (model_mod, training_mod):
+        if hasattr(mod, "normalize_post"):
+            monkeypatch.setattr(mod, "normalize_post", counting)
+    train(tr, va, synthetic_bank(), TINY_MC, tc)
+    assert len(calls) == len(tr) + len(va)
 
 
 def test_train_validates_inputs():
