@@ -5,11 +5,12 @@ The adapter takes the running token representation Z (the packed rows of a
 chunk's sequences, rows x d) and lets every token interact with all m encoded
 claim descriptions through compositional de-attention (weights in (-1, 1), so
 descriptions can add, ignore, or subtract). The bank is packed like a chunk,
-so a chunk computes one (rows, bank rows) CoDA matrix, through one
-(rows, bank rows, d) temporary, and one product with the bank's
-block-diagonal values gives the m interaction outputs side by side for
-fusion. Each sequence's rows of Z are then gated with a d-vector pooled from
-that sequence, built from a conflict gate and a refine gate.
+so a chunk computes one (rows, bank rows) CoDA matrix, its L1 term summed
+one feature column at a time so that no (rows, bank rows, d) temporary is
+ever built, and one product with the bank's block-diagonal values gives the
+m interaction outputs side by side for fusion. Each sequence's rows of Z are
+then gated with a d-vector pooled from that sequence, built from a conflict
+gate and a refine gate.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class DescriptionBank:
     and ``values`` the block-diagonal (bank rows, m*d) matrix with description
     j's rows in column block j. ``cache`` holds the packed token ids and
     encoder intermediates so gradients can flow back into the shared
-    embeddings and the dedicated encoder block.
+    embeddings and the dedicated encoder block. A chunk's CoDA interaction
+    with the bank allocates (rows, bank rows) arrays, never one of
+    (rows, bank rows, d).
     """
 
     texts: list[str]
@@ -158,11 +161,14 @@ def coda_forward(q: np.ndarray, k: np.ndarray):
     """
     scale = np.sqrt(q.shape[1])
     t = np.tanh(q @ k.T / scale)
-    # negative L1 distance G[s, t] = -sum_f |q[s, f] - k[t, f]|, through one
-    # (rows, tokens, d) temporary taken in place
-    dist = q[:, None, :] - k[None, :, :]
-    np.abs(dist, out=dist)
-    gs = sigmoid(-dist.sum(axis=-1) / scale)
+    # L1 distance sum_f |q[s, f] - k[t, f]|, summed one feature column at a
+    # time, so no temporary outgrows (rows, tokens)
+    l1 = np.zeros(t.shape)
+    diff = np.empty(t.shape)
+    for q_f, k_f in zip(q.T, k.T):
+        np.subtract(q_f[:, None], k_f, out=diff)
+        l1 += np.abs(diff, out=diff)
+    gs = sigmoid(-l1 / scale)
     return t * gs, {"q": q, "k": k, "t": t, "gs": gs, "scale": scale}
 
 
@@ -174,12 +180,17 @@ def coda_backward(d_a: np.ndarray, cache):
     d_q = d_s @ k
     d_k = d_s.T @ q
     d_g = d_gs * gs * (1.0 - gs) / scale
-    # d_g times the sign of q - k, in one (rows, tokens, d) temporary
-    term = q[:, None, :] - k[None, :, :]
-    np.sign(term, out=term)
-    term *= d_g[:, :, None]
-    d_q -= term.sum(axis=1)
-    d_k += term.sum(axis=0)
+    # d_g times the sign of q - k (0 on a tie), one feature column at a time;
+    # its row and column sums are products with ones, which BLAS runs faster
+    # than NumPy's reductions at these shapes
+    term = np.empty(d_g.shape)
+    ones_rows, ones_keys = np.ones(len(q)), np.ones(len(k))
+    for f, (q_f, k_f) in enumerate(zip(q.T, k.T)):
+        np.subtract(q_f[:, None], k_f, out=term)
+        np.sign(term, out=term)
+        term *= d_g
+        d_q[:, f] -= term @ ones_keys
+        d_k[:, f] += ones_rows @ term
     return d_q, d_k
 
 

@@ -131,19 +131,24 @@ def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:
     return out
 
 
-def build_bank(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
-               config: ModelConfig) -> DescriptionBank | None:
-    """Tokenize description texts and encode them with the current weights;
-    None for a model without adapter weights."""
-    if params.descnet is None:
-        return None
+def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> list[list[int]]:
+    """Token ids of each description text."""
     id_lists = []
     for text in texts:
         toks = tokenize(text)
         if len(toks) > config.max_len:
             raise ValueError(f"description longer than max_len: {text!r}")
         id_lists.append([vocab.lookup(t.surface) for t in toks])
-    return encode_description_bank(texts, id_lists, params.encoder,
+    return id_lists
+
+
+def build_bank(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
+               config: ModelConfig) -> DescriptionBank | None:
+    """Tokenize description texts and encode them with the current weights;
+    None for a model without adapter weights."""
+    if params.descnet is None:
+        return None
+    return encode_description_bank(texts, bank_token_ids(texts, vocab, config), params.encoder,
                                    params.descnet.description_encoder, config)
 
 

@@ -16,16 +16,17 @@ from itertools import accumulate
 import numpy as np
 
 # Memory sets the budget: every stage caches its activations until the
-# chunk's backward pass (about 11 KB a token at d=32 with two blocks and three
-# descriptions, attention adding the longest sequence squared) and the
-# backward's temporaries grow with the chunk too; only one chunk's caches are
-# alive at a time. The largest is CoDA's (rows, bank rows, d) L1 temporary
-# against the packed description bank: 1.4 MB at 64 rows and d=32 for a
-# 9-description bank of 88 tokens, 0.5 MB for a 3-description bank. With 64
-# tokens training peaks about 2.5% above running one sequence at a time; 80
-# and 96 tokens ran faster but peaked 3.6% and 4.5% above, too close to the
-# 5% the benchmark allows for a model with a larger description bank.
-_CHUNK_TOKENS = 64
+# chunk's backward pass (10 KB a token at d=32 with two blocks and three
+# descriptions, 13 KB with nine, attention adding the longest sequence
+# squared) and the backward's temporaries grow with the chunk too; only one
+# chunk's caches are alive at a time. CoDA sums its L1 term one feature column
+# at a time, so no temporary is a (rows, bank rows, d) array: a 128-token
+# training step peaks at 14.7 KB a token against three descriptions of 30
+# tokens in all and 22 KB against nine of 88 (tracemalloc), where a 64-token
+# step that built that array peaked at 23 and 45 KB. At 128 tokens the benchmark's peak RSS
+# is 2.7% (train) and 1.7% (tag) above 64 tokens; with that array it was 5.3%
+# and 13% above, past the 5% the benchmark allows.
+_CHUNK_TOKENS = 128
 
 
 class Packing:

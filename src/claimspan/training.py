@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .crf import forbidden_masks, pin_forbidden
-from .descnet import DescriptionBank, bank_backward
+from .descnet import DescriptionBank, bank_backward, encode_description_bank
 from .encoder import ModelConfig
 from .metrics import inspan_indices, mean_dice, overall_prf
 from .model import (
@@ -24,6 +24,7 @@ from .model import (
     Example,
     ModelParams,
     Vocabulary,
+    bank_token_ids,
     build_bank,
     init_model_params,
     post_to_example,
@@ -301,7 +302,16 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
 
     # One bank per set of weights: encoded before the first step and after
     # each Adam step, so validation reuses the bank of the epoch's last step.
-    bank = build_bank(bank_texts, vocab, params, mc)
+    # The texts are tokenized once; only the weights change between banks.
+    bank_ids = bank_token_ids(bank_texts, vocab, mc) if params.descnet is not None else None
+
+    def encode_bank() -> DescriptionBank | None:
+        if bank_ids is None:
+            return None
+        return encode_description_bank(bank_texts, bank_ids, params.encoder,
+                                       params.descnet.description_encoder, mc)
+
+    bank = encode_bank()
     records: list[EpochRecord] = []
     best_params = copy_struct(params)
     best_dsc = -math.inf
@@ -323,7 +333,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
                     raise TrainingDiverged(f"{exc}, epoch {epoch}") from exc
                 losses += batch_losses
                 adam_step(params, grads, state, tc.learning_rate, freeze)
-                bank = build_bank(bank_texts, vocab, params, mc)
+                bank = encode_bank()
 
             _p, _r, val_f1, val_dsc = evaluate_split(params, mc, val_ex, bank)
             rec = EpochRecord(epoch, float(np.mean(losses)), val_f1, val_dsc,

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the vectorized code.
 
-Everything here is deliberately written as plain scalar loops over Python
-floats (no numpy vector math), so a shared bug with the library code is
-unlikely.
+Most of it is deliberately written as plain scalar loops over Python floats
+(no numpy vector math), so a shared bug with the library code is unlikely.
+The rest are earlier implementations that a faster library version replaced,
+kept so that tests can compare the two.
 """
 
 import itertools
@@ -11,8 +12,7 @@ import re
 
 import numpy as np
 
-from claimspan.descnet import coda_backward, coda_forward
-from claimspan.numerics import softmax_rows, softmax_rows_backward
+from claimspan.numerics import sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import split_hashtag
 from claimspan.retrieval import index_terms
 
@@ -41,9 +41,39 @@ def coda_scalar(q, k) -> np.ndarray:
     return out
 
 
+def coda_forward_3d(q, k):
+    """CoDA as it was first vectorized, kept as a reference: the negative L1
+    term goes through one (rows, tokens, d) temporary. Returns (matrix,
+    cache)."""
+    scale = np.sqrt(q.shape[1])
+    t = np.tanh(q @ k.T / scale)
+    dist = q[:, None, :] - k[None, :, :]
+    np.abs(dist, out=dist)
+    gs = sigmoid(-dist.sum(axis=-1) / scale)
+    return t * gs, {"q": q, "k": k, "t": t, "gs": gs, "scale": scale}
+
+
+def coda_backward_3d(d_a, cache):
+    """(d_q, d_k) of ``coda_forward_3d``: the L1 term's gradient is d_g times
+    sign(q - k), sign(0) = 0, through one (rows, tokens, d) temporary."""
+    q, k, t, gs, scale = cache["q"], cache["k"], cache["t"], cache["gs"], cache["scale"]
+    d_t = d_a * gs
+    d_gs = d_a * t
+    d_s = d_t * (1.0 - t**2) / scale
+    d_q = d_s @ k
+    d_k = d_s.T @ q
+    d_g = d_gs * gs * (1.0 - gs) / scale
+    term = q[:, None, :] - k[None, :, :]
+    np.sign(term, out=term)
+    term *= d_g[:, :, None]
+    d_q -= term.sum(axis=1)
+    d_k += term.sum(axis=0)
+    return d_q, d_k
+
+
 def _coda_one_description(z, desc, d_out):
-    a, cache = coda_forward(z, desc)
-    d_z, d_k = coda_backward(d_out @ desc.T, cache)
+    a, cache = coda_forward_3d(z, desc)
+    d_z, d_k = coda_backward_3d(d_out @ desc.T, cache)
     return a @ desc, d_z, a.T @ d_out + d_k
 
 

@@ -18,6 +18,7 @@ from claimspan.model import (
     save_checkpoint,
 )
 from claimspan.numerics import named_arrays
+from claimspan.packing import make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan, decode_bio, load_corpus, save_corpus
 from claimspan.retrieval import load_judgments
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture
@@ -173,6 +174,8 @@ def test_eval_and_predict_keep_each_post_prediction(tmp_path, capsys):
     # posts run in packed chunks sorted by length; each post's prediction
     # must still be the one it gets alone
     posts, path, ckpt, config, vocab, bank, params = _mixed_corpus_and_checkpoint(tmp_path)
+    examples = [post_to_example(p, vocab, config) for p in posts]
+    assert len(make_chunks([ex.token_ids for ex in examples if ex.token_ids])) >= 2
     out = tmp_path / "predicted.jsonl"
     assert main(["predict", "--checkpoint", str(ckpt), "--input", str(path),
                  "--output", str(out)]) == 0
@@ -194,7 +197,6 @@ def test_eval_and_predict_keep_each_post_prediction(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--input", str(path),
                  "--output", str(report_path)]) == 0
     encoded = build_bank(bank, vocab, params, config)
-    examples = [post_to_example(p, vocab, config) for p in posts]
     tags = [predict_tags(params, config, ex.token_ids, encoded) if ex.token_ids else []
             for ex in examples]
     expected = build_report(tags, [ex.gold_tags for ex in examples],

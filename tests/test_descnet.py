@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from claimspan.descnet import (
     DescNetParams,
     DescriptionBank,
+    coda_backward,
     coda_forward,
     coda_interact_backward,
     coda_interact_forward,
@@ -23,7 +26,13 @@ from claimspan.encoder import ModelConfig
 from claimspan.numerics import named_arrays, zeros_like_struct
 from claimspan.packing import Packing
 
-from oracles import coda_scalar, igm_scalar, interact_per_description
+from oracles import (
+    coda_backward_3d,
+    coda_forward_3d,
+    coda_scalar,
+    igm_scalar,
+    interact_per_description,
+)
 from test_encoder import fd_grad
 
 
@@ -80,6 +89,58 @@ def test_coda_rows_are_not_normalized():
     rng = np.random.default_rng(2)
     a = coda_forward(rng.normal(size=(3, 6)), rng.normal(size=(5, 6)))[0]
     assert not np.allclose(a.sum(axis=1), 1.0)
+
+
+@settings(max_examples=80)
+@given(rows=st.integers(1, 6), keys=st.integers(1, 8), d=st.integers(1, 6),
+       seed=st.integers(0, 2**16), grid=st.booleans(), tie_row=st.booleans(),
+       tie_feature=st.booleans())
+@example(rows=1, keys=1, d=1, seed=0, grid=False, tie_row=True, tie_feature=False)
+@example(rows=3, keys=1, d=4, seed=1, grid=False, tie_row=False, tie_feature=True)
+@example(rows=4, keys=3, d=1, seed=2, grid=True, tie_row=False, tie_feature=False)
+@example(rows=5, keys=6, d=5, seed=3, grid=False, tie_row=True, tie_feature=True)
+def test_coda_matches_3d_reference(rows, keys, d, seed, grid, tie_row, tie_feature):
+    # the L1 term summed one feature column at a time gives the forward pass
+    # and both gradients of the (rows, tokens, d) reference, exact ties
+    # included: a tied feature adds sign(0) = 0 to the gradient. ``keys=1``
+    # is a one-token description; ``grid`` draws entries from five values,
+    # so that many single features tie.
+    rng = np.random.default_rng(seed)
+    if grid:
+        q = rng.integers(-2, 3, size=(rows, d)) / 2.0
+        k = rng.integers(-2, 3, size=(keys, d)) / 2.0
+    else:
+        q = rng.normal(size=(rows, d))
+        k = rng.normal(size=(keys, d))
+    if tie_row:
+        q[0] = k[-1]
+    if tie_feature:
+        f = int(rng.integers(d))
+        q[-1, f] = k[0, f]
+    d_a = rng.normal(size=(rows, keys))
+    a, cache = coda_forward(q, k)
+    ref_a, ref_cache = coda_forward_3d(q, k)
+    for got, ref in zip((a, *coda_backward(d_a, cache)),
+                        (ref_a, *coda_backward_3d(d_a, ref_cache))):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_coda_never_allocates_a_rows_by_bank_rows_by_d_array():
+    # forward plus backward of a 128-row chunk against a 9-description bank
+    # of 88 tokens at d=32 peaks below one (128, 88, 32) float64 array
+    rng = np.random.default_rng(6)
+    q = rng.normal(size=(128, 32))
+    k = rng.normal(size=(88, 32))
+    d_a = rng.normal(size=(128, 88))
+    tracemalloc.start()
+    try:
+        _a, cache = coda_forward(q, k)
+        coda_backward(d_a, cache)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < q.shape[0] * k.shape[0] * q.shape[1] * 8
 
 
 def test_coda_interact_backward_matches_fd():

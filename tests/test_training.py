@@ -24,7 +24,7 @@ from claimspan.model import (
     sequence_loss,
 )
 from claimspan.numerics import copy_struct, named_arrays, zeros_like_struct
-from claimspan.packing import make_chunks
+from claimspan.packing import _CHUNK_TOKENS, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
 from claimspan.training import (
@@ -45,6 +45,10 @@ TINY_MC = ModelConfig(d=16, h=2, d_ff=32, layers=2, max_len=32, vocab_size=128,
                       dropout_p=0.0, adapter_layer=2)
 TINY_TC = TrainConfig(learning_rate=5e-3, batch_size=8, max_epochs=4, patience=3,
                       seed=1, adapter_layer=2)
+# Synthetic posts hold about 14 tokens, so this many of them fill more than
+# one packed chunk: tests that need a batch spanning two or more chunks size
+# it from the chunk's token budget.
+MULTI_CHUNK_POSTS = _CHUNK_TOKENS // 10
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +284,8 @@ def test_train_applies_true_batch_gradient(monkeypatch):
     # The gradient handed to Adam on a later step of an epoch must be the
     # gradient of that batch's mean loss at that step's parameters, with the
     # description bank encoded from those same parameters.
-    tr, va, _ = split_corpus(_mini_corpus())
-    tc = dataclasses.replace(TINY_TC, batch_size=6, max_epochs=1, patience=1,
+    tr, va, _ = split_corpus(_mini_corpus(4 * MULTI_CHUNK_POSTS))
+    tc = dataclasses.replace(TINY_TC, batch_size=MULTI_CHUNK_POSTS, max_epochs=1, patience=1,
                              learning_rate=2e-2)
     real_grads, real_adam = training_mod.batch_gradients, training_mod.adam_step
     batch, steps = [], []
@@ -364,11 +368,12 @@ def test_batch_gradients_runs_one_forward_recursion_per_example(monkeypatch):
 def _ragged_batch():
     """Vocabulary and a batch of synthetic posts plus a one-token post and a
     post cut at max_len, spanning several packed chunks."""
-    tr, _va, _ = split_corpus(_mini_corpus())
+    tr, _va, _ = split_corpus(_mini_corpus(4 * MULTI_CHUNK_POSTS))
     vocab = Vocabulary.build([p.text.lower().split() for p in tr], TINY_MC.vocab_size)
     words = " ".join(vocab.words[1:41])
-    posts = tr[:6] + [AnnotatedPost("one", "garlic", [CharSpan(0, 6)]),
-                      AnnotatedPost("long", words, [CharSpan(0, len(vocab.words[1]))])]
+    posts = tr[:MULTI_CHUNK_POSTS] + [
+        AnnotatedPost("one", "garlic", [CharSpan(0, 6)]),
+        AnnotatedPost("long", words, [CharSpan(0, len(vocab.words[1]))])]
     batch = [post_to_example(p, vocab, TINY_MC) for p in posts]
     lengths = [len(ex.token_ids) for ex in batch]
     assert min(lengths) == 1 and max(lengths) == TINY_MC.max_len
@@ -427,7 +432,9 @@ def _ragged_sequences(draw):
     """Token ids and valid BIO tags of a batch holding lengths 1 and max_len
     and enough tokens for several chunks, and the index of one sequence."""
     top = TINY_MC.max_len
-    lengths = [1, top, top, top] + draw(st.lists(st.integers(1, top), max_size=4))
+    # more tokens at max_len than one chunk holds
+    lengths = ([1] + [top] * (_CHUNK_TOKENS // top + 1)
+               + draw(st.lists(st.integers(1, top), max_size=4)))
     lengths = draw(st.permutations(lengths))
     seqs = []
     for n in lengths:
@@ -467,25 +474,33 @@ def test_batch_invariance_of_loss_gradient_and_tags(case):
 
 def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
     # one bank before the first step and one after each Adam step; validation
-    # reuses the bank of the epoch's last step
+    # reuses the bank of the epoch's last step. The bank texts are tokenized
+    # once, since only the weights change between banks.
     tr, va, _ = split_corpus(_mini_corpus())
     tc = dataclasses.replace(TINY_TC, max_epochs=2, patience=2)
-    real_bank, real_adam = training_mod.build_bank, training_mod.adam_step
-    banks, steps = [], []
+    real_bank, real_adam = training_mod.encode_description_bank, training_mod.adam_step
+    real_ids = training_mod.bank_token_ids
+    banks, steps, lookups = [], [], []
 
     def counting_bank(*args, **kwargs):
         banks.append(1)
         return real_bank(*args, **kwargs)
 
+    def counting_ids(*args, **kwargs):
+        lookups.append(1)
+        return real_ids(*args, **kwargs)
+
     def counting_adam(*args, **kwargs):
         steps.append(1)
         real_adam(*args, **kwargs)
 
-    monkeypatch.setattr(training_mod, "build_bank", counting_bank)
+    monkeypatch.setattr(training_mod, "encode_description_bank", counting_bank)
+    monkeypatch.setattr(training_mod, "bank_token_ids", counting_ids)
     monkeypatch.setattr(training_mod, "adam_step", counting_adam)
     res = train(tr, va, synthetic_bank(), TINY_MC, tc)
     assert len(res.records) == 2
     assert len(banks) == len(steps) + 1
+    assert len(lookups) == 1
 
 
 def test_train_normalizes_each_post_once(monkeypatch):
