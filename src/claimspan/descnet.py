@@ -67,7 +67,6 @@ class DescriptionBank:
     (rows, bank rows, d).
     """
 
-    texts: list[str]
     keys: np.ndarray
     packing: Packing
     values: np.ndarray
@@ -138,7 +137,7 @@ def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
     out, block_cache = encoder_block_forward(z0, desc_block, config, packing=packing)
     values = np.zeros((packing.n_rows, packing.size, out.shape[1]))
     values[np.arange(packing.n_rows), packing.seg] = out
-    return DescriptionBank(list(texts), out, packing, values.reshape(packing.n_rows, -1),
+    return DescriptionBank(out, packing, values.reshape(packing.n_rows, -1),
                            {"ids": flat, "block": block_cache})
 
 

@@ -13,7 +13,8 @@ Averaging rules, pinned by tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 TAGS = ("B", "I", "O")
 
@@ -32,22 +33,20 @@ class EvalReport:
     dsc: float
     span_count_ratio: float
     n_posts: int
-    overall_micro: Scores | None = None
-    averaging: str = field(default="macro-over-posts")
+    overall_micro: Scores
+    averaging: ClassVar[str] = "macro-over-posts"
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "overall": {"p": self.overall.p, "r": self.overall.r, "f1": self.overall.f1,
                         "averaging": self.averaging},
             "per_tag": {t: {"p": s.p, "r": s.r, "f1": s.f1} for t, s in self.per_tag.items()},
             "dsc": self.dsc,
             "span_count_ratio": self.span_count_ratio,
             "n_posts": self.n_posts,
+            "overall_micro": {"p": self.overall_micro.p, "r": self.overall_micro.r,
+                              "f1": self.overall_micro.f1, "averaging": "micro-over-tokens"},
         }
-        if self.overall_micro is not None:
-            doc["overall_micro"] = {"p": self.overall_micro.p, "r": self.overall_micro.r,
-                                    "f1": self.overall_micro.f1, "averaging": "micro-over-tokens"}
-        return doc
 
 
 def _ratio(num: int, den: int, other_empty: bool) -> float:

@@ -107,7 +107,6 @@ class Example:
     token_ids: list[int]
     gold_tags: list[str]
     offset_map: OffsetMap
-    raw_text: str
     dropped_spans: int = 0
 
 
@@ -117,7 +116,7 @@ def post_to_example(post: AnnotatedPost, vocab: Vocabulary, config: ModelConfig)
     tokens = tokenize(norm.text)[: config.max_len]
     tags = encode_bio(tokens, norm.spans)
     ids = [vocab.lookup(t.surface) for t in tokens]
-    return Example(post.id, tokens, ids, tags, omap, post.text, dropped)
+    return Example(post.id, tokens, ids, tags, omap, dropped)
 
 
 def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:

@@ -14,12 +14,12 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def init_normal(rng: np.random.Generator | None, *shape: int, std: float = 0.02) -> np.ndarray:
-    """N(0, std^2) draws; with no generator, an uninitialised array of the
+def init_normal(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
+    """N(0, 0.02^2) draws; with no generator, an uninitialised array of the
     shape, for a caller that overwrites every entry."""
     if rng is None:
         return np.empty(shape)
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, 0.02, size=shape)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

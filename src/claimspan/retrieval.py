@@ -16,8 +16,10 @@ import numpy as np
 
 from .preprocess import AnnotatedPost, CorpusFormatError, normalize_text, tokenize
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+# Standard Okapi BM25 (Robertson & Zaragoza, 2009): term-frequency
+# saturation K1 and length normalization B.
+K1 = 1.2
+B = 0.75
 
 
 def index_terms(text: str) -> list[str]:
@@ -35,15 +37,13 @@ class Bm25Index:
     """An inverted index: ``postings[term]`` holds the indices of the
     documents containing ``term`` (ascending, intp) and its count in each
     (float64). ``doc_norm[d]`` is document d's length normalization
-    ``k1 * (1 - b + b * len / avgdl)``; ``doc_rank[d]`` is its position in
+    ``K1 * (1 - B + B * len / avgdl)``; ``doc_rank[d]`` is its position in
     doc-id order, which breaks score ties."""
 
     doc_ids: tuple[str, ...]
     doc_lengths: tuple[int, ...]
     doc_freq: dict
     avgdl: float
-    k1: float
-    b: float
     postings: dict
     doc_norm: np.ndarray
     doc_rank: np.ndarray
@@ -53,7 +53,7 @@ class Bm25Index:
         return len(self.doc_ids)
 
 
-def build_index(docs: list[dict], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+def build_index(docs: list[dict]) -> Bm25Index:
     """``docs`` entries need "id" and "text"; duplicate ids are rejected."""
     ids, lengths = [], []
     postings: dict[str, tuple[list[int], list[int]]] = {}
@@ -75,7 +75,7 @@ def build_index(docs: list[dict], k1: float = DEFAULT_K1, b: float = DEFAULT_B) 
     avgdl = sum(lengths) / len(lengths) if lengths else 0.0
     # avgdl is 0 only when no document has a term, so no posting reads doc_norm.
     if avgdl > 0.0:
-        doc_norm = k1 * (1.0 - b + b * np.array(lengths, dtype=np.float64) / avgdl)
+        doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / avgdl)
     else:
         doc_norm = np.zeros(len(lengths))
     doc_rank = np.empty(len(ids), dtype=np.intp)
@@ -83,8 +83,7 @@ def build_index(docs: list[dict], k1: float = DEFAULT_K1, b: float = DEFAULT_B) 
     doc_freq = {term: len(d) for term, (d, _t) in postings.items()}
     arrays = {term: (np.array(d, dtype=np.intp), np.array(t, dtype=np.float64))
               for term, (d, t) in postings.items()}
-    return Bm25Index(tuple(ids), tuple(lengths), doc_freq, avgdl, k1, b,
-                     arrays, doc_norm, doc_rank)
+    return Bm25Index(tuple(ids), tuple(lengths), doc_freq, avgdl, arrays, doc_norm, doc_rank)
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -109,7 +108,7 @@ def query(index: Bm25Index, text: str, k: int) -> list[tuple[str, float]]:
         if posting is None:
             continue
         docs, tf = posting
-        scores[docs] += idf(index, term) * tf * (index.k1 + 1.0) / (tf + index.doc_norm[docs])
+        scores[docs] += idf(index, term) * tf * (K1 + 1.0) / (tf + index.doc_norm[docs])
         touched[docs] = True
     hits = np.flatnonzero(touched)
     top = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))[:k]]
@@ -159,16 +158,18 @@ def span_query_text(post: AnnotatedPost) -> str:
 
 def compare_conditions(posts: list[AnnotatedPost], docs: list[dict],
                        relevant_by_query: dict[str, set],
-                       k_list: tuple[int, ...] = (3, 5),
-                       k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> dict:
-    """Mean P@k and nDCG@k per condition over all posts.
+                       k_list: tuple[int, ...] = (3, 5)) -> dict:
+    """Mean P@k and nDCG@k per condition over all posts, at each of the
+    distinct cutoffs ``k_list``.
 
     A post with no annotated spans gets an empty span-condition query and
     scores 0 there; both conditions always cover every post.
     """
     if not posts:
         raise ValueError("no query posts")
-    index = build_index(docs, k1, b)
+    if not k_list or len(set(k_list)) != len(k_list):
+        raise ValueError(f"cutoffs must be non-empty and distinct, got {list(k_list)}")
+    index = build_index(docs)
     max_k = max(k_list)
     conditions = {"tweets": lambda p: p.text, "spans": span_query_text}
     report: dict = {"k_list": list(k_list), "n_queries": len(posts), "conditions": {}}
@@ -224,5 +225,7 @@ def load_judgments(path) -> dict[str, set]:
             qid = str(rec["query_id"])
             if qid in out:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
+            if not isinstance(rec["relevant"], list):
+                raise CorpusFormatError(f"{path}:{lineno}: \"relevant\" must be a list")
             out[qid] = {str(d) for d in rec["relevant"]}
     return out

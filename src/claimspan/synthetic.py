@@ -124,18 +124,14 @@ def generate_corpus(n_posts: int = 500, seed: int = 0, multi_span_rate: float = 
     return posts
 
 
-def split_corpus(posts: list[AnnotatedPost], train_frac: float = 0.8,
-                 val_frac: float = 0.1):
-    """Deterministic (train, val, test) split by position."""
-    if not 0 < train_frac < 1 or not 0 < val_frac < 1 or train_frac + val_frac >= 1:
-        raise ValueError("fractions must be positive and sum below 1")
+def split_corpus(posts: list[AnnotatedPost]):
+    """Deterministic 80/10/10 (train, val, test) split by position."""
     n = len(posts)
-    n_train = int(n * train_frac)
-    n_val = int(n * val_frac)
+    n_train = int(n * 0.8)
+    n_val = int(n * 0.1)
     parts = posts[:n_train], posts[n_train:n_train + n_val], posts[n_train + n_val:]
     if not all(parts):
-        raise ValueError(f"{n} posts cannot fill a "
-                         f"{train_frac:.0%}/{val_frac:.0%} split; need more data")
+        raise ValueError(f"{n} posts cannot fill an 80/10/10 split; need more data")
     return parts
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .model import (
     ModelParams,
     Vocabulary,
     bank_token_ids,
-    build_bank,
     init_model_params,
     post_to_example,
     predict_sequences,
@@ -132,55 +133,62 @@ def effective_model_config(mc: ModelConfig, tc: TrainConfig) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # Adam
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# Boolean masks (True = frozen) of the pinned CRF entries.
+_FROZEN = dict(zip(("crf.transitions", "crf.start_scores"), forbidden_masks()))
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def crf_freeze_masks() -> dict[str, np.ndarray]:
-    """Boolean masks (True = frozen) for the pinned CRF entries."""
-    trans_mask, start_mask = forbidden_masks()
-    return {"crf.transitions": trans_mask, "crf.start_scores": start_mask}
-
-
-def adam_step(params, grads, state: AdamState, lr: float,
-              freeze: dict[str, np.ndarray] | None = None) -> None:
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place, in canonical parameter order.
 
-    ``freeze`` maps parameter names to boolean masks whose True entries are
-    left untouched (used for the pinned CRF transitions).
+    The pinned CRF entries get a zero gradient, so their moments, and with
+    them their updates, stay exactly 0.
     """
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
     for (name, p), (gname, g) in zip(named_arrays(params), named_arrays(grads)):
         assert name == gname
-        if freeze and name in freeze:
-            g = np.where(freeze[name], 0.0, g)
+        if name in _FROZEN:
+            g = np.where(_FROZEN[name], 0.0, g)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        if freeze and name in freeze:
-            update = np.where(freeze[name], 0.0, update)
-        p -= update
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # Training
+
+def _bank_encoder(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
+                 config: ModelConfig) -> Callable[[], DescriptionBank | None]:
+    """A function encoding the description bank with ``params``' current
+    weights; the texts are tokenized once, here, since only the weights
+    change between banks. It returns None for a model without the adapter."""
+    if params.descnet is None:
+        return lambda: None
+    ids = bank_token_ids(texts, vocab, config)
+    return lambda: encode_description_bank(texts, ids, params.encoder,
+                                           params.descnet.description_encoder, config)
+
 
 @dataclass
 class EpochRecord:
@@ -298,19 +306,10 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
 
     params = init_model_params(mc, len(vocab), len(bank_texts) if bank_texts else 1, rng)
     state = AdamState()
-    freeze = crf_freeze_masks()
 
     # One bank per set of weights: encoded before the first step and after
     # each Adam step, so validation reuses the bank of the epoch's last step.
-    # The texts are tokenized once; only the weights change between banks.
-    bank_ids = bank_token_ids(bank_texts, vocab, mc) if params.descnet is not None else None
-
-    def encode_bank() -> DescriptionBank | None:
-        if bank_ids is None:
-            return None
-        return encode_description_bank(bank_texts, bank_ids, params.encoder,
-                                       params.descnet.description_encoder, mc)
-
+    encode_bank = _bank_encoder(bank_texts, vocab, params, mc)
     bank = encode_bank()
     records: list[EpochRecord] = []
     best_params = copy_struct(params)
@@ -332,7 +331,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
                 except TrainingDiverged as exc:
                     raise TrainingDiverged(f"{exc}, epoch {epoch}") from exc
                 losses += batch_losses
-                adam_step(params, grads, state, tc.learning_rate, freeze)
+                adam_step(params, grads, state, tc.learning_rate)
                 bank = encode_bank()
 
             _p, _r, val_f1, val_dsc = evaluate_split(params, mc, val_ex, bank)
@@ -368,8 +367,8 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
 class GradCheckReport:
     max_rel_err: float
     parameter: str
-    tolerance: float
     per_tensor: dict[str, float]
+    tolerance: ClassVar[float] = 1e-4
 
     @property
     def passed(self) -> bool:
@@ -380,8 +379,7 @@ _CHECK_BANK = ["claims with numbers or statistics", "negation of a false claim"]
 
 
 def grad_check(model_config: ModelConfig | None = None,
-               train_config: TrainConfig | None = None,
-               tolerance: float = 1e-4) -> GradCheckReport:
+               train_config: TrainConfig | None = None) -> GradCheckReport:
     """Compare the training batch step's gradient on a batch of one against
     central finite differences of the sequence loss on a small instance.
 
@@ -414,12 +412,13 @@ def grad_check(model_config: ModelConfig | None = None,
             arr[...] = 0.5 * rng.normal(size=arr.shape)
     pin_forbidden(params.crf)
 
-    def loss_at(p: ModelParams) -> float:
-        bank = build_bank(_CHECK_BANK, vocab, p, mc)
-        return float(sequence_loss(p, mc, probe.token_ids, probe.gold_tags, bank)[0][0])
+    encode_bank = _bank_encoder(_CHECK_BANK, vocab, params, mc)
 
-    bank = build_bank(_CHECK_BANK, vocab, params, mc)
-    grads, _losses = batch_gradients(params, mc, [probe], bank)
+    def loss_at() -> float:
+        return float(sequence_loss(params, mc, probe.token_ids, probe.gold_tags,
+                                   encode_bank())[0][0])
+
+    grads, _losses = batch_gradients(params, mc, [probe], encode_bank())
 
     step = 1e-5
     # Softmax attention is invariant to key biases (a uniform logit shift per
@@ -439,9 +438,9 @@ def grad_check(model_config: ModelConfig | None = None,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = loss_at(params)
+            up = loss_at()
             flat[i] = orig - step
-            down = loss_at(params)
+            down = loss_at()
             flat[i] = orig
             fd_flat[i] = (up - down) / (2.0 * step)
         scale = max(np.max(np.abs(analytic), initial=0.0),
@@ -450,7 +449,7 @@ def grad_check(model_config: ModelConfig | None = None,
         per_tensor[name] = err
         if err > worst[0]:
             worst = (err, name)
-    return GradCheckReport(worst[0], worst[1], tolerance, per_tensor)
+    return GradCheckReport(worst[0], worst[1], per_tensor)
 
 
 # ---------------------------------------------------------------------------

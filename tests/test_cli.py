@@ -301,6 +301,12 @@ def test_retrieve_eval(tmp_path, capsys):
     tweets = report["conditions"]["tweets"]
     assert spans["p@5"] > tweets["p@5"]
     assert spans["ndcg@5"] > tweets["ndcg@5"]
+    # repeated or missing cutoffs are a validation error that names them
+    for k, shown in [("3,3", "[3, 3]"), (",", "[]")]:
+        rc = main(["retrieve-eval", "--input", str(posts_path), "--docs", str(docs_path),
+                   "--judgments", str(judg_path), "--k", k])
+        assert rc == 1
+        assert shown in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def bank_of(keys, lengths) -> DescriptionBank:
     values = np.zeros((len(keys), len(lengths) * d))
     for j, (lo, n) in enumerate(zip(packing.starts, lengths)):
         values[lo:lo + n, j * d:(j + 1) * d] = keys[lo:lo + n]
-    return DescriptionBank([f"d{j}" for j in range(len(lengths))], keys, packing, values, {})
+    return DescriptionBank(keys, packing, values, {})
 
 
 # ---------------------------------------------------------------------------

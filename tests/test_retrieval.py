@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -254,6 +255,11 @@ def test_compare_conditions_span_beats_noisy_tweet():
 def test_compare_conditions_empty_posts():
     with pytest.raises(ValueError):
         compare_conditions([], DOCS3, {})
+    # a repeated cutoff would be scored twice (p@3 of 1.33); none leaves nothing to score
+    posts = [_post("p1", "garlic cures covid", [(0, 18)])]
+    for k_list in [(3, 3), ()]:
+        with pytest.raises(ValueError, match=re.escape(str(list(k_list)))):
+            compare_conditions(posts, DOCS3, {"p1": {"d1"}}, k_list=k_list)
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +293,9 @@ def test_judgments_duplicate_query(tmp_path):
                     '{"query_id": "q", "relevant": ["a"]}\n')
     with pytest.raises(CorpusFormatError, match="duplicate"):
         load_judgments(path)
+    # "relevant" must be a list: a string would load as its characters
+    for relevant in ['"doc-7"', "7"]:
+        path.write_text('{"query_id": "q", "relevant": []}\n'
+                        f'{{"query_id": "r", "relevant": {relevant}}}\n')
+        with pytest.raises(CorpusFormatError, match="judged.jsonl:2"):
+            load_judgments(path)

@@ -34,7 +34,6 @@ from claimspan.training import (
     TrainingDiverged,
     adam_step,
     configs_from_mapping,
-    crf_freeze_masks,
     grad_check,
     layer_sweep,
     parse_config_text,
@@ -70,7 +69,7 @@ def test_adam_first_step_hand_value():
         arr[...] = 1.0
     state = AdamState()
     lr = 0.1
-    adam_step(params, grads, state, lr, crf_freeze_masks())
+    adam_step(params, grads, state, lr)
     expected = lr / (1.0 + 1e-8)
     for (name, b), (_n, a) in zip(named_arrays(before), named_arrays(params)):
         delta = b - a
@@ -125,12 +124,11 @@ def test_pinned_entries_survive_many_steps():
     params = _scalar_params()
     rng = np.random.default_rng(1)
     state = AdamState()
-    freeze = crf_freeze_masks()
     for _ in range(20):
         grads = zeros_like_struct(params)
         for _name, arr in named_arrays(grads):
             arr[...] = rng.normal(size=arr.shape)
-        adam_step(params, grads, state, 0.05, freeze)
+        adam_step(params, grads, state, 0.05)
     assert params.crf.transitions[2, 1] == FORBIDDEN_SCORE
     assert params.crf.start_scores[1] == FORBIDDEN_SCORE
 
@@ -453,7 +451,7 @@ def test_batch_invariance_of_loss_gradient_and_tags(case):
     vocab = Vocabulary.build([[f"w{i}" for i in range(19)] + synthetic_bank()], 64)
     params = _probe_params(vocab, seed=len(seqs))
     bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
-    batch = [Example(f"s{i}", [], ids, tags, None, "") for i, (ids, tags) in enumerate(seqs)]
+    batch = [Example(f"s{i}", [], ids, tags, None) for i, (ids, tags) in enumerate(seqs)]
     assert len(make_chunks([ex.token_ids for ex in batch])) >= 2
 
     def summed(examples):
@@ -535,10 +533,22 @@ def test_train_validates_inputs():
 # ---------------------------------------------------------------------------
 # gradient checker
 
-def test_grad_check_passes_default_instance():
+def test_grad_check_passes_default_instance(monkeypatch):
+    # the probe post and each check-bank text are tokenized once, not once
+    # per finite-difference evaluation
+    real = model_mod.tokenize
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(model_mod, "tokenize", counting)
     report = grad_check()
     assert report.passed, f"max_rel_err {report.max_rel_err} at {report.parameter}"
     assert report.max_rel_err < 1e-4
+    assert report.tolerance == 1e-4
+    assert len(calls) <= 1 + len(training_mod._CHECK_BANK)
 
 
 def test_grad_check_catches_sabotage(monkeypatch):
