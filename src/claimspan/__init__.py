@@ -9,7 +9,6 @@ from .model import (
     Vocabulary,
     init_model_params,
     load_checkpoint,
-    predict_sequences,
     predict_tags,
     save_checkpoint,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "normalize_text",
     "paired_f1_ttest",
     "precision_at_k",
-    "predict_sequences",
     "predict_tags",
     "query",
     "save_checkpoint",

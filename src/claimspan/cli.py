@@ -23,7 +23,7 @@ from .model import (
     build_bank,
     load_checkpoint,
     post_to_example,
-    predict_sequences,
+    predict_tags,
     save_checkpoint,
     spans_to_raw,
 )
@@ -79,8 +79,9 @@ def _load_bank_texts(path) -> list[str]:
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
+    """Comma-separated integers; an empty part (``3,,5``, ``3,``) is an error."""
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        return [int(part) for part in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{flag}: expected comma-separated integers, got {raw!r}") from exc
 
@@ -163,10 +164,9 @@ def _load_model(args):
 
 
 def _predict_corpus(posts, config, vocab, bank, params):
-    """(post, example, predicted tags) per post, the posts run in packed
-    chunks; empty posts get no tags."""
+    """(post, example, predicted tags) per post; empty posts get no tags."""
     examples = [post_to_example(post, vocab, config) for post in posts]
-    tags = predict_sequences(params, config, [ex.token_ids for ex in examples], bank)
+    tags = predict_tags(params, config, [ex.token_ids for ex in examples], bank)
     return zip(posts, examples, tags)
 
 

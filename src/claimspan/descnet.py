@@ -5,12 +5,13 @@ The adapter takes the running token representation Z (the packed rows of a
 chunk's sequences, rows x d) and lets every token interact with all m encoded
 claim descriptions through compositional de-attention (weights in (-1, 1), so
 descriptions can add, ignore, or subtract). The bank is packed like a chunk,
-so a chunk computes one (rows, bank rows) CoDA matrix, its L1 term summed
-one feature column at a time so that no (rows, bank rows, d) temporary is
-ever built, and one product with the bank's block-diagonal values gives the
-m interaction outputs side by side for fusion. Each sequence's rows of Z are
-then gated with a d-vector pooled from that sequence, built from a conflict
-gate and a refine gate.
+so a chunk computes one (rows, bank rows) CoDA matrix, its L1 term found
+from per-feature maxima (sum |q - k| = 2 sum max(q, k) - sum q - sum k),
+summed one feature column at a time so that no (rows, bank rows, d)
+temporary is ever built, and one product with the bank's block-diagonal
+values gives the m interaction outputs side by side for fusion. Each
+sequence's rows of Z are then gated with a d-vector pooled from that
+sequence, built from a conflict gate and a refine gate.
 """
 
 from __future__ import annotations
@@ -160,14 +161,24 @@ def coda_forward(q: np.ndarray, k: np.ndarray):
     """
     scale = np.sqrt(q.shape[1])
     t = np.tanh(q @ k.T / scale)
-    # L1 distance sum_f |q[s, f] - k[t, f]|, summed one feature column at a
-    # time, so no temporary outgrows (rows, tokens)
-    l1 = np.zeros(t.shape)
-    diff = np.empty(t.shape)
+    # L1 distance as 2 sum_f max(q_f, k_f) - sum_f q_f - sum_f k_f: two NumPy
+    # passes per feature column, one fewer than |q_f - k_f| needs, and no
+    # temporary outgrows (rows, tokens)
+    acc = np.zeros(t.shape)
+    col = np.empty(t.shape)
     for q_f, k_f in zip(q.T, k.T):
-        np.subtract(q_f[:, None], k_f, out=diff)
-        l1 += np.abs(diff, out=diff)
-    gs = sigmoid(-l1 / scale)
+        np.maximum(q_f[:, None], k_f, out=col)
+        acc += col
+    # acc becomes exp(-l1 / scale) in place; -l1 is clamped at 0, which
+    # roundoff can overshoot where a query row equals a key row, so the gate
+    # is at most 1/2 and exp needs no guard against overflow
+    acc *= -2.0
+    acc += q.sum(axis=1)[:, None]
+    acc += k.sum(axis=1)
+    np.minimum(acc, 0.0, out=acc)
+    acc /= scale
+    np.exp(acc, out=acc)
+    gs = acc / (1.0 + acc)
     return t * gs, {"q": q, "k": k, "t": t, "gs": gs, "scale": scale}
 
 

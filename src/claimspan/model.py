@@ -208,24 +208,27 @@ def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[
     embed_backward(d_z, cache["token_ids"], grads.encoder, packing)
 
 
-def predict_tags(params: ModelParams, config: ModelConfig, token_ids,
-                 bank: DescriptionBank | None, packing: Packing | None = None) -> list[str]:
-    """Viterbi tags of a chunk's sequences, packed like its token ids."""
-    e, cache = sequence_forward(params, config, token_ids, bank, rng=None, train=False,
-                                packing=packing)
-    return crf_mod.viterbi_decode(e, params.crf, cache["packing"])
+def predict_tags(params: ModelParams, config: ModelConfig, id_lists: list[list[int]],
+                 bank: DescriptionBank | None) -> list[list[str]]:
+    """Viterbi tags of each token-id list; an empty list gets no tags.
 
-
-def predict_sequences(params: ModelParams, config: ModelConfig, id_lists: list[list[int]],
-                      bank: DescriptionBank | None) -> list[list[str]]:
-    """Tags of each token-id list, run in packed chunks; an empty list gets
-    no tags."""
+    Emissions are computed in packed chunks; the chunks' emissions, in
+    packing order, then go through one Viterbi decode. Its time loop treats
+    every sequence's row on its own, so the tags equal those of decoding
+    each sequence alone.
+    """
     out: list[list[str]] = [[] for _ in id_lists]
     nonempty = [i for i, ids in enumerate(id_lists) if ids]
-    for chunk in make_chunks([id_lists[i] for i in nonempty]):
-        tags = predict_tags(params, config, chunk.token_ids, bank, chunk.packing)
-        for j, seq_tags in zip(chunk.order, chunk.split(tags)):
-            out[nonempty[j]] = seq_tags
+    if not nonempty:
+        return out
+    chunks = make_chunks([id_lists[i] for i in nonempty])
+    emissions = [sequence_forward(params, config, chunk.token_ids, bank, packing=chunk.packing)[0]
+                 for chunk in chunks]
+    order = [nonempty[j] for chunk in chunks for j in chunk.order]
+    packing = Packing([len(id_lists[i]) for i in order])
+    tags = crf_mod.viterbi_decode(np.concatenate(emissions), params.crf, packing)
+    for i, seq_tags in zip(order, packing.split(tags)):
+        out[i] = seq_tags
     return out
 
 

@@ -5,6 +5,8 @@ A chunk's sequences sit one after another, so token-wise work runs once on a
 (attention, pooling, the CRF recursions) use the ``Packing`` to pad the rows
 to ``(sequences, longest, width)`` or to reduce each sequence's rows; when
 every sequence has the same length the padded view is a plain reshape.
+A ``Packing`` is not tied to the chunk budget: prediction stacks the
+emissions of all its chunks under one ``Packing`` and decodes them at once.
 """
 
 from __future__ import annotations
@@ -116,6 +118,11 @@ class Packing:
         padded = self.pad(x, -np.inf)
         return padded.max(axis=1), padded.argmax(axis=1) + self.starts[:, None]
 
+    def split(self, flat: list) -> list:
+        """A packed per-row list cut into one list per sequence."""
+        bounds = np.append(self.starts, self.n_rows).tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
 
 @dataclass
 class Chunk:
@@ -125,11 +132,6 @@ class Chunk:
     order: list[int]
     token_ids: np.ndarray
     packing: Packing
-
-    def split(self, flat: list) -> list:
-        """A packed per-row list cut into one list per sequence."""
-        bounds = np.append(self.packing.starts, self.packing.n_rows).tolist()
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def make_chunks(id_lists: list[list[int]]) -> list[Chunk]:

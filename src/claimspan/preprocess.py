@@ -244,42 +244,54 @@ def decode_bio(tokens: list[Token], tags: list[str]) -> tuple[list[CharSpan], in
     return spans, repairs
 
 
-def _parse_span_list(raw_spans, text_len: int, post_id: str, lineno: int) -> list[CharSpan]:
+def _parse_span_list(raw_spans, text_len: int, post_id: str, where: str) -> list[CharSpan]:
     spans = []
     for s in raw_spans:
         try:
             spans.append(CharSpan(int(s["start"]), int(s["end"])))
         except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line {lineno}: record {post_id!r}: bad span {s!r}: {exc}") from exc
+            raise CorpusFormatError(f"{where}: record {post_id!r}: bad span {s!r}: {exc}") from exc
     try:
         check_spans(spans, text_len, post_id)
     except CorpusFormatError as exc:
-        raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        raise CorpusFormatError(f"{where}: {exc}") from exc
     return spans
 
 
+def json_id(value, where: str) -> str:
+    """A record id read from JSON: a string as it is, an integer (not a
+    bool) as its decimal text; any other value fails, naming ``where``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise CorpusFormatError(f"{where} must be a string or an integer, got {value!r}")
+
+
 def load_corpus(path) -> list[AnnotatedPost]:
-    """Read a line-delimited JSON corpus; malformed records fail with line numbers."""
+    """Read a line-delimited JSON corpus; malformed records fail with the
+    file and line."""
     posts = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
-                raise CorpusFormatError(f"line {lineno}: record must be an object with 'id' and 'text'")
-            post_id = str(rec["id"])
+                raise CorpusFormatError(f"{where}: record must be an object with 'id' and 'text'")
+            post_id = json_id(rec["id"], f"{where}: 'id'")
             text = rec["text"]
             if not isinstance(text, str):
-                raise CorpusFormatError(f"line {lineno}: record {post_id!r}: 'text' must be a string")
-            spans = _parse_span_list(rec.get("spans", []), len(text), post_id, lineno)
+                raise CorpusFormatError(f"{where}: record {post_id!r}: 'text' must be a string")
+            spans = _parse_span_list(rec.get("spans", []), len(text), post_id, where)
             predicted = None
             if "predicted_spans" in rec:
-                predicted = _parse_span_list(rec["predicted_spans"], len(text), post_id, lineno)
+                predicted = _parse_span_list(rec["predicted_spans"], len(text), post_id, where)
             post = AnnotatedPost(post_id, text, spans)
             post.predicted_spans = predicted
             posts.append(post)

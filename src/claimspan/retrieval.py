@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AnnotatedPost, CorpusFormatError, normalize_text, tokenize
+from .preprocess import AnnotatedPost, CorpusFormatError, json_id, normalize_text, tokenize
 
 # Standard Okapi BM25 (Robertson & Zaragoza, 2009): term-frequency
 # saturation K1 and length normalization B.
@@ -204,7 +204,9 @@ def load_documents(path) -> list[dict]:
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             if not isinstance(doc, dict) or "id" not in doc or "text" not in doc:
                 raise CorpusFormatError(f"{path}:{lineno}: need \"id\" and \"text\" fields")
-            docs.append({"id": str(doc["id"]), "text": str(doc["text"])})
+            if not isinstance(doc["text"], str):
+                raise CorpusFormatError(f"{path}:{lineno}: \"text\" must be a string")
+            docs.append({"id": json_id(doc["id"], f"{path}:{lineno}: \"id\""), "text": doc["text"]})
     return docs
 
 
@@ -222,10 +224,10 @@ def load_judgments(path) -> dict[str, set]:
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             if not isinstance(rec, dict) or "query_id" not in rec or "relevant" not in rec:
                 raise CorpusFormatError(f"{path}:{lineno}: need \"query_id\" and \"relevant\"")
-            qid = str(rec["query_id"])
+            qid = json_id(rec["query_id"], f"{path}:{lineno}: \"query_id\"")
             if qid in out:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
             if not isinstance(rec["relevant"], list):
                 raise CorpusFormatError(f"{path}:{lineno}: \"relevant\" must be a list")
-            out[qid] = {str(d) for d in rec["relevant"]}
+            out[qid] = {json_id(d, f"{path}:{lineno}: a \"relevant\" entry") for d in rec["relevant"]}
     return out

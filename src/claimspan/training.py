@@ -29,7 +29,7 @@ from .model import (
     bank_token_ids,
     init_model_params,
     post_to_example,
-    predict_sequences,
+    predict_tags,
     sequence_backward,
     sequence_loss,
 )
@@ -270,7 +270,7 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
 def evaluate_split(params: ModelParams, config: ModelConfig, examples: list[Example],
                    bank: DescriptionBank | None) -> tuple[float, float, float, float]:
     """Returns (precision, recall, f1, dice) over in-span token sets."""
-    tags = predict_sequences(params, config, [ex.token_ids for ex in examples], bank)
+    tags = predict_tags(params, config, [ex.token_ids for ex in examples], bank)
     golds = [inspan_indices(ex.gold_tags) for ex in examples]
     preds = [inspan_indices(t) for t in tags]
     scores = overall_prf(preds, golds)

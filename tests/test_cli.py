@@ -197,8 +197,7 @@ def test_eval_and_predict_keep_each_post_prediction(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--input", str(path),
                  "--output", str(report_path)]) == 0
     encoded = build_bank(bank, vocab, params, config)
-    tags = [predict_tags(params, config, ex.token_ids, encoded) if ex.token_ids else []
-            for ex in examples]
+    tags = [predict_tags(params, config, [ex.token_ids], encoded)[0] for ex in examples]
     expected = build_report(tags, [ex.gold_tags for ex in examples],
                             [decode_bio(ex.tokens, t)[0] for ex, t in zip(examples, tags)],
                             [p.spans for p in posts])
@@ -301,12 +300,26 @@ def test_retrieve_eval(tmp_path, capsys):
     tweets = report["conditions"]["tweets"]
     assert spans["p@5"] > tweets["p@5"]
     assert spans["ndcg@5"] > tweets["ndcg@5"]
-    # repeated or missing cutoffs are a validation error that names them
-    for k, shown in [("3,3", "[3, 3]"), (",", "[]")]:
-        rc = main(["retrieve-eval", "--input", str(posts_path), "--docs", str(docs_path),
-                   "--judgments", str(judg_path), "--k", k])
-        assert rc == 1
-        assert shown in capsys.readouterr().err
+    # repeated cutoffs are a validation error that names them
+    rc = main(["retrieve-eval", "--input", str(posts_path), "--docs", str(docs_path),
+               "--judgments", str(judg_path), "--k", "3,3"])
+    assert rc == 1
+    assert "[3, 3]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, raw", [("--k", "3,,5"), ("--k", "3,"), ("--k", ","),
+                                       ("--layers", "1,,2")])
+def test_int_list_flag_rejects_empty_parts(tmp_path, corpus_file, capsys, flag, raw):
+    # an empty part is an error that names the flag, not a value dropped
+    if flag == "--k":
+        docs, judged = tmp_path / "docs.jsonl", tmp_path / "judged.jsonl"
+        docs.write_text('{"id": "d", "text": "garlic cures flu"}\n')
+        judged.write_text('{"query_id": "p0", "relevant": ["d"]}\n')
+        argv = ["retrieve-eval", "--docs", str(docs), "--judgments", str(judged)]
+    else:
+        argv = ["layer-sweep"]
+    assert main(argv + ["--input", str(corpus_file), flag, raw]) == 1
+    assert f"{flag}: expected comma-separated integers, got {raw!r}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

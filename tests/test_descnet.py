@@ -126,6 +126,39 @@ def test_coda_matches_3d_reference(rows, keys, d, seed, grid, tie_row, tie_featu
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
+@settings(max_examples=60)
+@given(rows=st.integers(1, 4), keys=st.integers(1, 4), d=st.integers(1, 40),
+       seed=st.integers(0, 2**16), magnitude=st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+@example(rows=1, keys=1, d=32, seed=0, magnitude=1.0)
+def test_coda_gate_of_equal_rows_stays_at_most_half(rows, keys, d, seed, magnitude):
+    # L1 from sums of maxima leaves roundoff where a query row equals a key
+    # row; the gate there is clamped to at most 1/2 and matches the reference
+    rng = np.random.default_rng(seed)
+    q = rng.normal(scale=magnitude, size=(rows, d))
+    k = rng.normal(scale=magnitude, size=(keys, d))
+    row, key = int(rng.integers(rows)), int(rng.integers(keys))
+    q[row] = k[key]
+    gs = coda_forward(q, k)[1]["gs"]
+    assert gs[row, key] <= 0.5
+    assert np.max(np.abs(gs - coda_forward_3d(q, k)[1]["gs"])) <= 1e-12
+
+
+def test_coda_l1_of_large_entries():
+    # entries of magnitude 1e3 at small L1 distances: the sums of maxima
+    # cancel to l1 within 1e-12 of sum|q| + sum|k| of each pair, read back
+    # from the gate sigmoid(-l1 / sqrt d)
+    rng = np.random.default_rng(8)
+    d = 32
+    base = 1e3 * rng.choice([-1.0, 1.0], size=d)
+    q = base + rng.normal(size=(6, d))
+    k = base + rng.normal(size=(5, d))
+    gs = coda_forward(q, k)[1]["gs"]
+    l1 = np.sqrt(d) * (np.log1p(-gs) - np.log(gs))
+    exact = np.abs(q[:, None, :] - k[None, :, :]).sum(axis=-1)
+    magnitude = np.abs(q).sum(axis=1)[:, None] + np.abs(k).sum(axis=1)
+    assert np.all(np.abs(l1 - exact) <= 1e-12 * magnitude)
+
+
 def test_coda_never_allocates_a_rows_by_bank_rows_by_d_array():
     # forward plus backward of a 128-row chunk against a 9-description bank
     # of 88 tokens at d=32 peaks below one (128, 88, 32) float64 array

@@ -1,6 +1,8 @@
-"""Every imported name is used: a static scan of the package and the tests."""
+"""Static scans: every imported name is used, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +43,18 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert not found, found
+
+
+def test_traced_functions_exist():
+    # every function the benchmark's tracer wraps by name is still defined in
+    # its claimspan module; the tracer file is parsed, not imported
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    stages = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Stage"]
+    assert len(stages) > 20
+    missing = []
+    for stage in stages:
+        _name, module, functions = (ast.literal_eval(arg) for arg in stage.args[:3])
+        home = importlib.import_module(f"claimspan.{module}")
+        missing += [f"{module}.{fn}" for fn in functions if not callable(getattr(home, fn, None))]
+    assert not missing, missing

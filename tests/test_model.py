@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from claimspan.model import (
     CheckpointError,
@@ -18,6 +20,7 @@ from claimspan.model import (
     spans_to_raw,
 )
 from claimspan.numerics import named_arrays
+from claimspan.packing import _CHUNK_TOKENS, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
 
 
@@ -120,11 +123,11 @@ def test_checkpoint_predictions_survive_roundtrip(tmp_path, tiny_config, tiny_vo
     bank_texts = ["claims with numbers", "a quote from someone"]
     bank = build_bank(bank_texts, tiny_vocab, tiny_params, tiny_config)
     ids = [1, 2, 3, 4]
-    before = predict_tags(tiny_params, tiny_config, ids, bank)
+    before = predict_tags(tiny_params, tiny_config, [ids], bank)
     _path, (config, vocab, texts, params) = _roundtrip(
         tmp_path, tiny_config, tiny_vocab, bank_texts, tiny_params)
     bank2 = build_bank(texts, vocab, params, config)
-    assert predict_tags(params, config, ids, bank2) == before
+    assert predict_tags(params, config, [ids], bank2) == before
 
 
 def test_checkpoint_rejects_bad_version(tmp_path, tiny_config, tiny_vocab, tiny_params):
@@ -178,3 +181,41 @@ def test_sequence_loss_eval_deterministic(tiny_config, tiny_vocab, tiny_params):
     l1, _ = sequence_loss(tiny_params, tiny_config, [1, 2, 3], ["O", "B", "I"], bank)
     l2, _ = sequence_loss(tiny_params, tiny_config, [1, 2, 3], ["O", "B", "I"], bank)
     assert l1 == l2
+
+
+# ---------------------------------------------------------------------------
+# prediction
+
+@st.composite
+def _id_lists(draw, max_len: int, vocab_size: int):
+    """Token-id lists in caller order over at least three chunks: empty,
+    1-token and ``max_len`` lists among them."""
+    lengths = draw(st.lists(st.integers(0, max_len), max_size=20)) + [0, 1, max_len]
+    while sum(lengths) <= 2 * _CHUNK_TOKENS:
+        lengths.append(draw(st.integers(1, max_len)))
+    lengths = draw(st.permutations(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return [rng.integers(vocab_size, size=n).tolist() for n in lengths]
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_decode_matches_each_sequence_alone(data, tiny_config, tiny_vocab):
+    # the call's emissions are decoded in one Viterbi pass, yet each
+    # sequence gets the tags it gets alone, in the caller's order; large
+    # emission weights make the tags vary from token to token
+    rng = np.random.default_rng(3)
+    params = init_model_params(tiny_config, len(tiny_vocab), 2, rng)
+    params.crf.w_emit[...] = 25.0 * rng.normal(size=params.crf.w_emit.shape)
+    bank = build_bank(["claims with numbers", "a quote"], tiny_vocab, params, tiny_config)
+    id_lists = data.draw(_id_lists(tiny_config.max_len, len(tiny_vocab)))
+    assert len(make_chunks([ids for ids in id_lists if ids])) >= 3
+    tags = predict_tags(params, tiny_config, id_lists, bank)
+    assert tags == [predict_tags(params, tiny_config, [ids], bank)[0] for ids in id_lists]
+    assert [len(t) for t in tags] == [len(ids) for ids in id_lists]
+
+
+def test_predict_tags_of_empty_lists(tiny_config, tiny_vocab, tiny_params):
+    bank = build_bank(["claims with numbers", "a quote"], tiny_vocab, tiny_params, tiny_config)
+    assert predict_tags(tiny_params, tiny_config, [[], [], []], bank) == [[], [], []]
+    assert predict_tags(tiny_params, tiny_config, [], bank) == []

@@ -269,8 +269,18 @@ def test_corpus_with_predictions_roundtrip(tmp_path, small_corpus):
 def test_load_corpus_bad_json_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "ok", "spans": []}\nnot json\n')
-    with pytest.raises(CorpusFormatError, match="line 2"):
+    with pytest.raises(CorpusFormatError, match="bad.jsonl:2"):
         load_corpus(path)
+
+
+def test_load_corpus_id_types(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"id": 7, "text": "ok"}\n{"id": "b", "text": "ok"}\n')
+    assert [p.id for p in load_corpus(path)] == ["7", "b"]
+    for bad in ["null", "true", "1.5", '{"x": 1}', '["a"]']:
+        path.write_text(f'{{"id": "a", "text": "ok"}}\n{{"id": {bad}, "text": "ok"}}\n')
+        with pytest.raises(CorpusFormatError, match="ids.jsonl:2: 'id'"):
+            load_corpus(path)
 
 
 def test_load_corpus_bad_span_rejected(tmp_path):

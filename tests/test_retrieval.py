@@ -299,3 +299,34 @@ def test_judgments_duplicate_query(tmp_path):
                         f'{{"query_id": "r", "relevant": {relevant}}}\n')
         with pytest.raises(CorpusFormatError, match="judged.jsonl:2"):
             load_judgments(path)
+
+
+# JSON ids load as strings; any other JSON value is an error, not its str()
+BAD_IDS = ["null", "true", "1.5", '{"x": 1}', '["a"]']
+
+
+def test_documents_ids_and_text_types(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"id": 7, "text": "one"}\n{"id": "7b", "text": "two"}\n')
+    assert [d["id"] for d in load_documents(path)] == ["7", "7b"]
+    for bad in BAD_IDS:
+        path.write_text(f'{{"id": "a", "text": "one"}}\n{{"id": {bad}, "text": "two"}}\n')
+        with pytest.raises(CorpusFormatError, match="docs.jsonl:2: \"id\""):
+            load_documents(path)
+    for bad in ["null", "3", '["one"]']:
+        path.write_text(f'{{"id": "a", "text": {bad}}}\n')
+        with pytest.raises(CorpusFormatError, match="docs.jsonl:1: \"text\""):
+            load_documents(path)
+
+
+def test_judgments_id_types(tmp_path):
+    path = tmp_path / "judged.jsonl"
+    path.write_text('{"query_id": 1, "relevant": [7, "d"]}\n')
+    assert load_judgments(path) == {"1": {"7", "d"}}
+    for bad in BAD_IDS:
+        for rec in [f'{{"query_id": {bad}, "relevant": []}}',
+                    f'{{"query_id": "q", "relevant": ["d", {bad}]}}']:
+            path.write_text('{"query_id": "p", "relevant": []}\n' + rec + "\n")
+            with pytest.raises(CorpusFormatError,
+                               match="judged.jsonl:2: .* must be a string or an integer"):
+                load_judgments(path)

@@ -19,7 +19,6 @@ from claimspan.model import (
     build_bank,
     init_model_params,
     post_to_example,
-    predict_sequences,
     predict_tags,
     sequence_loss,
 )
@@ -466,8 +465,8 @@ def test_batch_invariance_of_loss_gradient_and_tags(case):
         contribution = full[name] * n_full - rest[name] * n_rest
         scale = max(1.0, float(np.max(np.abs(full[name] * n_full), initial=0.0)))
         assert np.max(np.abs(contribution - g), initial=0.0) <= 1e-12 * scale, name
-    tags = predict_sequences(params, TINY_MC, [ex.token_ids for ex in batch], bank)
-    assert tags[pick] == predict_tags(params, TINY_MC, batch[pick].token_ids, bank)
+    tags = predict_tags(params, TINY_MC, [ex.token_ids for ex in batch], bank)
+    assert tags[pick] == predict_tags(params, TINY_MC, [batch[pick].token_ids], bank)[0]
 
 
 def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
