@@ -185,12 +185,13 @@ def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing | None = None
         ending = packing.ending.get(t)
         if ending is not None:
             final[ending] = v[ending]
-    best = (final + crf.end_scores).argmax(axis=1).tolist()
-    pointers = backptr.tolist()
-    out = []
-    for seq, n in enumerate(packing.lengths.tolist()):
-        path, steps = [best[seq]], pointers[seq]
-        for t in range(n - 1, 0, -1):
-            path.append(steps[t][path[-1]])
-        out.extend(INDEX_TAG[i] for i in reversed(path))
-    return out
+    best = (final + crf.end_scores).argmax(axis=1)
+    # backtrack every sequence at once, each from its own last row
+    rows, path = np.arange(packing.size), np.zeros(em.shape[:2], dtype=np.intp)
+    for t in range(packing.n_max - 1, -1, -1):
+        ending = packing.ending.get(t)
+        if ending is not None:
+            path[ending, t] = best[ending]
+        if t:
+            path[:, t - 1] = backptr[rows, t, path[:, t]]
+    return [INDEX_TAG[i] for i in packing.unpad(path).tolist()]

@@ -37,7 +37,7 @@ from .encoder import (
     encoder_block_forward,
     init_encoder_params,
 )
-from .numerics import named_arrays
+from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Token, decode_bio, encode_bio, normalize_post, tokenize
 
@@ -80,21 +80,26 @@ class ModelParams:
     encoder: EncoderParams
     crf: CrfParams
     descnet: DescNetParams | None = None
+    # the vector every tensor above is a view of, in named_arrays order
+    vector: np.ndarray | None = field(default=None, repr=False, metadata=FLAT)
 
 
 def init_model_params(config: ModelConfig, vocab_size: int, bank_size: int,
                       rng: np.random.Generator | None) -> ModelParams:
-    """Draw all weights in canonical order so a seed pins every tensor.
+    """Draw all weights in canonical order so a seed pins every tensor; the
+    tensors returned are views of one float64 vector (``flat_views``).
 
     Encoder and CRF are drawn before the adapter, so ablation variants that
     share a seed also share their backbone initialization. With ``rng``
-    None the random weights are left uninitialised (checkpoint loading
-    overwrites every tensor).
+    None every weight is 0, for checkpoint loading to overwrite.
     """
     enc = init_encoder_params(rng, config, vocab_size)
     head = init_crf_params(rng, config.d)
     desc = init_descnet_params(rng, config, bank_size) if config.use_descnet else None
-    return ModelParams(encoder=enc, crf=head, descnet=desc)
+    drawn = ModelParams(encoder=enc, crf=head, descnet=desc)
+    if rng is None:
+        return flat_views(drawn)
+    return flat_views(drawn, np.concatenate([arr.ravel() for _n, arr in named_arrays(drawn)]))
 
 
 @dataclass

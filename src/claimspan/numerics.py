@@ -1,12 +1,14 @@
-"""Shared float64 numerics: activations, layer norm, dropout, parameter traversal.
+"""Shared float64 numerics: activations, layer norm, dropout, flat parameters.
 
 Everything here is deliberately allocation-simple and 64-bit; backward
-functions accumulate into caller-owned gradient structures with ``+=``.
+functions accumulate with ``+=`` into caller-owned gradient trees, whose
+arrays are views into one vector (``flat_views``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import numpy as np
 
 LN_EPS = 1e-10
@@ -23,12 +25,10 @@ def init_normal(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| cannot overflow; for x < 0 it is exp(x) exactly
+    z = np.exp(-np.abs(x))
+    denom = 1.0 + z
+    return np.where(x >= 0, 1.0 / denom, z / denom)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -94,6 +94,9 @@ def dropout_backward(dy: np.ndarray, mask, p: float) -> np.ndarray:
     return dy * mask / (1.0 - p)
 
 
+FLAT = {"flat": True}  # metadata of the field holding a tree's flat vector
+
+
 def named_arrays(obj, prefix: str = ""):
     """Depth-first (name, array) pairs over a dataclass tree, in field order.
 
@@ -103,7 +106,7 @@ def named_arrays(obj, prefix: str = ""):
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
         name = f"{prefix}{f.name}"
-        if isinstance(v, np.ndarray):
+        if isinstance(v, np.ndarray) and "flat" not in f.metadata:
             yield name, v
         elif isinstance(v, list) and v and dataclasses.is_dataclass(v[0]):
             for i, item in enumerate(v):
@@ -112,28 +115,28 @@ def named_arrays(obj, prefix: str = ""):
             yield from named_arrays(v, f"{name}.")
 
 
-def _map_arrays(fn, obj):
-    """A structural copy of a parameter dataclass tree with ``fn`` applied to
-    every array; other fields are shared."""
+def flat_views(tree, vector: np.ndarray | None = None):
+    """``tree`` rebuilt with its arrays as views of one ``vector`` (new zeros
+    when None), in ``named_arrays`` order and each in C order, the layout of
+    ``torch.nn.utils.parameters_to_vector``; a ``FLAT`` field holds
+    ``vector``, so that whole-tree steps act on it at once."""
+    sizes = [arr.size for _name, arr in named_arrays(tree)]
+    vector = np.zeros(sum(sizes)) if vector is None else vector
+    bounds = itertools.pairwise(itertools.accumulate(sizes, initial=0))
+    return _rebuild(tree, (vector[start:end] for start, end in bounds), vector)
+
+
+def _rebuild(obj, parts, vector):
     kwargs = {}
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)
-        if isinstance(v, np.ndarray):
-            kwargs[f.name] = fn(v)
+        if "flat" in f.metadata:
+            v = vector
+        elif isinstance(v, np.ndarray):
+            v = next(parts).reshape(v.shape)
         elif isinstance(v, list) and v and dataclasses.is_dataclass(v[0]):
-            kwargs[f.name] = [_map_arrays(fn, x) for x in v]
+            v = [_rebuild(x, parts, vector) for x in v]
         elif dataclasses.is_dataclass(v):
-            kwargs[f.name] = _map_arrays(fn, v)
-        else:
-            kwargs[f.name] = v
+            v = _rebuild(v, parts, vector)
+        kwargs[f.name] = v
     return type(obj)(**kwargs)
-
-
-def zeros_like_struct(obj):
-    """A structural copy of a parameter dataclass tree with all arrays zeroed."""
-    return _map_arrays(np.zeros_like, obj)
-
-
-def copy_struct(obj):
-    """Deep copy of a parameter dataclass tree (arrays copied)."""
-    return _map_arrays(np.ndarray.copy, obj)

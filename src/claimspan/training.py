@@ -12,7 +12,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -33,7 +33,7 @@ from .model import (
     sequence_backward,
     sequence_loss,
 )
-from .numerics import copy_struct, named_arrays, zeros_like_struct
+from .numerics import flat_views, named_arrays
 from .packing import make_chunks
 from .preprocess import AnnotatedPost, CharSpan
 
@@ -138,41 +138,42 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Boolean masks (True = frozen) of the pinned CRF entries.
-_FROZEN = dict(zip(("crf.transitions", "crf.start_scores"), forbidden_masks()))
 
-
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """Adam's step count and moment vectors over a model's parameter vector,
+    two scratch vectors for the update, and the pinned CRF entries' indices."""
+
+    def __init__(self, params: ModelParams):
+        self.step = 0
+        self.m, self.v, *self.scratch = (np.zeros(params.vector.size) for _ in range(4))
+        frozen = flat_views(params, np.zeros(params.vector.size, dtype=bool))
+        frozen.crf.transitions[...], frozen.crf.start_scores[...] = forbidden_masks()
+        self.pinned = np.flatnonzero(frozen.vector)
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place, in canonical parameter order.
-
-    The pinned CRF entries get a zero gradient, so their moments, and with
-    them their updates, stay exactly 0.
-    """
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update of ``params.vector`` in place, with the
+    floating-point operations of a per-tensor update; ``grads`` is left
+    unchanged. The pinned CRF entries take a zero gradient, so their
+    moments, and with them their updates, stay exactly 0."""
     state.step += 1
-    t = state.step
-    for (name, p), (gname, g) in zip(named_arrays(params), named_arrays(grads)):
-        assert name == gname
-        if name in _FROZEN:
-            g = np.where(_FROZEN[name], 0.0, g)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g, (a, b), m, v = grads.vector, state.scratch, state.m, state.v
+    np.multiply(g, 1.0 - BETA1, out=a)
+    np.multiply(g, 1.0 - BETA2, out=b)
+    b *= g
+    a[state.pinned] = b[state.pinned] = 0.0
+    m *= BETA1
+    m += a
+    v *= BETA2
+    v += b
+    # lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - BETA1 ** state.step, out=a)
+    np.divide(v, 1.0 - BETA2 ** state.step, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a *= lr
+    a /= b
+    params.vector -= a
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +230,12 @@ def prepare_examples(corpus: list[AnnotatedPost], vocab: Vocabulary,
     return out
 
 
-def _scale_grads(grads, factor: float) -> None:
-    for _name, arr in named_arrays(grads):
-        arr *= factor
-
-
 def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Example],
-                    bank: DescriptionBank | None, rng=None,
-                    train=False) -> tuple[ModelParams, list[float]]:
-    """Gradient of the batch's mean loss at the current parameters, and each
-    example's loss.
+                    bank: DescriptionBank | None, rng=None, train=False,
+                    grads: ModelParams | None = None) -> tuple[ModelParams, list[float]]:
+    """Gradient of the batch's mean loss at the current parameters, written
+    into ``grads`` (a ``flat_views(params)`` tree; a new one when None), and
+    each example's loss.
 
     ``bank`` must be encoded from the current weights (``build_bank``; None
     for a model without the adapter). The whole batch shares it, and it is
@@ -248,7 +245,8 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
     the only place a gradient is computed: ``train`` calls it once per Adam
     step and ``grad_check`` on a batch of one.
     """
-    grads = zeros_like_struct(params)
+    grads = flat_views(params) if grads is None else grads
+    grads.vector.fill(0.0)
     d_bank = np.zeros_like(bank.keys) if bank is not None else None
     losses = np.empty(len(batch))
     for chunk in make_chunks([ex.token_ids for ex in batch]):
@@ -263,7 +261,7 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
     if bank is not None:
         bank_backward(d_bank, bank, params.descnet.description_encoder, config,
                       grads.descnet.description_encoder, grads.encoder)
-    _scale_grads(grads, 1.0 / len(batch))
+    grads.vector *= 1.0 / len(batch)
     return grads, losses.tolist()
 
 
@@ -305,14 +303,15 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
         raise ValueError("no usable examples after preprocessing")
 
     params = init_model_params(mc, len(vocab), len(bank_texts) if bank_texts else 1, rng)
-    state = AdamState()
+    grads = flat_views(params)
+    state = AdamState(params)
 
     # One bank per set of weights: encoded before the first step and after
     # each Adam step, so validation reuses the bank of the epoch's last step.
     encode_bank = _bank_encoder(bank_texts, vocab, params, mc)
     bank = encode_bank()
     records: list[EpochRecord] = []
-    best_params = copy_struct(params)
+    best_params = flat_views(params, params.vector.copy())
     best_dsc = -math.inf
     best_epoch = 0
     bad_epochs = 0
@@ -327,7 +326,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
                 batch = [train_ex[i] for i in order[lo:lo + tc.batch_size]]
                 try:
                     grads, batch_losses = batch_gradients(params, mc, batch, bank, rng,
-                                                          train=True)
+                                                          train=True, grads=grads)
                 except TrainingDiverged as exc:
                     raise TrainingDiverged(f"{exc}, epoch {epoch}") from exc
                 losses += batch_losses
@@ -345,7 +344,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
             if val_dsc > best_dsc:
                 best_dsc = val_dsc
                 best_epoch = epoch
-                best_params = copy_struct(params)
+                best_params.vector[...] = params.vector
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -427,29 +426,21 @@ def grad_check(model_config: ModelConfig | None = None,
     # compared at noise scale. Every live tensor here has gradient norm well
     # above it.
     floor = 1e-4
+    vector, fd = params.vector, np.empty(params.vector.size)
+    for i, orig in enumerate(vector.tolist()):
+        vector[i] = orig + step
+        up = loss_at()
+        vector[i] = orig - step
+        fd[i] = (up - loss_at()) / (2.0 * step)
+        vector[i] = orig
     per_tensor: dict[str, float] = {}
-    worst = (0.0, "")
-    grad_map = dict(named_arrays(grads))
-    for name, arr in named_arrays(params):
-        analytic = grad_map[name]
-        fd = np.zeros_like(arr)
-        flat = arr.ravel()
-        fd_flat = fd.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_at()
-            flat[i] = orig - step
-            down = loss_at()
-            flat[i] = orig
-            fd_flat[i] = (up - down) / (2.0 * step)
+    for (name, analytic), (_n, numeric) in zip(named_arrays(grads),
+                                               named_arrays(flat_views(params, fd))):
         scale = max(np.max(np.abs(analytic), initial=0.0),
-                    np.max(np.abs(fd), initial=0.0), floor)
-        err = float(np.max(np.abs(analytic - fd), initial=0.0) / scale)
-        per_tensor[name] = err
-        if err > worst[0]:
-            worst = (err, name)
-    return GradCheckReport(worst[0], worst[1], per_tensor)
+                    np.max(np.abs(numeric), initial=0.0), floor)
+        per_tensor[name] = float(np.max(np.abs(analytic - numeric), initial=0.0) / scale)
+    worst = max(per_tensor, key=per_tensor.get)
+    return GradCheckReport(per_tensor[worst], worst, per_tensor)
 
 
 # ---------------------------------------------------------------------------

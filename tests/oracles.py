@@ -12,9 +12,11 @@ import re
 
 import numpy as np
 
-from claimspan.numerics import sigmoid, softmax_rows, softmax_rows_backward
+from claimspan.crf import INDEX_TAG, forbidden_masks
+from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import split_hashtag
 from claimspan.retrieval import index_terms
+from claimspan.training import ADAM_EPS, BETA1, BETA2
 
 
 def sig(x: float) -> float:
@@ -22,6 +24,17 @@ def sig(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """The logistic function as first vectorized: each sign's entries
+    gathered and scattered through a boolean mask."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def coda_scalar(q, k) -> np.ndarray:
@@ -157,6 +170,62 @@ def crf_enumerate(e, crf):
             marg[t, y] += w
     best_seq, _best_s = max(scored, key=lambda item: item[1])
     return log_z, marg, list(best_seq)
+
+
+def viterbi_decode_per_sequence(e, crf, packing) -> list[str]:
+    """Viterbi decoding with the chunk-wide forward pass and a backtrack run
+    one sequence and one token at a time in Python, as first written."""
+    em = packing.pad(e, 0.0)
+    v = crf.start_scores + em[:, 0]
+    final = np.empty_like(v)
+    backptr = np.empty(em.shape, dtype=np.intp)
+    for t in range(packing.n_max):
+        if t:
+            cand = v[:, :, None] + crf.transitions
+            backptr[:, t] = cand.argmax(axis=1)
+            v = cand.max(axis=1) + em[:, t]
+        ending = packing.ending.get(t)
+        if ending is not None:
+            final[ending] = v[ending]
+    best = (final + crf.end_scores).argmax(axis=1).tolist()
+    pointers = backptr.tolist()
+    out = []
+    for seq, n in enumerate(packing.lengths.tolist()):
+        path, steps = [best[seq]], pointers[seq]
+        for t in range(n - 1, 0, -1):
+            path.append(steps[t][path[-1]])
+        out.extend(INDEX_TAG[i] for i in reversed(path))
+    return out
+
+
+class AdamPerTensor:
+    """Adam as first written: a walk over the parameter and gradient trees,
+    with moments kept per tensor name and the pinned CRF entries' gradient
+    zeroed by ``np.where``."""
+
+    FROZEN = dict(zip(("crf.transitions", "crf.start_scores"), forbidden_masks()))
+
+    def __init__(self):
+        self.m, self.v, self.step_count = {}, {}, 0
+
+    def step(self, params, grads, lr: float) -> None:
+        self.step_count += 1
+        t = self.step_count
+        for (name, p), (_gname, g) in zip(named_arrays(params), named_arrays(grads)):
+            if name in self.FROZEN:
+                g = np.where(self.FROZEN[name], 0.0, g)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m = self.m[name]
+            v = self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def bm25_score_scalar(query_terms, doc_terms, all_doc_term_lists,

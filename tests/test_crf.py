@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimspan.crf import (
     FORBIDDEN_SCORE,
@@ -16,10 +18,10 @@ from claimspan.crf import (
     tags_to_indices,
     viterbi_decode,
 )
-from claimspan.numerics import zeros_like_struct
+from claimspan.numerics import flat_views
 from claimspan.packing import Packing
 
-from oracles import crf_enumerate
+from oracles import crf_enumerate, viterbi_decode_per_sequence
 from test_encoder import fd_grad
 
 
@@ -38,7 +40,7 @@ def log_z_and_marginals(e, crf, tags, packing=None):
     gold one-hot, for a packed chunk (one sequence when packing is None)."""
     tag_ids = tags_to_indices(tags)
     loss, messages = nll_loss(e, crf, tags, packing)
-    marginals = nll_backward(e, crf, tags, messages, zeros_like_struct(crf), packing)
+    marginals = nll_backward(e, crf, tags, messages, flat_views(crf), packing)
     marginals[np.arange(len(tags)), tag_ids] += 1.0
     return loss + score_sequence(e, crf, tag_ids, packing), marginals
 
@@ -134,6 +136,20 @@ def test_viterbi_tie_break_prefers_earlier_tag():
     assert viterbi_decode(np.zeros((4, 3)), crf) == ["B", "B", "B", "B"]
 
 
+@settings(max_examples=60)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+       ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_viterbi_backtrack_matches_per_sequence_backtrack(lengths, ties, seed):
+    # the backtrack vectorized over sequences gives each sequence the path
+    # of a backtrack run on it alone, ties included (integer emissions)
+    rng = np.random.default_rng(seed)
+    crf = rand_crf(rng, scale=2.0)
+    packing = Packing(lengths)
+    shape = (packing.n_rows, 3)
+    e = rng.integers(-1, 2, size=shape).astype(float) if ties else rng.normal(size=shape)
+    assert viterbi_decode(e, crf, packing) == viterbi_decode_per_sequence(e, crf, packing)
+
+
 def test_emissions_affine_and_backward():
     rng = np.random.default_rng(5)
     crf = init_crf_params(rng, d=6)
@@ -142,7 +158,7 @@ def test_emissions_affine_and_backward():
     assert e.shape == (4, 3)
     assert np.allclose(e, z @ crf.w_emit + crf.b_emit)
     c = rng.normal(size=(4, 3))
-    g = zeros_like_struct(crf)
+    g = flat_views(crf)
     d_z = emissions_backward(c, z, crf, g)
     fd_z = fd_grad(lambda: float((emissions_from(z, crf) * c).sum()), z)
     fd_w = fd_grad(lambda: float((emissions_from(z, crf) * c).sum()), crf.w_emit)
@@ -155,7 +171,7 @@ def test_nll_gradient_is_marginals_minus_onehot():
     e = rng.normal(size=(5, 3))
     crf = rand_crf(rng)
     tags = ["O", "B", "I", "O", "B"]
-    g = zeros_like_struct(crf)
+    g = flat_views(crf)
     d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
     expected = crf_enumerate(e, crf)[1].copy()
     for t, y in enumerate(tags_to_indices(tags)):
@@ -168,7 +184,7 @@ def test_nll_backward_matches_fd_on_all_params():
     e = rng.normal(size=(4, 3))
     crf = rand_crf(rng)
     tags = ["B", "I", "I", "O"]
-    g = zeros_like_struct(crf)
+    g = flat_views(crf)
     d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
     fd_e = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), e)
     assert np.allclose(d_e, fd_e, atol=1e-6)

@@ -23,7 +23,7 @@ from claimspan.descnet import (
     load_bank_texts,
 )
 from claimspan.encoder import ModelConfig
-from claimspan.numerics import named_arrays, zeros_like_struct
+from claimspan.numerics import flat_views, named_arrays
 from claimspan.packing import Packing
 
 from oracles import (
@@ -279,7 +279,7 @@ def test_igm_ragged_backward_matches_fd():
         return float((igm_forward(zp, z, p, packing)[0] * c).sum())
 
     _out, cache = igm_forward(zp, z, p, packing)
-    g = zeros_like_struct(p)
+    g = flat_views(p)
     d_zp, d_z = igm_backward(c, cache, p, g)
     assert np.allclose(d_zp, fd_grad(loss, zp), atol=1e-6)
     assert np.allclose(d_z, fd_grad(loss, z), atol=1e-6)
@@ -312,7 +312,7 @@ def test_igm_backward_matches_fd():
     zp = rng.normal(size=(4, d))
     c = rng.normal(size=(4, d))
     _out, cache = igm_forward(zp, z, p)
-    g = zeros_like_struct(p)
+    g = flat_views(p)
     d_zp, d_z = igm_backward(c, cache, p, g)
     fd_zp = fd_grad(lambda: float((igm_forward(zp, z, p)[0] * c).sum()), zp)
     fd_z = fd_grad(lambda: float((igm_forward(zp, z, p)[0] * c).sum()), z)
@@ -340,7 +340,7 @@ def test_fuse_shapes_and_backward():
     fused, cache = fuse_forward(concat, p, None, False, 0.0)
     assert fused.shape == (n, d)
     assert np.all(np.abs(fused) < 1.0)
-    g = zeros_like_struct(p)
+    g = flat_views(p)
     d_concat = fuse_backward(c, cache, p, g, 0.0)
     assert d_concat.shape == (n, m * d)
     fd = fd_grad(lambda: float((fuse_forward(concat, p, None, False, 0.0)[0] * c).sum()), concat)

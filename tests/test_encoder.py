@@ -19,17 +19,20 @@ from claimspan.encoder import (
 from claimspan.numerics import (
     dropout,
     dropout_backward,
+    flat_views,
     gelu,
     gelu_backward,
     layer_norm,
     layer_norm_backward,
     named_arrays,
+    sigmoid,
     softmax_rows,
     softmax_rows_backward,
-    zeros_like_struct,
 )
 from claimspan.model import build_bank, sequence_forward
 from claimspan.packing import Packing
+
+from oracles import sigmoid_masked
 
 
 def fd_grad(f, x, step=1e-6):
@@ -107,6 +110,20 @@ def test_layer_norm_backward_matches_fd():
     assert np.allclose(dbias, fd_bias, atol=1e-7)
 
 
+def test_sigmoid_bitwise_equal_to_masked_version():
+    # edges (signed zeros, exp under- and overflow range, the largest and
+    # subnormal magnitudes) and random values of every scale
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, tiny, -tiny, 2.2e-308,
+                      -2.2e-308, 36.7, -36.7, 709.8, -709.8, 1.0, -1.0])
+    rng = np.random.default_rng(0)
+    random = rng.normal(size=(9, 32)) * 10.0 ** rng.uniform(-320, 3, size=(9, 32))
+    for x in (edges, random, random.T):
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == sigmoid_masked(x).tobytes()
+
+
 def test_dropout_train_eval_and_backward():
     rng = np.random.default_rng(4)
     x = np.ones((50, 20))
@@ -178,7 +195,7 @@ def _block_fd_case(seed=7, d=8, h=2, d_ff=12, n=4):
 def test_mhsa_backward_matches_fd():
     blk, z, c = _block_fd_case()
     out, cache = mhsa_forward(z, blk, 2)
-    g = zeros_like_struct(blk)
+    g = flat_views(blk)
     dz = mhsa_backward(c, cache, blk, g)
     fd_z = fd_grad(lambda: float((mhsa_forward(z, blk, 2)[0] * c).sum()), z)
     assert np.allclose(dz, fd_z, atol=1e-6)
@@ -191,7 +208,7 @@ def test_mhsa_backward_matches_fd():
 def test_ffn_backward_matches_fd():
     blk, z, c = _block_fd_case(seed=8)
     _out, cache = ffn_forward(z, blk)
-    g = zeros_like_struct(blk)
+    g = flat_views(blk)
     dz = ffn_backward(c, cache, blk, g)
     fd_z = fd_grad(lambda: float((ffn_forward(z, blk)[0] * c).sum()), z)
     assert np.allclose(dz, fd_z, atol=1e-6)
@@ -217,7 +234,7 @@ def test_block_on_ragged_chunk_matches_each_sequence():
     def loss():
         return float((encoder_block_forward(z, blk, config, packing=packing)[0] * c).sum())
 
-    g = zeros_like_struct(blk)
+    g = flat_views(blk)
     dz = encoder_block_backward(c, cache, blk, config, g)
     assert np.allclose(dz, fd_grad(loss, z), atol=1e-6)
     assert np.allclose(g.w_k, fd_grad(loss, blk.w_k), atol=1e-6)
@@ -229,7 +246,7 @@ def test_block_backward_matches_fd():
     config = ModelConfig(d=8, h=2, d_ff=12, layers=1, max_len=8, vocab_size=16,
                          dropout_p=0.0, adapter_layer=1)
     _out, cache = encoder_block_forward(z, blk, config, rng=None, train=False)
-    g = zeros_like_struct(blk)
+    g = flat_views(blk)
     dz = encoder_block_backward(c, cache, blk, config, g)
     def loss():
         return float((encoder_block_forward(z, blk, config, None, False)[0] * c).sum())

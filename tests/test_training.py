@@ -22,7 +22,7 @@ from claimspan.model import (
     predict_tags,
     sequence_loss,
 )
-from claimspan.numerics import copy_struct, named_arrays, zeros_like_struct
+from claimspan.numerics import flat_views, named_arrays
 from claimspan.packing import _CHUNK_TOKENS, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
@@ -38,6 +38,8 @@ from claimspan.training import (
     parse_config_text,
     train,
 )
+
+from oracles import AdamPerTensor
 
 TINY_MC = ModelConfig(d=16, h=2, d_ff=32, layers=2, max_len=32, vocab_size=128,
                       dropout_p=0.0, adapter_layer=2)
@@ -58,15 +60,19 @@ def _scalar_params(value=1.0):
     return p
 
 
+def _copy(params):
+    """A model's parameters in a vector of their own."""
+    return flat_views(params, params.vector.copy())
+
+
 def test_adam_first_step_hand_value():
     # one parameter tree, every gradient 1: after one step each free entry
     # moves by exactly lr / (1 + eps)
     params = _scalar_params()
-    before = copy_struct(params)
-    grads = zeros_like_struct(params)
-    for _name, arr in named_arrays(grads):
-        arr[...] = 1.0
-    state = AdamState()
+    before = _copy(params)
+    grads = flat_views(params)
+    grads.vector[...] = 1.0
+    state = AdamState(params)
     lr = 0.1
     adam_step(params, grads, state, lr)
     expected = lr / (1.0 + 1e-8)
@@ -85,51 +91,99 @@ def test_adam_first_step_hand_value():
 
 def test_adam_zero_gradient_leaves_params():
     params = _scalar_params()
-    before = copy_struct(params)
-    state = AdamState()
-    adam_step(params, zeros_like_struct(params), state, 0.5)
-    for (_na, b), (_nb, a) in zip(named_arrays(before), named_arrays(params)):
-        assert np.array_equal(b, a)
+    before = params.vector.copy()
+    state = AdamState(params)
+    adam_step(params, flat_views(params), state, 0.5)
+    assert np.array_equal(before, params.vector)
     assert state.step == 1
 
 
 def test_adam_lr_zero_is_identity():
     params = _scalar_params()
-    before = copy_struct(params)
-    grads = zeros_like_struct(params)
-    for _name, arr in named_arrays(grads):
-        arr[...] = 3.0
-    adam_step(params, grads, AdamState(), 0.0)
-    for (_na, b), (_nb, a) in zip(named_arrays(before), named_arrays(params)):
-        assert np.array_equal(b, a)
+    before = params.vector.copy()
+    grads = flat_views(params)
+    grads.vector[...] = 3.0
+    adam_step(params, grads, AdamState(params), 0.0)
+    assert np.array_equal(before, params.vector)
 
 
 def test_adam_constant_gradient_update_approaches_lr():
     params = _scalar_params()
-    grads = zeros_like_struct(params)
-    for _name, arr in named_arrays(grads):
-        arr[...] = 0.37
-    state = AdamState()
+    grads = flat_views(params)
+    grads.vector[...] = 0.37
+    state = AdamState(params)
     lr = 0.01
-    prev = copy_struct(params)
     for _ in range(300):
-        prev = copy_struct(params)
+        prev = params.encoder.token_embedding.copy()
         adam_step(params, grads, state, lr)
-    last_delta = prev.encoder.token_embedding - params.encoder.token_embedding
+    last_delta = prev - params.encoder.token_embedding
     assert np.allclose(last_delta, lr, rtol=1e-3)
 
 
 def test_pinned_entries_survive_many_steps():
     params = _scalar_params()
     rng = np.random.default_rng(1)
-    state = AdamState()
+    grads = flat_views(params)
+    state = AdamState(params)
     for _ in range(20):
-        grads = zeros_like_struct(params)
-        for _name, arr in named_arrays(grads):
-            arr[...] = rng.normal(size=arr.shape)
+        grads.vector[...] = rng.normal(size=grads.vector.shape)
         adam_step(params, grads, state, 0.05)
     assert params.crf.transitions[2, 1] == FORBIDDEN_SCORE
     assert params.crf.start_scores[1] == FORBIDDEN_SCORE
+
+
+def test_adam_in_place_matches_per_tensor_update():
+    # bitwise the update of the per-tensor walk, step after step, with
+    # gradients on the pinned entries too; the gradient passed in is not
+    # changed, since a caller may pass the same one again
+    params = _scalar_params()
+    reference = _copy(params)
+    state, per_tensor = AdamState(params), AdamPerTensor()
+    grads = flat_views(params)
+    n = grads.vector.size
+    rng = np.random.default_rng(2)
+    for _ in range(6):
+        grads.vector[...] = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 2, n)
+        assert grads.crf.transitions[2, 1] != 0.0 and grads.crf.start_scores[1] != 0.0
+        sent = grads.vector.copy()
+        adam_step(params, grads, state, 0.05)
+        per_tensor.step(reference, grads, 0.05)
+        assert np.array_equal(grads.vector, sent)
+        assert params.vector.tobytes() == reference.vector.tobytes()
+        for moments, by_name in ((state.m, per_tensor.m), (state.v, per_tensor.v)):
+            flat = np.concatenate([by_name[name].ravel() for name, _a in named_arrays(params)])
+            assert moments.tobytes() == flat.tobytes()
+    assert params.crf.transitions[2, 1] == FORBIDDEN_SCORE
+    assert params.crf.start_scores[1] == FORBIDDEN_SCORE
+
+
+def _assert_views_of_vector(params):
+    # the named arrays are views of the model's one vector that tile it in
+    # order, each array's entries in C order
+    for name, arr in named_arrays(params):
+        assert np.shares_memory(arr, params.vector), name
+    kept = params.vector.copy()
+    params.vector[...] = np.arange(params.vector.size)
+    tiles = np.concatenate([arr.ravel() for _name, arr in named_arrays(params)])
+    assert np.array_equal(tiles, np.arange(params.vector.size))
+    params.vector[...] = kept
+
+
+def test_params_are_views_of_one_vector(tmp_path):
+    # after init, in the best-epoch parameters train returns, and after a
+    # checkpoint load; the loaded model saves to the same bytes
+    _assert_views_of_vector(init_model_params(TINY_MC, 10, 2, np.random.default_rng(0)))
+    tr, va, _ = split_corpus(_mini_corpus())
+    res = train(tr, va, synthetic_bank(), TINY_MC,
+                dataclasses.replace(TINY_TC, max_epochs=2, patience=2))
+    _assert_views_of_vector(res.params)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    model_mod.save_checkpoint(first, res.model_config, res.vocab, res.bank_texts, res.params)
+    config, vocab, bank_texts, loaded = model_mod.load_checkpoint(first)
+    _assert_views_of_vector(loaded)
+    assert loaded.vector.tobytes() == res.params.vector.tobytes()
+    model_mod.save_checkpoint(second, config, vocab, bank_texts, loaded)
+    assert second.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +311,24 @@ def test_train_keeps_best_dsc_checkpoint():
     assert res.best_epoch == min(r.epoch for r in res.records if r.val_dsc == best.val_dsc)
 
 
+def test_train_returns_best_epoch_parameters(monkeypatch):
+    # the parameters scored best, not the last epoch's, in a vector that
+    # later epochs' steps do not write to
+    tr, va, _ = split_corpus(_mini_corpus())
+    scores, seen = iter([0.5, 0.9, 0.3, 0.2]), []
+
+    def scripted(params, *args):
+        seen.append(params.vector.copy())
+        dsc = next(scores)
+        return dsc, dsc, dsc, dsc
+
+    monkeypatch.setattr(training_mod, "evaluate_split", scripted)
+    res = train(tr, va, synthetic_bank(), TINY_MC, dataclasses.replace(TINY_TC, patience=4))
+    assert res.best_epoch == 2 and len(seen) == 4
+    assert np.array_equal(res.params.vector, seen[1])
+    assert not np.array_equal(res.params.vector, seen[-1])
+
+
 def test_train_nan_aborts_with_diagnostic(monkeypatch):
     posts = _mini_corpus()
     tr, va, _ = split_corpus(posts)
@@ -292,7 +364,7 @@ def test_train_applies_true_batch_gradient(monkeypatch):
         return real_grads(params, config, examples, *args, **kwargs)
 
     def recording_adam(params, grads, *args, **kwargs):
-        steps.append((copy_struct(params), copy_struct(grads), list(batch)))
+        steps.append((_copy(params), _copy(grads), list(batch)))
         real_adam(params, grads, *args, **kwargs)
 
     monkeypatch.setattr(training_mod, "batch_gradients", recording_grads)
