@@ -85,21 +85,25 @@ class ModelParams:
 
 
 def init_model_params(config: ModelConfig, vocab_size: int, bank_size: int,
-                      rng: np.random.Generator | None) -> ModelParams:
+                      rng: np.random.Generator) -> ModelParams:
     """Draw all weights in canonical order so a seed pins every tensor; the
     tensors returned are views of one float64 vector (``flat_views``).
 
     Encoder and CRF are drawn before the adapter, so ablation variants that
-    share a seed also share their backbone initialization. With ``rng``
-    None every weight is 0, for checkpoint loading to overwrite.
+    share a seed also share their backbone initialization.
     """
+    drawn = _param_tree(config, vocab_size, bank_size, rng)
+    return flat_views(drawn, np.concatenate([arr.ravel() for _n, arr in named_arrays(drawn)]))
+
+
+def _param_tree(config: ModelConfig, vocab_size: int, bank_size: int,
+                rng: np.random.Generator | None) -> ModelParams:
+    """The tensors as separate arrays; with ``rng`` None the weights are
+    uninitialised, a layout of names and shapes for a checkpoint to fill."""
     enc = init_encoder_params(rng, config, vocab_size)
     head = init_crf_params(rng, config.d)
     desc = init_descnet_params(rng, config, bank_size) if config.use_descnet else None
-    drawn = ModelParams(encoder=enc, crf=head, descnet=desc)
-    if rng is None:
-        return flat_views(drawn)
-    return flat_views(drawn, np.concatenate([arr.ravel() for _n, arr in named_arrays(drawn)]))
+    return ModelParams(encoder=enc, crf=head, descnet=desc)
 
 
 @dataclass
@@ -281,14 +285,14 @@ def load_checkpoint(path):
                                        and all(isinstance(t, str) for t in bank_texts)):
         raise CheckpointError("bank_texts must be null or a list of strings")
     bank_size = len(bank_texts) if bank_texts else 1
-    params = init_model_params(config, len(vocab), bank_size, None)
-    if params.descnet is not None and not bank_texts:
+    layout = _param_tree(config, len(vocab), bank_size, None)
+    if layout.descnet is not None and not bank_texts:
         raise CheckpointError("checkpoint has adapter weights but no bank_texts")
     stored = doc.get("params")
     if not isinstance(stored, dict):
         raise CheckpointError("checkpoint has no params")
-    seen = set()
-    for name, arr in named_arrays(params):
+    raws, seen = [], set()
+    for name, arr in named_arrays(layout):
         if name not in stored:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         entry = stored[name]
@@ -302,9 +306,11 @@ def load_checkpoint(path):
         if len(raw) != arr.nbytes:
             raise CheckpointError(f"tensor {name!r} holds {len(raw)} bytes, "
                                   f"shape {shape} needs {arr.nbytes}")
-        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+        raws.append(raw)
         seen.add(name)
     extra = set(stored) - seen
     if extra:
         raise CheckpointError(f"checkpoint holds unknown tensors: {sorted(extra)}")
-    return config, vocab, bank_texts, params
+    # the tensors' bytes in named_arrays order are the vector's bytes
+    vector = np.frombuffer(bytearray().join(raws), dtype="<f8").astype(np.float64, copy=False)
+    return config, vocab, bank_texts, flat_views(layout, vector)

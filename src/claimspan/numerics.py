@@ -18,7 +18,7 @@ _GELU_A = 0.044715
 
 def init_normal(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
     """N(0, 0.02^2) draws; with no generator, an uninitialised array of the
-    shape, for a caller that overwrites every entry."""
+    shape, for a caller that reads only its shape."""
     if rng is None:
         return np.empty(shape)
     return rng.normal(0.0, 0.02, size=shape)

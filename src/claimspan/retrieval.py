@@ -7,6 +7,7 @@ P@k and nDCG@k between the two conditions against shared relevance judgments.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -34,18 +35,24 @@ def index_terms(text: str) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class Bm25Index:
-    """An inverted index: ``postings[term]`` holds the indices of the
-    documents containing ``term`` (ascending, intp) and its count in each
-    (float64). ``doc_norm[d]`` is document d's length normalization
-    ``K1 * (1 - B + B * len / avgdl)``; ``doc_rank[d]`` is its position in
-    doc-id order, which breaks score ties."""
+    """An inverted index of precomputed impacts (Anh & Moffat, SIGIR 2006).
+
+    ``postings[term]`` is the term's slice of two flat arrays:
+    ``posting_docs`` holds the indices of the documents containing the term
+    (ascending, intp) and ``posting_values`` each one's BM25 value
+    ``idf * tf * (K1 + 1) / (tf + K1 * (1 - B + B * len / avgdl))``, computed
+    once at build. Every value is > 0: idf > 0 since df <= n_docs, tf >= 1
+    and the length normalization is at least K1 * (1 - B) > 0.
+    ``doc_rank[d]`` is document d's position in doc-id order, which breaks
+    score ties."""
 
     doc_ids: tuple[str, ...]
     doc_lengths: tuple[int, ...]
     doc_freq: dict
     avgdl: float
     postings: dict
-    doc_norm: np.ndarray
+    posting_docs: np.ndarray
+    posting_values: np.ndarray
     doc_rank: np.ndarray
 
     @property
@@ -72,23 +79,34 @@ def build_index(docs: list[dict]) -> Bm25Index:
             entry[1].append(count)
         ids.append(doc_id)
         lengths.append(len(terms))
-    avgdl = sum(lengths) / len(lengths) if lengths else 0.0
-    # avgdl is 0 only when no document has a term, so no posting reads doc_norm.
-    if avgdl > 0.0:
-        doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / avgdl)
-    else:
-        doc_norm = np.zeros(len(lengths))
-    doc_rank = np.empty(len(ids), dtype=np.intp)
-    doc_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    n_docs = len(ids)
+    avgdl = sum(lengths) / n_docs if n_docs else 0.0
+    doc_rank = np.empty(n_docs, dtype=np.intp)
+    doc_rank[sorted(range(n_docs), key=ids.__getitem__)] = np.arange(n_docs)
     doc_freq = {term: len(d) for term, (d, _t) in postings.items()}
-    arrays = {term: (np.array(d, dtype=np.intp), np.array(t, dtype=np.float64))
-              for term, (d, t) in postings.items()}
-    return Bm25Index(tuple(ids), tuple(lengths), doc_freq, avgdl, arrays, doc_norm, doc_rank)
+    dfs = list(doc_freq.values())
+    posting_docs = np.fromiter(itertools.chain.from_iterable(
+        d for d, _t in postings.values()), np.intp, sum(dfs))
+    tf = np.fromiter(itertools.chain.from_iterable(
+        t for _d, t in postings.values()), np.float64, sum(dfs))
+    postings.clear()
+    bounds = itertools.pairwise(itertools.accumulate(dfs, initial=0))
+    slices = {term: slice(start, end) for term, (start, end) in zip(doc_freq, bounds)}
+    # One pass over all postings: idf * tf * (K1 + 1) / (tf + norm), in place.
+    # avgdl is 0 only when no document has a term, and then there are no postings.
+    doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / (avgdl or 1.0))
+    values = np.repeat([idf(n_docs, df) for df in dfs], dfs)
+    values *= tf
+    values *= K1 + 1.0
+    tf += doc_norm[posting_docs]
+    values /= tf
+    return Bm25Index(tuple(ids), tuple(lengths), doc_freq, avgdl, slices,
+                     posting_docs, values, doc_rank)
 
 
-def idf(index: Bm25Index, term: str) -> float:
-    df = index.doc_freq.get(term, 0)
-    return math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+def idf(n_docs: int, df: int) -> float:
+    """Okapi BM25's idf of a term in ``df`` of ``n_docs`` documents."""
+    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def query(index: Bm25Index, text: str, k: int) -> list[tuple[str, float]]:
@@ -97,21 +115,28 @@ def query(index: Bm25Index, text: str, k: int) -> list[tuple[str, float]]:
     Every occurrence of a query term contributes; documents sharing no term
     with the query are not returned, so an all-unknown query yields [].
     Only the postings of the query terms are read. Each document's score
-    adds its per-term values in query-term order, as a full scan would.
+    adds its precomputed per-term values in query-term order, as a full scan
+    would; since every value is > 0, the documents scoring above 0 are the
+    hits. With more than k hits, only those scoring at least the k-th
+    largest score are sorted: documents tied with it stay in, so the tie
+    break by doc id decides the cut as a sort of all hits would.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    scores = np.zeros(index.n_docs)
-    touched = np.zeros(index.n_docs, dtype=bool)
-    for term in index_terms(text):
-        posting = index.postings.get(term)
-        if posting is None:
-            continue
-        docs, tf = posting
-        scores[docs] += idf(index, term) * tf * (K1 + 1.0) / (tf + index.doc_norm[docs])
-        touched[docs] = True
-    hits = np.flatnonzero(touched)
-    top = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))[:k]]
+    spans = [s for s in map(index.postings.get, index_terms(text)) if s is not None]
+    if not spans:
+        return []
+    # bincount adds the weights into zeros in the order given, term by term.
+    scores = np.bincount(np.concatenate([index.posting_docs[s] for s in spans]),
+                         np.concatenate([index.posting_values[s] for s in spans]),
+                         index.n_docs)
+    hits = np.flatnonzero(scores)
+    hit_scores = scores[hits]
+    if hits.size > k:
+        cut = hits.size - k
+        keep = hit_scores >= np.partition(hit_scores, cut)[cut]
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    top = hits[np.lexsort((index.doc_rank[hits], -hit_scores))[:k]]
     return [(index.doc_ids[di], float(scores[di])) for di in top]
 
 

@@ -248,8 +248,9 @@ def bm25_score_scalar(query_terms, doc_terms, all_doc_term_lists,
 def bm25_full_scan(docs, text, k, k1: float = 1.2, b: float = 0.75):
     """Top-k (doc_id, score) by probing every document for every query term.
 
-    The arithmetic of each (document, term) value and the order of the sums
-    are those of ``retrieval.query``, so the results must be equal, not close.
+    The arithmetic of each (document, term) value is that of
+    ``retrieval.build_index`` and the order of the sums that of
+    ``retrieval.query``, so the results must be equal, not close.
     """
     doc_terms = []
     for doc in docs:

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import warnings
 
@@ -53,17 +54,21 @@ def test_index_stats_hand_tally():
     # "garlic" appears in two documents (tf inside a doc does not add df)
     assert index.doc_freq["garlic"] == 2
     assert index.doc_freq["covid"] == 1
-    docs, tf = index.postings["garlic"]
-    assert docs.tolist() == [0, 1]
-    assert tf.tolist() == [1.0, 2.0]
+    span = index.postings["garlic"]
+    assert index.posting_docs[span].tolist() == [0, 1]
+    # garlic once in d1 (3 terms) and twice in d2 (4 terms); avgdl 11/3
+    garlic_idf = math.log((3 - 2 + 0.5) / (2 + 0.5) + 1.0)
+    assert index.posting_values[span].tolist() == [
+        garlic_idf * 1 * 2.2 / (1 + 1.2 * (1.0 - 0.75 + 0.75 * 3 / (11 / 3))),
+        garlic_idf * 2 * 2.2 / (2 + 1.2 * (1.0 - 0.75 + 0.75 * 4 / (11 / 3))),
+    ]
 
 
 def test_idf_hand_value():
-    index = build_index(DOCS3)
-    assert idf(index, "covid") == pytest.approx(math.log((3 - 1 + 0.5) / 1.5 + 1))
-    assert idf(index, "garlic") == pytest.approx(math.log((3 - 2 + 0.5) / 2.5 + 1))
-    # unseen terms still get a finite idf
-    assert idf(index, "zzz") == pytest.approx(math.log(3.5 / 0.5 + 1))
+    assert idf(3, 1) == pytest.approx(math.log((3 - 1 + 0.5) / 1.5 + 1))
+    assert idf(3, 2) == pytest.approx(math.log((3 - 2 + 0.5) / 2.5 + 1))
+    # a term in every document keeps a positive idf
+    assert idf(3, 3) == pytest.approx(math.log(0.5 / 3.5 + 1))
 
 
 def test_duplicate_doc_id_rejected():
@@ -151,6 +156,10 @@ _QUERY_WORDS = ["a", "b", "c", "d", "e", "zz", "!!"]
 @example(["a b", "a b", "c"], None, ["a"], 1)
 # Repeated and missing terms, k beyond the number of matches.
 @example(["a a a d", "d e", "!!", "a b"], None, ["a", "zz", "a", "d"], 9)
+# Five documents score and three tie ("a b") across the cut-off at k=2 and
+# at k=3; the shuffles put the tied documents' ids out of index order.
+@example(["a a a d", "a b", "e b a", "a b", "a b", "c"], random.Random(0), ["a"], 2)
+@example(["a a a d", "a b", "e b a", "a b", "a b", "c"], random.Random(7), ["a"], 3)
 def test_query_equals_full_scan(texts, rnd, query_words, k):
     ids = [f"d{i}" for i in range(len(texts))]
     if rnd is not None:
@@ -158,6 +167,22 @@ def test_query_equals_full_scan(texts, rnd, query_words, k):
     docs = [{"id": i, "text": t} for i, t in zip(ids, texts)]
     text = " ".join(query_words)
     assert query(build_index(docs), text, k) == bm25_full_scan(docs, text, k)
+
+
+# The property that lets a query take the documents scoring above 0 as its hits.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), min_size=1, max_size=8),
+       st.integers(0, 500))
+@example([[]], 0)                      # one document, one term
+@example([["a", "b"], ["c"], []], 500)  # one document 500 terms longer than the rest
+def test_posting_values_positive(doc_words, extra_len):
+    # "every" is in every document (df = n_docs); the first has extra_len more terms.
+    texts = [" ".join(words + ["every"]) for words in doc_words]
+    texts[0] += " long" * extra_len
+    index = build_index([{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+    assert index.doc_freq["every"] == index.n_docs
+    assert index.posting_values.size == sum(index.doc_freq.values())
+    assert (index.posting_values > 0.0).all()
 
 
 @pytest.mark.parametrize("docs", [[], [{"id": "x", "text": "!! ..."},
