@@ -77,10 +77,9 @@ def tags_to_indices(tags: list[str]) -> np.ndarray:
 
 
 def score_sequence(e: np.ndarray, crf: CrfParams, tag_ids: np.ndarray,
-                   packing: Packing | None = None) -> np.ndarray:
+                   packing: Packing) -> np.ndarray:
     """Score of each sequence's tag path in a chunk's packed emissions, as a
     (sequences,) array."""
-    packing = packing or Packing.single(len(e))
     if len(tag_ids) != len(e):
         raise ValueError(f"{len(tag_ids)} tags for {len(e)} emission rows")
     seg, pairs = packing.seg, packing.pair_rows
@@ -108,21 +107,20 @@ def _forward_messages(e: np.ndarray, crf: CrfParams,
 
 
 def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str],
-             packing: Packing | None = None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+             packing: Packing) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Each sequence's log Z minus its gold-path score, nonnegative up to
     roundoff, as a (sequences,) array, and the forward messages
     ``(alpha, log_z)`` that ``nll_backward`` needs.
 
     ``e`` and ``tags`` are the chunk's packed emission rows and gold tags.
     """
-    packing = packing or Packing.single(len(e))
     messages = _forward_messages(e, crf, packing)
     return messages[1] - score_sequence(e, crf, tags_to_indices(tags), packing), messages
 
 
 def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
                  messages: tuple[np.ndarray, np.ndarray], g: CrfParams,
-                 packing: Packing | None = None) -> np.ndarray:
+                 packing: Packing) -> np.ndarray:
     """Accumulate CRF-parameter gradients of the chunk's summed NLL and return
     d(loss)/d(emissions) for its packed rows.
 
@@ -131,7 +129,6 @@ def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
     is marginals minus the gold one-hot; transition/start/end gradients are
     expected counts minus observed counts. Pinned entries get zero gradient.
     """
-    packing = packing or Packing.single(len(e))
     alpha, log_z = messages
     tag_ids = tags_to_indices(tags)
     em = packing.pad(e, 0.0)
@@ -169,10 +166,9 @@ def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
     return d_e
 
 
-def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing | None = None) -> list[str]:
+def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing) -> list[str]:
     """Highest-scoring valid tag path of each sequence in a chunk's packed
     emissions, as packed tags; ties break toward B < I < O."""
-    packing = packing or Packing.single(len(e))
     em = packing.pad(e, 0.0)
     v = crf.start_scores + em[:, 0]
     final = np.empty_like(v)

@@ -135,7 +135,7 @@ def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
     packing = Packing([len(ids) for ids in token_id_lists])
     flat = np.array([t for ids in token_id_lists for t in ids], dtype=np.intp)
     z0 = embed(flat, enc_params, config, packing)
-    out, block_cache = encoder_block_forward(z0, desc_block, config, packing=packing)
+    out, block_cache = encoder_block_forward(z0, desc_block, config, packing)
     values = np.zeros((packing.n_rows, packing.size, out.shape[1]))
     values[np.arange(packing.n_rows), packing.seg] = out
     return DescriptionBank(out, packing, values.reshape(packing.n_rows, -1),
@@ -240,9 +240,9 @@ def dpa_interact_backward(d_out: np.ndarray, cache):
     return d_s @ bank.keys, bank.diagonal_blocks(p.T @ d_out) + d_s.T @ z
 
 
-def fuse_forward(concat: np.ndarray, params: DescNetParams, rng, train, dropout_p):
+def fuse_forward(concat: np.ndarray, params: DescNetParams, rng, dropout_p):
     """Fuses the (rows, m*d) interaction outputs into (rows, d)."""
-    dropped, mask = dropout(concat, dropout_p, rng, train)
+    dropped, mask = dropout(concat, dropout_p, rng)
     fused = np.tanh(dropped @ params.w_fuse + params.b_fuse)
     return fused, {"dropped": dropped, "mask": mask, "fused": fused}
 
@@ -255,8 +255,7 @@ def fuse_backward(d_fused: np.ndarray, cache, params: DescNetParams, g: DescNetP
     return dropout_backward(d_pre @ params.w_fuse.T, cache["mask"], dropout_p)
 
 
-def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams,
-                packing: Packing | None = None):
+def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams, packing: Packing):
     """Interactive gating: conflict/refine gates pooled from each sequence of
     the chunk rescale every row of that sequence in z; returns (out, cache).
 
@@ -265,7 +264,6 @@ def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams,
     if zp.shape != z.shape:
         raise ValueError(f"shape mismatch {zp.shape} vs {z.shape}")
     p = params
-    packing = packing or Packing.single(len(z))
     z_vec, idx_z = packing.seg_argmax(z)
     zp_vec, idx_zp = packing.seg_argmax(zp)
     mu_c = sigmoid(z_vec @ p.w_c1 + zp_vec @ p.w_c2 + p.b_c1)
@@ -344,14 +342,14 @@ def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
 
 
 def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,
-                    config: ModelConfig, rng=None, train=False, packing: Packing | None = None):
+                    config: ModelConfig, packing: Packing, rng=None):
     """Full adapter pass over a chunk's packed rows; returns (z_hat, cache)."""
     if bank.size * config.d != params.w_fuse.shape[0]:
         raise ValueError(f"bank of {bank.size} descriptions does not match fusion "
                          f"weights built for {params.w_fuse.shape[0] // config.d}")
     interact_fwd = coda_interact_forward if config.attention_variant == "coda" else dpa_interact_forward
     concat, interact_cache = interact_fwd(z, bank)
-    fused, fuse_cache = fuse_forward(concat, params, rng, train, config.dropout_p)
+    fused, fuse_cache = fuse_forward(concat, params, rng, config.dropout_p)
     zp = fused @ params.w_proj
     if config.use_igm:
         z_hat, igm_cache = igm_forward(zp, z, params, packing)

@@ -1,7 +1,8 @@
 """Toy transformer token encoder: embeddings plus a stack of encoder blocks.
 
 Runs in float64 on a packed chunk: the rows of all its sequences stacked in
-one array, described by a ``Packing`` (one sequence when none is given).
+one array, described by a ``Packing`` that every caller passes (a single
+sequence of ``n`` rows is the chunk ``Packing([n])``).
 Token-wise steps run on the rows at once; attention pads them to the chunk's
 longest sequence and masks the padded keys. Forward passes return caches that
 the matching ``*_backward`` functions consume; backward accumulates parameter
@@ -120,14 +121,10 @@ def init_encoder_params(rng: np.random.Generator, config: ModelConfig, vocab_siz
     )
 
 
-def embed(token_ids, params: EncoderParams, config: ModelConfig,
-          packing: Packing | None = None) -> np.ndarray:
+def embed(token_ids, params: EncoderParams, config: ModelConfig, packing: Packing) -> np.ndarray:
     """Token embeddings plus learned positional embeddings for a chunk's
     packed token ids."""
     ids = np.asarray(token_ids, dtype=np.intp)
-    if ids.size == 0:
-        raise ValueError("cannot embed an empty sequence")
-    packing = packing or Packing.single(ids.size)
     if packing.n_rows != ids.size:
         raise ValueError(f"{ids.size} token ids for a chunk of {packing.n_rows} rows")
     if packing.n_max > config.max_len:
@@ -137,19 +134,15 @@ def embed(token_ids, params: EncoderParams, config: ModelConfig,
     return params.token_embedding[ids] + params.positional_embedding[packing.positions]
 
 
-def embed_backward(d_z: np.ndarray, token_ids, grads: EncoderParams,
-                   packing: Packing | None = None) -> None:
+def embed_backward(d_z: np.ndarray, token_ids, grads: EncoderParams, packing: Packing) -> None:
     ids = np.asarray(token_ids, dtype=np.intp)
-    packing = packing or Packing.single(ids.size)
     np.add.at(grads.token_embedding, ids, d_z)
     np.add.at(grads.positional_embedding, packing.positions, d_z)
 
 
-def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int,
-                 packing: Packing | None = None):
+def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int, packing: Packing):
     """Scaled dot-product self-attention over h heads within each sequence
     of the chunk; returns (out, cache)."""
-    packing = packing or Packing.single(len(z))
     dh = z.shape[1] // n_heads
     shape = (packing.size, packing.n_max, n_heads, dh)
 
@@ -220,15 +213,15 @@ def ffn_backward(d_out: np.ndarray, cache, blk: EncoderBlockParams, g: EncoderBl
     return d_h1 @ blk.w_ff1.T
 
 
-def encoder_block_forward(z, blk: EncoderBlockParams, config: ModelConfig, rng=None, train=False,
-                          packing: Packing | None = None):
+def encoder_block_forward(z, blk: EncoderBlockParams, config: ModelConfig, packing: Packing,
+                          rng=None):
     """One block on a chunk's packed rows: LN(z + Dropout(MHSA(z))) then
-    LN(. + Dropout(FFN(.)))."""
+    LN(. + Dropout(FFN(.))); dropout is on when ``rng`` is given."""
     attn, attn_cache = mhsa_forward(z, blk, config.h, packing)
-    attn_drop, mask1 = dropout(attn, config.dropout_p, rng, train)
+    attn_drop, mask1 = dropout(attn, config.dropout_p, rng)
     u, ln1_cache = layer_norm(z + attn_drop, blk.ln1_gain, blk.ln1_bias)
     ff, ffn_cache = ffn_forward(u, blk)
-    ff_drop, mask2 = dropout(ff, config.dropout_p, rng, train)
+    ff_drop, mask2 = dropout(ff, config.dropout_p, rng)
     out, ln2_cache = layer_norm(u + ff_drop, blk.ln2_gain, blk.ln2_bias)
     cache = {
         "attn": attn_cache, "mask1": mask1, "ln1": ln1_cache,

@@ -117,9 +117,9 @@ def _check_aligned(pred: list[list[str]], gold: list[list[str]]) -> None:
             raise ValueError(f"post {i}: predicted {len(a)} tags vs {len(g)} gold")
 
 
-def per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scores]:
-    """Corpus-level micro scores per tag (that tag as the positive class)."""
-    _check_aligned(pred, gold)
+def _per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scores]:
+    """Corpus-level micro scores per tag (that tag as the positive class),
+    for tag sequences already checked to align."""
     out = {}
     for tag in TAGS:
         tp = fp = fn = 0
@@ -142,7 +142,7 @@ def token_prf(pred: list[list[str]], gold: list[list[str]]):
     _check_aligned(pred, gold)
     pred_sets = [inspan_indices(t) for t in pred]
     gold_sets = [inspan_indices(t) for t in gold]
-    return overall_prf(pred_sets, gold_sets), per_tag_prf(pred, gold)
+    return overall_prf(pred_sets, gold_sets), _per_tag_prf(pred, gold)
 
 
 def span_count_ratio(pred_spans: list[list], gold_spans: list[list]) -> float:
@@ -155,12 +155,12 @@ def span_count_ratio(pred_spans: list[list], gold_spans: list[list]) -> float:
 
 def build_report(pred: list[list[str]], gold: list[list[str]],
                  pred_spans: list[list], gold_spans: list[list]) -> EvalReport:
-    overall, per_tag = token_prf(pred, gold)
+    _check_aligned(pred, gold)
     pred_sets = [inspan_indices(t) for t in pred]
     gold_sets = [inspan_indices(t) for t in gold]
     return EvalReport(
-        overall=overall,
-        per_tag=per_tag,
+        overall=overall_prf(pred_sets, gold_sets),
+        per_tag=_per_tag_prf(pred, gold),
         dsc=mean_dice(pred_sets, gold_sets),
         span_count_ratio=span_count_ratio(pred_spans, gold_spans),
         n_posts=len(pred),

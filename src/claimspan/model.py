@@ -51,7 +51,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Vocabulary:
-    """Lowercased word-level vocabulary; index 0 is the unknown token."""
+    """Word-level vocabulary of distinct lowercase strings (``lookup``
+    lowercases its surface); index 0 is the unknown token."""
 
     words: list[str]
     index: dict[str, int] = field(default_factory=dict, repr=False)
@@ -59,7 +60,12 @@ class Vocabulary:
     def __post_init__(self):
         if not self.words or self.words[0] != UNK:
             raise ValueError("vocabulary must start with the unknown token")
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = {}
+        for i, w in enumerate(self.words):
+            if not isinstance(w, str) or w != w.lower():
+                raise ValueError(f"vocabulary entry {i} ({w!r}) is not a lowercase string")
+            if self.index.setdefault(w, i) != i:
+                raise ValueError(f"vocabulary entry {i} ({w!r}) repeats entry {self.index[w]}")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -161,24 +167,21 @@ def build_bank(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
 
 
 def sequence_forward(params: ModelParams, config: ModelConfig, token_ids,
-                     bank: DescriptionBank | None, rng=None, train=False,
-                     packing: Packing | None = None):
+                     bank: DescriptionBank | None, packing: Packing, rng=None):
     """Embeddings, the encoder blocks with the adapter after block
     ``config.adapter_layer`` if the model has adapter weights, then the
-    emission projection, over a chunk's packed token ids (one sequence when
-    ``packing`` is None); returns (emissions, cache)."""
+    emission projection, over a chunk's packed token ids; returns
+    (emissions, cache). Passing ``rng`` turns dropout on."""
     if params.descnet is not None and bank is None:
         raise ValueError("adapter enabled but no description bank supplied")
-    packing = packing or Packing.single(len(token_ids))
     z = embed(token_ids, params.encoder, config, packing)
     block_caches = []
     adapter_cache = None
     for i, blk in enumerate(params.encoder.blocks, start=1):
-        z, bc = encoder_block_forward(z, blk, config, rng, train, packing)
+        z, bc = encoder_block_forward(z, blk, config, packing, rng)
         block_caches.append(bc)
         if params.descnet is not None and i == config.adapter_layer:
-            z_hat, adapter_cache = descnet_forward(z, bank, params.descnet, config, rng, train,
-                                                   packing)
+            z_hat, adapter_cache = descnet_forward(z, bank, params.descnet, config, packing, rng)
             z = z_hat + z if config.adapter_residual else z_hat
     e = emissions_from(z, params.crf)
     return e, {"token_ids": token_ids, "packing": packing, "blocks": block_caches,
@@ -186,12 +189,11 @@ def sequence_forward(params: ModelParams, config: ModelConfig, token_ids,
 
 
 def sequence_loss(params: ModelParams, config: ModelConfig, token_ids, gold_tags: list[str],
-                  bank: DescriptionBank | None, rng=None, train=False,
-                  packing: Packing | None = None):
+                  bank: DescriptionBank | None, packing: Packing, rng=None):
     """Each sequence's loss as a (sequences,) array, and (emissions, cache)
     for ``sequence_backward``; ``gold_tags`` are the chunk's packed tags."""
-    e, cache = sequence_forward(params, config, token_ids, bank, rng, train, packing)
-    losses, cache["crf"] = nll_loss(e, params.crf, gold_tags, cache["packing"])
+    e, cache = sequence_forward(params, config, token_ids, bank, packing, rng)
+    losses, cache["crf"] = nll_loss(e, params.crf, gold_tags, packing)
     return losses, (e, cache)
 
 
@@ -231,7 +233,7 @@ def predict_tags(params: ModelParams, config: ModelConfig, id_lists: list[list[i
     if not nonempty:
         return out
     chunks = make_chunks([id_lists[i] for i in nonempty])
-    emissions = [sequence_forward(params, config, chunk.token_ids, bank, packing=chunk.packing)[0]
+    emissions = [sequence_forward(params, config, chunk.token_ids, bank, chunk.packing)[0]
                  for chunk in chunks]
     order = [nonempty[j] for chunk in chunks for j in chunk.order]
     packing = Packing([len(id_lists[i]) for i in order])

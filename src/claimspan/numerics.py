@@ -80,9 +80,10 @@ def layer_norm_backward(dy: np.ndarray, cache, gain: np.ndarray):
     return dx, dgain, dbias
 
 
-def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None, train: bool):
-    """Inverted dropout; identity (mask None) when not training or p == 0."""
-    if not train or p <= 0.0:
+def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None):
+    """Inverted dropout, on only when a generator is given (a training
+    pass); otherwise, or at p == 0, the identity with mask None."""
+    if rng is None or p <= 0.0:
         return x, None
     mask = rng.random(x.shape) >= p
     return x * mask / (1.0 - p), mask

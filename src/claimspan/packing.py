@@ -5,6 +5,8 @@ A chunk's sequences sit one after another, so token-wise work runs once on a
 (attention, pooling, the CRF recursions) use the ``Packing`` to pad the rows
 to ``(sequences, longest, width)`` or to reduce each sequence's rows; when
 every sequence has the same length the padded view is a plain reshape.
+Every function that works on a chunk takes its ``Packing`` as a required
+argument; a single sequence of ``n`` rows is the chunk ``Packing([n])``.
 A ``Packing`` is not tied to the chunk budget: prediction stacks the
 emissions of all its chunks under one ``Packing`` and decodes them at once.
 """
@@ -45,11 +47,6 @@ class Packing:
         self.uniform = self.n_rows == self.size * self.n_max
         self.lengths = np.array(sizes, dtype=np.intp)
         self.starts = np.array(list(accumulate(sizes, initial=0))[:-1], dtype=np.intp)
-
-    @classmethod
-    def single(cls, n: int) -> "Packing":
-        """One sequence of ``n`` rows."""
-        return cls([n])
 
     @cached_property
     def seg(self) -> np.ndarray:

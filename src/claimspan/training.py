@@ -34,7 +34,7 @@ from .model import (
     sequence_loss,
 )
 from .numerics import flat_views, named_arrays
-from .packing import make_chunks
+from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan
 
 
@@ -231,11 +231,11 @@ def prepare_examples(corpus: list[AnnotatedPost], vocab: Vocabulary,
 
 
 def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Example],
-                    bank: DescriptionBank | None, rng=None, train=False,
+                    bank: DescriptionBank | None, rng=None,
                     grads: ModelParams | None = None) -> tuple[ModelParams, list[float]]:
     """Gradient of the batch's mean loss at the current parameters, written
     into ``grads`` (a ``flat_views(params)`` tree; a new one when None), and
-    each example's loss.
+    each example's loss; dropout is on when ``rng`` is given.
 
     ``bank`` must be encoded from the current weights (``build_bank``; None
     for a model without the adapter). The whole batch shares it, and it is
@@ -252,7 +252,7 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
     for chunk in make_chunks([ex.token_ids for ex in batch]):
         tags = [t for i in chunk.order for t in batch[i].gold_tags]
         chunk_losses, (e, cache) = sequence_loss(params, config, chunk.token_ids, tags, bank,
-                                                 rng, train, chunk.packing)
+                                                 chunk.packing, rng)
         for i, loss in zip(chunk.order, chunk_losses):
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at post {batch[i].post_id}")
@@ -326,7 +326,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
                 batch = [train_ex[i] for i in order[lo:lo + tc.batch_size]]
                 try:
                     grads, batch_losses = batch_gradients(params, mc, batch, bank, rng,
-                                                          train=True, grads=grads)
+                                                          grads=grads)
                 except TrainingDiverged as exc:
                     raise TrainingDiverged(f"{exc}, epoch {epoch}") from exc
                 losses += batch_losses
@@ -412,10 +412,11 @@ def grad_check(model_config: ModelConfig | None = None,
     pin_forbidden(params.crf)
 
     encode_bank = _bank_encoder(_CHECK_BANK, vocab, params, mc)
+    packing = Packing([len(probe.token_ids)])
 
     def loss_at() -> float:
         return float(sequence_loss(params, mc, probe.token_ids, probe.gold_tags,
-                                   encode_bank())[0][0])
+                                   encode_bank(), packing)[0][0])
 
     grads, _losses = batch_gradients(params, mc, [probe], encode_bank())
 

@@ -18,6 +18,7 @@ from claimspan.descnet import coda_forward, igm_forward, init_descnet_params
 from claimspan.encoder import ModelConfig
 from claimspan.metrics import dice, paired_f1_ttest
 from claimspan.model import build_bank
+from claimspan.packing import Packing
 from claimspan.preprocess import CharSpan, decode_bio, encode_bio, save_corpus, tokenize
 from claimspan.retrieval import (
     RetrievalJudgment,
@@ -84,10 +85,10 @@ def test_criterion_1_crf_matches_enumeration():
         pin_forbidden(crf)
         ref_lp, ref_marg, ref_best = crf_enumerate(e, crf)
         # log Z and marginals as training sees them, through nll_loss/nll_backward
-        (lp,), marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in ref_best])
+        (lp,), marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in ref_best], Packing([n]))
         max_lp_err = max(max_lp_err, abs(lp - ref_lp))
         max_marg_err = max(max_marg_err, float(np.max(np.abs(marg - ref_marg))))
-        assert viterbi_decode(e, crf) == [INDEX_TAG[i] for i in ref_best]
+        assert viterbi_decode(e, crf, Packing([n])) == [INDEX_TAG[i] for i in ref_best]
     elapsed = time.perf_counter() - tic
     assert max_lp_err < 1e-9
     assert max_marg_err < 1e-9
@@ -130,7 +131,7 @@ def test_criterion_3_coda_igm_match_scalar_reference():
             arr[...] = 0.4 * rng.normal(size=arr.shape)
         z = rng.normal(size=(n, d))
         zp = rng.normal(size=(n, d))
-        out = igm_forward(zp, z, params)[0]
+        out = igm_forward(zp, z, params, Packing([n]))[0]
         worst_igm = max(worst_igm, float(np.max(np.abs(out - igm_scalar(zp, z, params)))))
         assert np.all(np.abs(out) <= np.abs(z) + 1e-15)
     assert worst_coda < 1e-12

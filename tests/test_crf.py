@@ -34,10 +34,10 @@ def rand_crf(rng, scale=1.0) -> CrfParams:
     return crf
 
 
-def log_z_and_marginals(e, crf, tags, packing=None):
+def log_z_and_marginals(e, crf, tags, packing):
     """log Z per sequence from the training loss and tag marginals from its
     gradient: nll_loss plus the gold score, and nll_backward's d_e plus the
-    gold one-hot, for a packed chunk (one sequence when packing is None)."""
+    gold one-hot, for a packed chunk."""
     tag_ids = tags_to_indices(tags)
     loss, messages = nll_loss(e, crf, tags, packing)
     marginals = nll_backward(e, crf, tags, messages, flat_views(crf), packing)
@@ -67,10 +67,11 @@ def test_partition_and_marginals_match_enumeration():
         e = rng.normal(scale=2.0, size=(n, 3))
         crf = rand_crf(rng)
         log_z, marg, best = crf_enumerate(e, crf)
-        got_log_z, got_marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in best])
+        got_log_z, got_marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in best],
+                                                  Packing([n]))
         assert got_log_z == pytest.approx(log_z, abs=1e-9)
         assert np.allclose(got_marg, marg, atol=1e-9)
-        assert [tags_to_indices(viterbi_decode(e, crf))[i] for i in range(n)] == best
+        assert [tags_to_indices(viterbi_decode(e, crf, Packing([n])))[i] for i in range(n)] == best
 
 
 def test_ragged_chunk_matches_enumeration_per_sequence():
@@ -96,7 +97,7 @@ def test_marginals_are_distributions():
     rng = np.random.default_rng(2)
     e = rng.normal(size=(5, 3))
     crf = rand_crf(rng)
-    _log_z, m = log_z_and_marginals(e, crf, ["B", "I", "O", "O", "B"])
+    _log_z, m = log_z_and_marginals(e, crf, ["B", "I", "O", "O", "B"], Packing([5]))
     assert np.all(m >= 0)
     assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
@@ -106,8 +107,8 @@ def test_score_sequence_is_lse_component():
     rng = np.random.default_rng(3)
     e = rng.normal(size=(4, 3))
     crf = rand_crf(rng)
-    s = score_sequence(e, crf, tags_to_indices(["B", "I", "O", "B"]))
-    loss, (_alpha, log_z) = nll_loss(e, crf, ["B", "I", "O", "B"])
+    s = score_sequence(e, crf, tags_to_indices(["B", "I", "O", "B"]), Packing([4]))
+    loss, (_alpha, log_z) = nll_loss(e, crf, ["B", "I", "O", "B"], Packing([4]))
     assert s <= log_z
     assert loss >= 0.0
 
@@ -120,7 +121,7 @@ def test_viterbi_never_emits_forbidden_transitions():
         e = rng.normal(size=(n, 3))
         e[:, 1] += 5.0
         crf = rand_crf(rng)
-        tags = viterbi_decode(e, crf)
+        tags = viterbi_decode(e, crf, Packing([n]))
         assert tags[0] != "I", "sequence starts with I"
         for prev, cur in zip(tags, tags[1:]):
             assert not (prev == "O" and cur == "I"), "O -> I emitted"
@@ -133,7 +134,7 @@ def test_viterbi_tie_break_prefers_earlier_tag():
                     transitions=np.zeros((3, 3)), start_scores=np.zeros(3),
                     end_scores=np.zeros(3))
     pin_forbidden(crf)
-    assert viterbi_decode(np.zeros((4, 3)), crf) == ["B", "B", "B", "B"]
+    assert viterbi_decode(np.zeros((4, 3)), crf, Packing([4])) == ["B", "B", "B", "B"]
 
 
 @settings(max_examples=60)
@@ -148,6 +149,32 @@ def test_viterbi_backtrack_matches_per_sequence_backtrack(lengths, ties, seed):
     shape = (packing.n_rows, 3)
     e = rng.integers(-1, 2, size=shape).astype(float) if ties else rng.normal(size=shape)
     assert viterbi_decode(e, crf, packing) == viterbi_decode_per_sequence(e, crf, packing)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+def test_long_ragged_chunk_numerics_hold(scale):
+    # one chunk from a single row to 1000 rows, emissions up to 1e3 and
+    # transitions of about +-50: log Z reaches ~1e6, and every recursion must
+    # stay finite. The Viterbi path is the gold path, so each loss is near 0
+    # and a log Z that lost mass would show as a negative loss.
+    rng = np.random.default_rng(17)
+    packing = Packing([1, 48, 300, 1000])
+    crf = init_crf_params(rng, d=4)
+    for arr in (crf.transitions, crf.start_scores, crf.end_scores):
+        arr[...] = rng.uniform(-50.0, 50.0, size=arr.shape)
+    pin_forbidden(crf)
+    e = scale * rng.normal(size=(packing.n_rows, 3))
+    tags = viterbi_decode(e, crf, packing)
+    for seq in packing.split(tags):
+        assert seq[0] != "I"
+        assert ("O", "I") not in set(zip(seq, seq[1:]))
+    losses, messages = nll_loss(e, crf, tags, packing)
+    log_z = messages[1]
+    assert np.all(np.isfinite(losses)) and np.all(np.isfinite(log_z))
+    assert np.all(losses >= -1e-12 * np.abs(log_z))
+    _log_z, marginals = log_z_and_marginals(e, crf, tags, packing)
+    assert np.all(np.isfinite(marginals))
+    assert np.max(np.abs(marginals.sum(axis=1) - 1.0)) <= 1e-6
 
 
 def test_emissions_affine_and_backward():
@@ -171,8 +198,9 @@ def test_nll_gradient_is_marginals_minus_onehot():
     e = rng.normal(size=(5, 3))
     crf = rand_crf(rng)
     tags = ["O", "B", "I", "O", "B"]
+    one = Packing([5])
     g = flat_views(crf)
-    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
+    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags, one)[1], g, one)
     expected = crf_enumerate(e, crf)[1].copy()
     for t, y in enumerate(tags_to_indices(tags)):
         expected[t, y] -= 1.0
@@ -184,14 +212,15 @@ def test_nll_backward_matches_fd_on_all_params():
     e = rng.normal(size=(4, 3))
     crf = rand_crf(rng)
     tags = ["B", "I", "I", "O"]
+    one = Packing([4])
     g = flat_views(crf)
-    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags)[1], g)
-    fd_e = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), e)
+    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags, one)[1], g, one)
+    fd_e = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), e)
     assert np.allclose(d_e, fd_e, atol=1e-6)
     trans_mask, start_mask = forbidden_masks()
-    fd_trans = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), crf.transitions)
-    fd_start = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), crf.start_scores)
-    fd_end = fd_grad(lambda: nll_loss(e, crf, tags)[0].sum(), crf.end_scores)
+    fd_trans = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), crf.transitions)
+    fd_start = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), crf.start_scores)
+    fd_end = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), crf.end_scores)
     assert np.allclose(np.where(trans_mask, 0.0, g.transitions),
                        np.where(trans_mask, 0.0, fd_trans), atol=1e-6)
     assert np.allclose(np.where(start_mask, 0.0, g.start_scores),
@@ -207,16 +236,18 @@ def test_single_token_sequence():
     e = rng.normal(size=(1, 3))
     crf = rand_crf(rng)
     log_z, marg, best = crf_enumerate(e, crf)
-    got_log_z, got_marg = log_z_and_marginals(e, crf, ["O"])
+    got_log_z, got_marg = log_z_and_marginals(e, crf, ["O"], Packing([1]))
     assert got_log_z == pytest.approx(log_z, abs=1e-12)
     assert np.allclose(got_marg, marg, atol=1e-12)
-    assert viterbi_decode(e, crf) == [["B", "I", "O"][best[0]]]
+    assert viterbi_decode(e, crf, Packing([1])) == [["B", "I", "O"][best[0]]]
 
 
 def test_empty_emissions_rejected():
     rng = np.random.default_rng(9)
     crf = rand_crf(rng)
+    # a chunk of no rows cannot be described, so the empty input fails at
+    # its Packing
     with pytest.raises(ValueError):
-        nll_loss(np.zeros((0, 3)), crf, [])
+        nll_loss(np.zeros((0, 3)), crf, [], Packing([0]))
     with pytest.raises(ValueError):
-        viterbi_decode(np.zeros((0, 3)), crf)
+        viterbi_decode(np.zeros((0, 3)), crf, Packing([0]))

@@ -248,7 +248,7 @@ def test_igm_matches_scalar_oracle():
         p = rand_descnet(rng, d)
         z = rng.normal(size=(n, d))
         zp = rng.normal(size=(n, d))
-        assert np.max(np.abs(igm_forward(zp, z, p)[0] - igm_scalar(zp, z, p))) < 1e-12
+        assert np.max(np.abs(igm_forward(zp, z, p, Packing([n]))[0] - igm_scalar(zp, z, p))) < 1e-12
 
 
 def test_igm_ragged_chunk_matches_scalar_oracle_per_sequence():
@@ -294,14 +294,14 @@ def test_igm_never_amplifies():
         p = rand_descnet(rng, d, scale=1.5)
         z = rng.normal(scale=3.0, size=(n, d))
         zp = rng.normal(scale=3.0, size=(n, d))
-        assert np.all(np.abs(igm_forward(zp, z, p)[0]) <= np.abs(z) + 1e-15)
+        assert np.all(np.abs(igm_forward(zp, z, p, Packing([n]))[0]) <= np.abs(z) + 1e-15)
 
 
 def test_igm_shape_mismatch_rejected():
     rng = np.random.default_rng(7)
     p = rand_descnet(rng, 4)
     with pytest.raises(ValueError):
-        igm_forward(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), p)
+        igm_forward(rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), p, Packing([2]))
 
 
 def test_igm_backward_matches_fd():
@@ -311,16 +311,17 @@ def test_igm_backward_matches_fd():
     z = rng.normal(size=(4, d))
     zp = rng.normal(size=(4, d))
     c = rng.normal(size=(4, d))
-    _out, cache = igm_forward(zp, z, p)
+    one = Packing([4])
+    _out, cache = igm_forward(zp, z, p, one)
     g = flat_views(p)
     d_zp, d_z = igm_backward(c, cache, p, g)
-    fd_zp = fd_grad(lambda: float((igm_forward(zp, z, p)[0] * c).sum()), zp)
-    fd_z = fd_grad(lambda: float((igm_forward(zp, z, p)[0] * c).sum()), z)
+    fd_zp = fd_grad(lambda: float((igm_forward(zp, z, p, one)[0] * c).sum()), zp)
+    fd_z = fd_grad(lambda: float((igm_forward(zp, z, p, one)[0] * c).sum()), z)
     assert np.allclose(d_zp, fd_zp, atol=1e-6)
     assert np.allclose(d_z, fd_z, atol=1e-6)
     for arr, grad in [(p.w_c1, g.w_c1), (p.w_c4, g.w_c4), (p.w_r3, g.w_r3),
                       (p.w_a, g.w_a), (p.b_c2, g.b_c2), (p.b_a, g.b_a)]:
-        fd = fd_grad(lambda: float((igm_forward(zp, z, p)[0] * c).sum()), arr)
+        fd = fd_grad(lambda: float((igm_forward(zp, z, p, one)[0] * c).sum()), arr)
         assert np.allclose(grad, fd, atol=1e-6)
 
 
@@ -337,15 +338,15 @@ def test_fuse_shapes_and_backward():
         arr[...] = 0.4 * rng.normal(size=arr.shape)
     concat = rng.normal(size=(n, m * d))
     c = rng.normal(size=(n, d))
-    fused, cache = fuse_forward(concat, p, None, False, 0.0)
+    fused, cache = fuse_forward(concat, p, None, 0.0)
     assert fused.shape == (n, d)
     assert np.all(np.abs(fused) < 1.0)
     g = flat_views(p)
     d_concat = fuse_backward(c, cache, p, g, 0.0)
     assert d_concat.shape == (n, m * d)
-    fd = fd_grad(lambda: float((fuse_forward(concat, p, None, False, 0.0)[0] * c).sum()), concat)
+    fd = fd_grad(lambda: float((fuse_forward(concat, p, None, 0.0)[0] * c).sum()), concat)
     assert np.allclose(d_concat, fd, atol=1e-7)
-    fd_w = fd_grad(lambda: float((fuse_forward(concat, p, None, False, 0.0)[0] * c).sum()),
+    fd_w = fd_grad(lambda: float((fuse_forward(concat, p, None, 0.0)[0] * c).sum()),
                    p.w_fuse)
     assert np.allclose(g.w_fuse, fd_w, atol=1e-7)
 

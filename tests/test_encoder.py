@@ -127,11 +127,11 @@ def test_sigmoid_bitwise_equal_to_masked_version():
 def test_dropout_train_eval_and_backward():
     rng = np.random.default_rng(4)
     x = np.ones((50, 20))
-    out, mask = dropout(x, 0.4, rng, train=True)
+    out, mask = dropout(x, 0.4, rng)
     kept = out != 0
     assert np.all(out[kept] == pytest.approx(1.0 / 0.6))
     assert 0.3 < 1 - kept.mean() < 0.5
-    out_eval, mask_eval = dropout(x, 0.4, None, train=False)
+    out_eval, mask_eval = dropout(x, 0.4, None)
     assert mask_eval is None and np.array_equal(out_eval, x)
     d = dropout_backward(np.ones_like(x), mask, 0.4)
     assert np.array_equal(d != 0, kept)
@@ -144,14 +144,15 @@ def test_dropout_train_eval_and_backward():
 def test_embed_shape_and_errors(tiny_config):
     rng = np.random.default_rng(0)
     params = init_encoder_params(rng, tiny_config, 30)
-    z = embed([1, 2, 3], params, tiny_config)
+    z = embed([1, 2, 3], params, tiny_config, Packing([3]))
     assert z.shape == (3, tiny_config.d)
     with pytest.raises(ValueError):
-        embed([], params, tiny_config)
+        embed([], params, tiny_config, Packing([0]))
     with pytest.raises(ValueError):
-        embed([99], params, tiny_config)
+        embed([99], params, tiny_config, Packing([1]))
+    n = tiny_config.max_len + 1
     with pytest.raises(ValueError):
-        embed(list(range(tiny_config.max_len + 1)), params, tiny_config)
+        embed(list(range(n)), params, tiny_config, Packing([n]))
 
 
 def test_init_rejects_oversized_vocab(tiny_config):
@@ -164,7 +165,7 @@ def test_attention_probabilities_row_normalized():
     rng = np.random.default_rng(5)
     blk = init_block_params(rng, 16, 32)
     z = rng.normal(size=(6, 16))
-    _out, cache = mhsa_forward(z, blk, n_heads=2)
+    _out, cache = mhsa_forward(z, blk, 2, Packing([6]))
     assert cache["probs"].shape == (1, 2, 6, 6)
     assert np.allclose(cache["probs"].sum(axis=-1), 1.0)
 
@@ -175,8 +176,8 @@ def test_attention_permutation_consistency():
     blk = init_block_params(rng, 16, 32)
     z = rng.normal(size=(5, 16))
     perm = np.array([3, 1, 4, 0, 2])
-    out = mhsa_forward(z, blk, 2)[0]
-    out_p = mhsa_forward(z[perm], blk, 2)[0]
+    out = mhsa_forward(z, blk, 2, Packing([5]))[0]
+    out_p = mhsa_forward(z[perm], blk, 2, Packing([5]))[0]
     assert np.allclose(out[perm], out_p, atol=1e-12)
 
 
@@ -194,14 +195,15 @@ def _block_fd_case(seed=7, d=8, h=2, d_ff=12, n=4):
 
 def test_mhsa_backward_matches_fd():
     blk, z, c = _block_fd_case()
-    out, cache = mhsa_forward(z, blk, 2)
+    one = Packing([len(z)])
+    out, cache = mhsa_forward(z, blk, 2, one)
     g = flat_views(blk)
     dz = mhsa_backward(c, cache, blk, g)
-    fd_z = fd_grad(lambda: float((mhsa_forward(z, blk, 2)[0] * c).sum()), z)
+    fd_z = fd_grad(lambda: float((mhsa_forward(z, blk, 2, one)[0] * c).sum()), z)
     assert np.allclose(dz, fd_z, atol=1e-6)
-    fd_wq = fd_grad(lambda: float((mhsa_forward(z, blk, 2)[0] * c).sum()), blk.w_q)
+    fd_wq = fd_grad(lambda: float((mhsa_forward(z, blk, 2, one)[0] * c).sum()), blk.w_q)
     assert np.allclose(g.w_q, fd_wq, atol=1e-6)
-    fd_bv = fd_grad(lambda: float((mhsa_forward(z, blk, 2)[0] * c).sum()), blk.b_v)
+    fd_bv = fd_grad(lambda: float((mhsa_forward(z, blk, 2, one)[0] * c).sum()), blk.b_v)
     assert np.allclose(g.b_v, fd_bv, atol=1e-6)
 
 
@@ -226,13 +228,13 @@ def test_block_on_ragged_chunk_matches_each_sequence():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(8, 8))
     c = rng.normal(size=(8, 8))
-    out, cache = encoder_block_forward(z, blk, config, packing=packing)
+    out, cache = encoder_block_forward(z, blk, config, packing)
     for lo, n in zip(packing.starts, packing.lengths):
-        alone = encoder_block_forward(z[lo:lo + n], blk, config)[0]
+        alone = encoder_block_forward(z[lo:lo + n], blk, config, Packing([n]))[0]
         assert np.max(np.abs(out[lo:lo + n] - alone)) < 1e-12
 
     def loss():
-        return float((encoder_block_forward(z, blk, config, packing=packing)[0] * c).sum())
+        return float((encoder_block_forward(z, blk, config, packing)[0] * c).sum())
 
     g = flat_views(blk)
     dz = encoder_block_backward(c, cache, blk, config, g)
@@ -245,11 +247,12 @@ def test_block_backward_matches_fd():
     blk, z, c = _block_fd_case(seed=9)
     config = ModelConfig(d=8, h=2, d_ff=12, layers=1, max_len=8, vocab_size=16,
                          dropout_p=0.0, adapter_layer=1)
-    _out, cache = encoder_block_forward(z, blk, config, rng=None, train=False)
+    one = Packing([len(z)])
+    _out, cache = encoder_block_forward(z, blk, config, one)
     g = flat_views(blk)
     dz = encoder_block_backward(c, cache, blk, config, g)
     def loss():
-        return float((encoder_block_forward(z, blk, config, None, False)[0] * c).sum())
+        return float((encoder_block_forward(z, blk, config, one)[0] * c).sum())
     assert np.allclose(dz, fd_grad(loss, z), atol=1e-6)
     assert np.allclose(g.w_o, fd_grad(loss, blk.w_o), atol=1e-6)
     assert np.allclose(g.ln1_gain, fd_grad(loss, blk.ln1_gain), atol=1e-6)
@@ -267,7 +270,7 @@ def zero_adapter(monkeypatch):
     """Replace the adapter by one that records its input shapes and outputs zeros."""
     calls = []
 
-    def adapter(z, bank, params, config, rng=None, train=False, packing=None):
+    def adapter(z, bank, params, config, packing, rng=None):
         calls.append(z.shape)
         return np.zeros_like(z), None
 
@@ -277,22 +280,22 @@ def zero_adapter(monkeypatch):
 
 def test_encode_deterministic_and_shaped(tiny_config, tiny_params, tiny_bank):
     ids = [3, 1, 4, 1, 5]
-    e1, cache = sequence_forward(tiny_params, tiny_config, ids, tiny_bank)
-    e2 = sequence_forward(tiny_params, tiny_config, ids, tiny_bank)[0]
+    e1, cache = sequence_forward(tiny_params, tiny_config, ids, tiny_bank, Packing([5]))
+    e2 = sequence_forward(tiny_params, tiny_config, ids, tiny_bank, Packing([5]))[0]
     assert cache["z"].shape == (5, tiny_config.d)
     assert e1.shape == (5, 3)
     assert np.array_equal(e1, e2)
 
 
 def test_encode_position_sensitivity(tiny_config, tiny_params, tiny_bank):
-    a = sequence_forward(tiny_params, tiny_config, [3, 1, 4], tiny_bank)[0]
-    b = sequence_forward(tiny_params, tiny_config, [4, 1, 3], tiny_bank)[0]
+    a = sequence_forward(tiny_params, tiny_config, [3, 1, 4], tiny_bank, Packing([3]))[0]
+    b = sequence_forward(tiny_params, tiny_config, [4, 1, 3], tiny_bank, Packing([3]))[0]
     assert not np.allclose(a, b)
 
 
 def test_adapter_rewrites_representation(monkeypatch, tiny_config, tiny_params, tiny_bank):
     calls = zero_adapter(monkeypatch)
-    e, _cache = sequence_forward(tiny_params, tiny_config, [3, 1, 4], tiny_bank)
+    e, _cache = sequence_forward(tiny_params, tiny_config, [3, 1, 4], tiny_bank, Packing([3]))
     assert calls == [(3, tiny_config.d)]
     # adapter at layer 2 of 2: zeroed output goes through no further blocks
     assert np.array_equal(e, np.broadcast_to(tiny_params.crf.b_emit, e.shape))
@@ -301,15 +304,16 @@ def test_adapter_rewrites_representation(monkeypatch, tiny_config, tiny_params, 
 def test_adapter_residual_variant(monkeypatch, tiny_config, tiny_params, tiny_bank):
     cfg = dataclasses.replace(tiny_config, adapter_residual=True)
     ids = [3, 1, 4]
-    plain = sequence_forward(dataclasses.replace(tiny_params, descnet=None), cfg, ids, None)[0]
+    plain = sequence_forward(dataclasses.replace(tiny_params, descnet=None), cfg, ids, None,
+                             Packing([3]))[0]
     zero_adapter(monkeypatch)
-    e, _ = sequence_forward(tiny_params, cfg, ids, tiny_bank)
+    e, _ = sequence_forward(tiny_params, cfg, ids, tiny_bank, Packing([3]))
     assert np.allclose(e, plain)
 
 
 def test_dropout_zero_train_equals_eval(tiny_config, tiny_params, tiny_bank):
     ids = [2, 7, 9]
-    e_eval = sequence_forward(tiny_params, tiny_config, ids, tiny_bank)[0]
-    e_train = sequence_forward(tiny_params, tiny_config, ids, tiny_bank,
-                               rng=np.random.default_rng(1), train=True)[0]
+    e_eval = sequence_forward(tiny_params, tiny_config, ids, tiny_bank, Packing([3]))[0]
+    e_train = sequence_forward(tiny_params, tiny_config, ids, tiny_bank, Packing([3]),
+                               rng=np.random.default_rng(1))[0]
     assert np.array_equal(e_eval, e_train)

@@ -1,5 +1,6 @@
-"""Static scans: every imported name is used, and every function the
-benchmark's tracer wraps exists."""
+"""Static scans: every imported name is used, every function the
+benchmark's tracer wraps exists, and every chunk function takes its
+``Packing`` without a default and no ``train`` flag."""
 
 import ast
 import importlib
@@ -58,3 +59,45 @@ def test_traced_functions_exist():
         home = importlib.import_module(f"claimspan.{module}")
         missing += [f"{module}.{fn}" for fn in functions if not callable(getattr(home, fn, None))]
     assert not missing, missing
+
+
+def chunk_contract_violations(tree: ast.Module) -> list[str]:
+    """Functions that give a ``packing`` parameter a default, or that take a
+    parameter named ``train``: a chunk's ``Packing`` is always passed, so no
+    function falls back to a single sequence, and passing a generator, not a
+    flag, is what turns dropout on."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = {p.arg for p in positional[len(positional) - len(args.defaults):]}
+        defaulted |= {p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+        name = getattr(node, "name", "<lambda>")
+        if "packing" in defaulted:
+            found.append(f"line {node.lineno}: {name} gives packing a default")
+        if any(p.arg == "train" for p in positional + args.kwonlyargs):
+            found.append(f"line {node.lineno}: {name} takes a train parameter")
+    return found
+
+
+def test_chunk_functions_take_packing_and_no_train_flag():
+    # the scan itself: a defaulted packing, positional or keyword-only, and a
+    # train parameter are flagged; a required packing and an rng are not
+    tree = ast.parse("def a(x, packing=None): pass\n"
+                     "def b(x, *, packing=None, rng=None): pass\n"
+                     "def c(x, rng=None, train=False): pass\n"
+                     "def d(x, packing, rng=None): pass\n")
+    assert chunk_contract_violations(tree) == [
+        "line 1: a gives packing a default", "line 2: b gives packing a default",
+        "line 3: c takes a train parameter"]
+    sources = sorted(ROOT.glob("src/claimspan/*.py"))
+    assert sources
+    found = {}
+    for path in sources:
+        violations = chunk_contract_violations(ast.parse(path.read_text(encoding="utf-8"),
+                                                         str(path)))
+        if violations:
+            found[str(path.relative_to(ROOT))] = violations
+    assert not found, found

@@ -20,7 +20,7 @@ from claimspan.model import (
     spans_to_raw,
 )
 from claimspan.numerics import named_arrays
-from claimspan.packing import _CHUNK_TOKENS, make_chunks
+from claimspan.packing import _CHUNK_TOKENS, Packing, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
 
 
@@ -158,6 +158,30 @@ def test_checkpoint_rejects_missing_and_unknown_tensors(tmp_path, tiny_config, t
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("entry, match", [
+    (5, "entry 1 \\(5\\) is not a lowercase string"),
+    ("repeat", "entry 2 .* repeats entry 1"),
+    ("upper", "entry 1 .* is not a lowercase string"),
+])
+def test_checkpoint_rejects_bad_vocab_entries(tmp_path, tiny_config, tiny_vocab, tiny_params,
+                                              entry, match):
+    # a vocabulary the model could not have been trained with: a word that is
+    # not a string, repeated, or upper case (never found by lookup)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
+    doc = json.loads(path.read_text())
+    vocab = doc["vocab"]
+    if entry == "repeat":
+        vocab[2] = vocab[1]
+    elif entry == "upper":
+        vocab[1] = vocab[1].upper()
+    else:
+        vocab[1] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_shape_mismatch(tmp_path, tiny_config, tiny_vocab, tiny_params):
     path = tmp_path / "model.json"
     save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
@@ -173,13 +197,13 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path, tiny_config, tiny_vocab, ti
 
 def test_sequence_loss_requires_bank_when_adapter_on(tiny_config, tiny_vocab, tiny_params):
     with pytest.raises(ValueError):
-        sequence_loss(tiny_params, tiny_config, [1, 2], ["O", "O"], bank=None)
+        sequence_loss(tiny_params, tiny_config, [1, 2], ["O", "O"], None, Packing([2]))
 
 
 def test_sequence_loss_eval_deterministic(tiny_config, tiny_vocab, tiny_params):
     bank = build_bank(["claims with numbers", "a quote"], tiny_vocab, tiny_params, tiny_config)
-    l1, _ = sequence_loss(tiny_params, tiny_config, [1, 2, 3], ["O", "B", "I"], bank)
-    l2, _ = sequence_loss(tiny_params, tiny_config, [1, 2, 3], ["O", "B", "I"], bank)
+    l1, _ = sequence_loss(tiny_params, tiny_config, [1, 2, 3], ["O", "B", "I"], bank, Packing([3]))
+    l2, _ = sequence_loss(tiny_params, tiny_config, [1, 2, 3], ["O", "B", "I"], bank, Packing([3]))
     assert l1 == l2
 
 

@@ -23,7 +23,7 @@ from claimspan.model import (
     sequence_loss,
 )
 from claimspan.numerics import flat_views, named_arrays
-from claimspan.packing import _CHUNK_TOKENS, make_chunks
+from claimspan.packing import _CHUNK_TOKENS, Packing, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
 from claimspan.training import (
@@ -382,7 +382,8 @@ def test_train_applies_true_batch_gradient(monkeypatch):
     def mean_loss() -> float:
         # each example run alone, as a chunk of one
         bank = build_bank(synthetic_bank(), res.vocab, params, mc)
-        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank)[0][0]
+        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank,
+                                            Packing([len(ex.token_ids)]))[0][0]
                               for ex in examples]))
 
     # one central difference per tensor, along a random direction. The loss
@@ -478,8 +479,9 @@ def test_batch_gradients_match_fd_on_ragged_batch(variant):
 
     def mean_loss() -> float:
         bank = build_bank(synthetic_bank(), vocab, params, mc)
-        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags,
-                                            bank)[0][0] for ex in batch]))
+        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank,
+                                            Packing([len(ex.token_ids)]))[0][0]
+                              for ex in batch]))
 
     assert np.mean(losses) == pytest.approx(mean_loss(), rel=1e-12)
     rng = np.random.default_rng(1)
