@@ -217,8 +217,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    mc, tc = _load_configs(args)
-    report = grad_check(mc, tc)
+    mc, _tc = _load_configs(args)
+    report = grad_check(mc)
     doc = {"max_rel_err": report.max_rel_err, "parameter": report.parameter,
            "tolerance": report.tolerance, "passed": report.passed}
     if args.pretty:

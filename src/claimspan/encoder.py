@@ -11,7 +11,8 @@ gradients in place so a batch can share one gradient structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +30,23 @@ from .numerics import (
 from .packing import Packing
 
 ATTENTION_VARIANTS = ("coda", "dpa")
+
+# A config field's annotation (a string, under postponed evaluation) and the
+# type of its values; ``training.configs_from_mapping`` parses file values
+# into these types.
+CONFIG_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError unless each field of the config dataclass holds its
+    annotated type: a bool field a bool, an int field an integer that is not
+    a bool, a float field any real number that is not a bool, a str field a
+    str."""
+    for f in fields(config):
+        value, typ = getattr(config, f.name), CONFIG_TYPES[f.type]
+        accepted = {int: numbers.Integral, float: numbers.Real}.get(typ, typ)
+        if not isinstance(value, accepted) or (typ is not bool and isinstance(value, bool)):
+            raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +68,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.d % self.h != 0:
             raise ValueError(f"head count {self.h} must divide width {self.d}")
         if not 1 <= self.adapter_layer <= self.layers:

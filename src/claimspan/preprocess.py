@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -245,6 +245,8 @@ def decode_bio(tokens: list[Token], tags: list[str]) -> tuple[list[CharSpan], in
 
 
 def _parse_span_list(raw_spans, text_len: int, post_id: str, where: str) -> list[CharSpan]:
+    if not isinstance(raw_spans, list):
+        raise CorpusFormatError(f"{where}: record {post_id!r}: expected a list of spans, got {raw_spans!r}")
     spans = []
     for s in raw_spans:
         try:
@@ -268,10 +270,11 @@ def json_id(value, where: str) -> str:
     raise CorpusFormatError(f"{where} must be a string or an integer, got {value!r}")
 
 
-def load_corpus(path) -> list[AnnotatedPost]:
-    """Read a line-delimited JSON corpus; malformed records fail with the
-    file and line."""
-    posts = []
+def read_jsonl(path, keys: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, record)`` for each non-blank line of a line-delimited
+    JSON file, ``where`` being ``path:line``. A line that is not JSON, not an
+    object, or lacks one of ``keys`` raises CorpusFormatError naming it."""
+    need = " and ".join(map(repr, keys))
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -281,20 +284,26 @@ def load_corpus(path) -> list[AnnotatedPost]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
-                raise CorpusFormatError(f"{where}: record must be an object with 'id' and 'text'")
-            post_id = json_id(rec["id"], f"{where}: 'id'")
-            text = rec["text"]
-            if not isinstance(text, str):
-                raise CorpusFormatError(f"{where}: record {post_id!r}: 'text' must be a string")
-            spans = _parse_span_list(rec.get("spans", []), len(text), post_id, where)
-            predicted = None
-            if "predicted_spans" in rec:
-                predicted = _parse_span_list(rec["predicted_spans"], len(text), post_id, where)
-            post = AnnotatedPost(post_id, text, spans)
-            post.predicted_spans = predicted
-            posts.append(post)
+                raise CorpusFormatError(f"{where}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict) or not all(k in rec for k in keys):
+                raise CorpusFormatError(f"{where}: need an object with {need}")
+            yield where, rec
+
+
+def load_corpus(path) -> list[AnnotatedPost]:
+    """Read a line-delimited JSON corpus; malformed records fail with the
+    file and line."""
+    posts = []
+    for where, rec in read_jsonl(path, ("id", "text")):
+        post_id = json_id(rec["id"], f"{where}: 'id'")
+        text = rec["text"]
+        if not isinstance(text, str):
+            raise CorpusFormatError(f"{where}: record {post_id!r}: 'text' must be a string")
+        spans = _parse_span_list(rec.get("spans", []), len(text), post_id, where)
+        predicted = None
+        if "predicted_spans" in rec:
+            predicted = _parse_span_list(rec["predicted_spans"], len(text), post_id, where)
+        posts.append(AnnotatedPost(post_id, text, spans, predicted))
     return posts
 
 

@@ -8,14 +8,13 @@ P@k and nDCG@k between the two conditions against shared relevance judgments.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import AnnotatedPost, CorpusFormatError, json_id, normalize_text, tokenize
+from .preprocess import AnnotatedPost, CorpusFormatError, json_id, normalize_text, read_jsonl, tokenize
 
 # Standard Okapi BM25 (Robertson & Zaragoza, 2009): term-frequency
 # saturation K1 and length normalization B.
@@ -41,15 +40,14 @@ class Bm25Index:
     ``posting_docs`` holds the indices of the documents containing the term
     (ascending, intp) and ``posting_values`` each one's BM25 value
     ``idf * tf * (K1 + 1) / (tf + K1 * (1 - B + B * len / avgdl))``, computed
-    once at build. Every value is > 0: idf > 0 since df <= n_docs, tf >= 1
-    and the length normalization is at least K1 * (1 - B) > 0.
+    once at build from the document's term count ``len`` and the mean count
+    ``avgdl``; a term's df is the length of its slice. Every value is > 0:
+    idf > 0 since df <= n_docs, tf >= 1 and the length normalization is at
+    least K1 * (1 - B) > 0.
     ``doc_rank[d]`` is document d's position in doc-id order, which breaks
     score ties."""
 
     doc_ids: tuple[str, ...]
-    doc_lengths: tuple[int, ...]
-    doc_freq: dict
-    avgdl: float
     postings: dict
     posting_docs: np.ndarray
     posting_values: np.ndarray
@@ -83,15 +81,14 @@ def build_index(docs: list[dict]) -> Bm25Index:
     avgdl = sum(lengths) / n_docs if n_docs else 0.0
     doc_rank = np.empty(n_docs, dtype=np.intp)
     doc_rank[sorted(range(n_docs), key=ids.__getitem__)] = np.arange(n_docs)
-    doc_freq = {term: len(d) for term, (d, _t) in postings.items()}
-    dfs = list(doc_freq.values())
+    dfs = [len(d) for d, _t in postings.values()]
+    bounds = itertools.pairwise(itertools.accumulate(dfs, initial=0))
+    slices = {term: slice(start, end) for term, (start, end) in zip(postings, bounds)}
     posting_docs = np.fromiter(itertools.chain.from_iterable(
         d for d, _t in postings.values()), np.intp, sum(dfs))
     tf = np.fromiter(itertools.chain.from_iterable(
         t for _d, t in postings.values()), np.float64, sum(dfs))
     postings.clear()
-    bounds = itertools.pairwise(itertools.accumulate(dfs, initial=0))
-    slices = {term: slice(start, end) for term, (start, end) in zip(doc_freq, bounds)}
     # One pass over all postings: idf * tf * (K1 + 1) / (tf + norm), in place.
     # avgdl is 0 only when no document has a term, and then there are no postings.
     doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / (avgdl or 1.0))
@@ -100,8 +97,7 @@ def build_index(docs: list[dict]) -> Bm25Index:
     values *= K1 + 1.0
     tf += doc_norm[posting_docs]
     values /= tf
-    return Bm25Index(tuple(ids), tuple(lengths), doc_freq, avgdl, slices,
-                     posting_docs, values, doc_rank)
+    return Bm25Index(tuple(ids), slices, posting_docs, values, doc_rank)
 
 
 def idf(n_docs: int, df: int) -> float:
@@ -218,41 +214,21 @@ def compare_conditions(posts: list[AnnotatedPost], docs: list[dict],
 def load_documents(path) -> list[dict]:
     """Line-delimited JSON objects with "id" and "text"."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(doc, dict) or "id" not in doc or "text" not in doc:
-                raise CorpusFormatError(f"{path}:{lineno}: need \"id\" and \"text\" fields")
-            if not isinstance(doc["text"], str):
-                raise CorpusFormatError(f"{path}:{lineno}: \"text\" must be a string")
-            docs.append({"id": json_id(doc["id"], f"{path}:{lineno}: \"id\""), "text": doc["text"]})
+    for where, doc in read_jsonl(path, ("id", "text")):
+        if not isinstance(doc["text"], str):
+            raise CorpusFormatError(f"{where}: \"text\" must be a string")
+        docs.append({"id": json_id(doc["id"], f"{where}: \"id\""), "text": doc["text"]})
     return docs
 
 
 def load_judgments(path) -> dict[str, set]:
     """Line-delimited {"query_id", "relevant": [...]} records."""
     out: dict[str, set] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(rec, dict) or "query_id" not in rec or "relevant" not in rec:
-                raise CorpusFormatError(f"{path}:{lineno}: need \"query_id\" and \"relevant\"")
-            qid = json_id(rec["query_id"], f"{path}:{lineno}: \"query_id\"")
-            if qid in out:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
-            if not isinstance(rec["relevant"], list):
-                raise CorpusFormatError(f"{path}:{lineno}: \"relevant\" must be a list")
-            out[qid] = {json_id(d, f"{path}:{lineno}: a \"relevant\" entry") for d in rec["relevant"]}
+    for where, rec in read_jsonl(path, ("query_id", "relevant")):
+        qid = json_id(rec["query_id"], f"{where}: \"query_id\"")
+        if qid in out:
+            raise CorpusFormatError(f"{where}: duplicate query_id {qid!r}")
+        if not isinstance(rec["relevant"], list):
+            raise CorpusFormatError(f"{where}: \"relevant\" must be a list")
+        out[qid] = {json_id(d, f"{where}: a \"relevant\" entry") for d in rec["relevant"]}
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .crf import forbidden_masks, pin_forbidden
 from .descnet import DescriptionBank, bank_backward, encode_description_bank
-from .encoder import ModelConfig
+from .encoder import CONFIG_TYPES, ModelConfig, check_field_types
 from .metrics import inspan_indices, mean_dice, overall_prf
 from .model import (
     UNK,
@@ -56,8 +56,9 @@ class TrainConfig:
     adapter_layer: int = 4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_field_types(self)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         for name in ("batch_size", "max_epochs", "patience", "adapter_layer"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -102,18 +103,13 @@ def configs_from_mapping(kv: dict[str, str]) -> tuple[ModelConfig, TrainConfig]:
     """Build both configs from one flat namespace; shared keys feed both."""
     model_fields = {f.name: f.type for f in fields(ModelConfig)}
     train_fields = {f.name: f.type for f in fields(TrainConfig)}
-    types = {"int": int, "float": float, "bool": bool, "str": str}
     model_kwargs, train_kwargs = {}, {}
     for key, raw in kv.items():
-        hit = False
-        if key in model_fields:
-            model_kwargs[key] = _coerce(key, raw, types[model_fields[key]])
-            hit = True
-        if key in train_fields:
-            train_kwargs[key] = _coerce(key, raw, types[train_fields[key]])
-            hit = True
-        if not hit:
+        if key not in model_fields and key not in train_fields:
             raise ConfigError(f"unknown config key {key!r}")
+        for known, kwargs in ((model_fields, model_kwargs), (train_fields, train_kwargs)):
+            if key in known:
+                kwargs[key] = _coerce(key, raw, CONFIG_TYPES[known[key]])
     try:
         return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
     except ValueError as exc:
@@ -377,18 +373,17 @@ class GradCheckReport:
 _CHECK_BANK = ["claims with numbers or statistics", "negation of a false claim"]
 
 
-def grad_check(model_config: ModelConfig | None = None,
-               train_config: TrainConfig | None = None) -> GradCheckReport:
+def grad_check(model_config: ModelConfig | None = None) -> GradCheckReport:
     """Compare the training batch step's gradient on a batch of one against
     central finite differences of the sequence loss on a small instance.
 
     The probe model's sizes are fixed; ``model_config`` supplies only its
-    switches (``use_descnet``, ``attention_variant``, ``use_igm``, ...).
+    switches (``use_descnet``, ``attention_variant``, ``use_igm``, ...), its
+    seed and its adapter layer, capped at the probe's 2 layers.
     """
-    tc = train_config or TrainConfig(adapter_layer=2)
-    mc = replace(model_config or ModelConfig(), d=8, h=2, d_ff=16, layers=2, max_len=16,
-                 vocab_size=64, dropout_p=0.0, adapter_layer=min(tc.adapter_layer, 2),
-                 seed=tc.seed)
+    base = model_config or ModelConfig()
+    mc = replace(base, d=8, h=2, d_ff=16, layers=2, max_len=16, vocab_size=64,
+                 dropout_p=0.0, adapter_layer=min(base.adapter_layer, 2))
     rng = np.random.default_rng(mc.seed)
 
     words = [f"w{i}" for i in range(30)] + ["claims", "numbers", "statistics",

@@ -239,6 +239,15 @@ def test_eval_bad_checkpoint(tmp_path, corpus_file, capsys):
         name: {"shape": entry["shape"], "values": [0.0] * int(np.prod(entry["shape"]))}
         for name, entry in doc["params"].items()}},
      "version 1"),
+    # config values of the wrong type: "false" is truthy, 8.0 cannot size a tensor
+    (lambda doc: {**doc, "config": {**doc["config"], "use_igm": "false"}},
+     "use_igm must be of type bool, got 'false'"),
+    (lambda doc: {**doc, "config": {**doc["config"], "adapter_residual": 1}},
+     "adapter_residual must be of type bool, got 1"),
+    (lambda doc: {**doc, "config": {**doc["config"], "seed": "x"}},
+     "seed must be of type int, got 'x'"),
+    (lambda doc: {**doc, "config": {**doc["config"], "max_len": 8.0}},
+     "max_len must be of type int, got 8.0"),
 ])
 def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, match):
     path = tmp_path / "ckpt.json"
@@ -249,6 +258,17 @@ def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, matc
     assert main(["eval", "--checkpoint", str(path), "--input", str(corpus_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_train_rejects_non_finite_learning_rate(tmp_path, corpus_file, capsys, rate):
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_CONFIG.replace("learning_rate = 0.005", f"learning_rate = {rate}"))
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", str(config), "--input", str(corpus_file),
+                 "--output", str(ckpt)]) == 1
+    assert "learning_rate must be positive and finite" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 # ---------------------------------------------------------------------------

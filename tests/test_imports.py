@@ -1,6 +1,7 @@
 """Static scans: every imported name is used, every function the
-benchmark's tracer wraps exists, and every chunk function takes its
-``Packing`` without a default and no ``train`` flag."""
+benchmark's tracer wraps exists, every chunk function takes its
+``Packing`` without a default and no ``train`` flag, and JSON lines are
+parsed in one place."""
 
 import ast
 import importlib
@@ -101,3 +102,37 @@ def test_chunk_functions_take_packing_and_no_train_flag():
         if violations:
             found[str(path.relative_to(ROOT))] = violations
     assert not found, found
+
+
+def json_loads_sites(tree: ast.Module) -> list[str]:
+    """The innermost function around each ``json.loads`` reference or
+    ``from json import loads``; "<module>" outside any function."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "loads"
+                    and isinstance(child.value, ast.Name) and child.value.id == "json") or (
+                    isinstance(child, ast.ImportFrom) and child.module == "json"
+                    and any(alias.name == "loads" for alias in child.names)):
+                sites.append(owner)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_json_lines_parsed_in_one_place():
+    # the scan itself: a top-level, a nested and an imported loads are each
+    # found once; json.dumps and json.load are not
+    tree = ast.parse("import json\nx = json.loads('1')\n"
+                     "def f(s):\n    def g():\n        return json.loads(s)\n"
+                     "    return json.dumps(json.load(s))\n"
+                     "from json import dumps, loads\n")
+    assert json_loads_sites(tree) == ["<module>", "g", "<module>"]
+    sources = sorted(ROOT.glob("src/claimspan/*.py"))
+    assert sources
+    found = [f"{path.stem}.{site}" for path in sources
+             for site in json_loads_sites(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert found == ["preprocess.read_jsonl"]

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from claimspan.preprocess import (
     split_hashtag,
     tokenize,
 )
-from claimspan.retrieval import index_terms
+from claimspan.retrieval import index_terms, load_documents, load_judgments
 
 from oracles import index_terms_scalar, normalize_text_scalar, tokenize_scalar
 
@@ -273,6 +275,37 @@ def test_load_corpus_bad_json_reports_line(tmp_path):
         load_corpus(path)
 
 
+# each loader with a record it accepts, made of the loader's two required keys
+@pytest.mark.parametrize("loader, good", [
+    (load_corpus, {"id": "a", "text": "ok"}),
+    (load_documents, {"id": "a", "text": "ok"}),
+    (load_judgments, {"query_id": "a", "relevant": []}),
+], ids=["corpus", "documents", "judgments"])
+def test_loaders_share_line_checks(tmp_path, loader, good):
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"\n  \n{json.dumps(good)}\n\t \n")
+    assert len(loader(path)) == 1
+    first, second = good
+    need = f"need an object with {first!r} and {second!r}"
+    for line, message in [("{not json", "bad JSON: "), ('["a"]', need), ("7", need),
+                          (json.dumps({first: good[first]}), need),
+                          (json.dumps({second: good[second]}), need)]:
+        path.write_text(f"{json.dumps(good)}\n \n{line}\n")
+        with pytest.raises(CorpusFormatError) as info:
+            loader(path)
+        assert str(info.value).startswith(f"{path}:3: {message}")
+        if message == need:
+            assert str(info.value) == f"{path}:3: {need}"
+
+
+def test_readme_corpus_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "example.jsonl"
+    path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+    [post] = load_corpus(path)
+    assert [post.text[s.start:s.end] for s in post.spans] == ["Garlic cures covid"]
+
+
 def test_load_corpus_id_types(tmp_path):
     path = tmp_path / "ids.jsonl"
     path.write_text('{"id": 7, "text": "ok"}\n{"id": "b", "text": "ok"}\n')
@@ -289,6 +322,11 @@ def test_load_corpus_bad_span_rejected(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(CorpusFormatError, match="out of range"):
         load_corpus(path)
+    # a span list that is not a list fails as bad data, naming the line
+    for key in ["spans", "predicted_spans"]:
+        path.write_text(json.dumps({"id": "a", "text": "short", key: 5}) + "\n")
+        with pytest.raises(CorpusFormatError, match="bad.jsonl:1: .* expected a list of spans, got 5"):
+            load_corpus(path)
 
 
 def test_load_corpus_overlapping_spans_rejected(tmp_path):

@@ -49,11 +49,9 @@ def test_index_terms_keeps_numbers():
 def test_index_stats_hand_tally():
     index = build_index(DOCS3)
     assert index.n_docs == 3
-    assert index.doc_lengths == (3, 4, 4)
-    assert index.avgdl == pytest.approx(11 / 3)
     # "garlic" appears in two documents (tf inside a doc does not add df)
-    assert index.doc_freq["garlic"] == 2
-    assert index.doc_freq["covid"] == 1
+    assert len(index.posting_docs[index.postings["garlic"]]) == 2
+    assert len(index.posting_docs[index.postings["covid"]]) == 1
     span = index.postings["garlic"]
     assert index.posting_docs[span].tolist() == [0, 1]
     # garlic once in d1 (3 terms) and twice in d2 (4 terms); avgdl 11/3
@@ -61,6 +59,11 @@ def test_index_stats_hand_tally():
     assert index.posting_values[span].tolist() == [
         garlic_idf * 1 * 2.2 / (1 + 1.2 * (1.0 - 0.75 + 0.75 * 3 / (11 / 3))),
         garlic_idf * 2 * 2.2 / (2 + 1.2 * (1.0 - 0.75 + 0.75 * 4 / (11 / 3))),
+    ]
+    # weather once in d3 (4 terms)
+    weather_idf = math.log((3 - 1 + 0.5) / (1 + 0.5) + 1.0)
+    assert index.posting_values[index.postings["weather"]].tolist() == [
+        weather_idf * 1 * 2.2 / (1 + 1.2 * (1.0 - 0.75 + 0.75 * 4 / (11 / 3))),
     ]
 
 
@@ -180,8 +183,9 @@ def test_posting_values_positive(doc_words, extra_len):
     texts = [" ".join(words + ["every"]) for words in doc_words]
     texts[0] += " long" * extra_len
     index = build_index([{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
-    assert index.doc_freq["every"] == index.n_docs
-    assert index.posting_values.size == sum(index.doc_freq.values())
+    assert len(index.posting_docs[index.postings["every"]]) == index.n_docs
+    assert index.posting_values.size == sum(
+        len(index.posting_docs[span]) for span in index.postings.values())
     assert (index.posting_values > 0.0).all()
 
 
@@ -192,7 +196,6 @@ def test_index_without_terms(docs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = build_index(docs)
-        assert index.avgdl == 0.0
         assert query(index, "garlic !!", k=3) == []
 
 

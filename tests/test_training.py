@@ -241,6 +241,11 @@ def test_train_config_validation():
         TrainConfig(patience=10, max_epochs=5)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    # field types: an int field takes no float or bool, a float field no bool
+    for kwargs in [{"batch_size": 8.0}, {"seed": True}, {"learning_rate": True}]:
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+    assert TrainConfig(learning_rate=1).learning_rate == 1
 
 
 # ---------------------------------------------------------------------------
