@@ -11,6 +11,8 @@ import json
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import sub
 from typing import NamedTuple
 
 TAG_B = "B"
@@ -26,6 +28,8 @@ _JUNK_RE = re.compile(r"(?<!\S)(?:https?://\S*|[^\sA-Za-z0-9]+(?!\S))(\s*)")
 # Alternation order matters: hashtags first, then the n't contraction split,
 # then plain alphanumeric runs, then single punctuation characters.
 _TOKEN_RE = re.compile(r"#[A-Za-z0-9_]+|n't|[A-Za-z0-9]+(?=n't)|[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+# A token and the whitespace run before it (see ``tokenize``).
+_SPACED_TOKEN_RE = re.compile(rf"\s*(?:{_TOKEN_RE.pattern})")
 _HASHTAG_BOUNDARY_RE = re.compile(r"(?<=[^A-Z])(?=[A-Z])")
 
 
@@ -61,6 +65,8 @@ class AnnotatedPost:
 
     def __post_init__(self):
         check_spans(self.spans, len(self.text), self.id)
+        if self.predicted_spans is not None:
+            check_spans(self.predicted_spans, len(self.text), self.id)
 
 
 def check_spans(spans: list[CharSpan], text_len: int, post_id: str = "?") -> None:
@@ -170,19 +176,34 @@ def tokenize(text: str) -> list[Token]:
     Hashtags are expanded through ``split_hashtag`` with each piece keeping
     its sub-range of the original offsets; the trailing contraction n't is
     split from its stem; every other punctuation character is its own token.
+
+    Only whitespace lies between two tokens, since the last alternative of
+    ``_TOKEN_RE`` takes any other character. So the matches of
+    ``_SPACED_TOKEN_RE`` tile the text up to its trailing whitespace, and a
+    token ends at the summed lengths of the matches up to its own. The
+    search ends before the trailing whitespace, where each failed match
+    would rescan the rest of the run.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        surface = m.group()
-        if surface[0] == "#" and len(surface) > 1:
-            cursor = m.start()
-            for piece in split_hashtag(surface):
+    chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    # str.isspace and the regex's \s accept the same characters.
+    surfaces = list(map(str.lstrip, chunks))
+    ends = list(accumulate(map(len, chunks)))
+    # tuple.__new__(Token, fields) skips NamedTuple's Python-level __new__.
+    tokens = list(map(tuple.__new__, repeat(Token),
+                      zip(surfaces, map(sub, ends, map(len, surfaces)), ends)))
+    if "#" not in text:
+        return tokens
+    expanded = []
+    for tok in tokens:
+        if tok.surface[0] == "#" and len(tok.surface) > 1:
+            cursor = tok.start
+            for piece in split_hashtag(tok.surface):
                 at = text.index(piece, cursor)
-                tokens.append(Token(piece, at, at + len(piece)))
+                expanded.append(Token(piece, at, at + len(piece)))
                 cursor = at + len(piece)
         else:
-            tokens.append(Token(surface, *m.span()))
-    return tokens
+            expanded.append(tok)
+    return expanded
 
 
 def encode_bio(tokens: list[Token], spans: list[CharSpan]) -> list[str]:
@@ -244,19 +265,21 @@ def decode_bio(tokens: list[Token], tags: list[str]) -> tuple[list[CharSpan], in
     return spans, repairs
 
 
-def _parse_span_list(raw_spans, text_len: int, post_id: str, where: str) -> list[CharSpan]:
+def _parse_span_list(raw_spans, post_id: str, where: str) -> list[CharSpan]:
+    """Spans from a JSON list of {"start", "end"} objects with integer
+    offsets; range and order are checked by ``AnnotatedPost``."""
     if not isinstance(raw_spans, list):
         raise CorpusFormatError(f"{where}: record {post_id!r}: expected a list of spans, got {raw_spans!r}")
     spans = []
     for s in raw_spans:
         try:
-            spans.append(CharSpan(int(s["start"]), int(s["end"])))
+            start, end = s["start"], s["end"]
+            # A float or a numeric string is not an offset, nor a bool (an int subclass).
+            if type(start) is not int or type(end) is not int:
+                raise TypeError("offsets must be integers")
+            spans.append(CharSpan(start, end))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{where}: record {post_id!r}: bad span {s!r}: {exc}") from exc
-    try:
-        check_spans(spans, text_len, post_id)
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from exc
     return spans
 
 
@@ -299,11 +322,14 @@ def load_corpus(path) -> list[AnnotatedPost]:
         text = rec["text"]
         if not isinstance(text, str):
             raise CorpusFormatError(f"{where}: record {post_id!r}: 'text' must be a string")
-        spans = _parse_span_list(rec.get("spans", []), len(text), post_id, where)
+        spans = _parse_span_list(rec.get("spans", []), post_id, where)
         predicted = None
         if "predicted_spans" in rec:
-            predicted = _parse_span_list(rec["predicted_spans"], len(text), post_id, where)
-        posts.append(AnnotatedPost(post_id, text, spans, predicted))
+            predicted = _parse_span_list(rec["predicted_spans"], post_id, where)
+        try:
+            posts.append(AnnotatedPost(post_id, text, spans, predicted))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from exc
     return posts
 
 

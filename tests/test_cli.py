@@ -19,7 +19,7 @@ from claimspan.model import (
 )
 from claimspan.numerics import named_arrays
 from claimspan.packing import make_chunks
-from claimspan.preprocess import AnnotatedPost, CharSpan, decode_bio, load_corpus, save_corpus
+from claimspan.preprocess import AnnotatedPost, CharSpan, CorpusFormatError, decode_bio, load_corpus, save_corpus
 from claimspan.retrieval import load_judgments
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture
 
@@ -97,6 +97,18 @@ def test_preprocess_malformed_input(tmp_path, capsys):
     bad.write_text("{not json\n")
     assert main(["preprocess", "--input", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", ['{"start": 0.9, "end": 5}', '{"start": 0, "end": "5"}',
+                                  '{"start": true, "end": 5}'], ids=["float", "string", "bool"])
+def test_preprocess_rejects_non_integer_offsets(tmp_path, capsys, span):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(f'{{"id": "a", "text": "hello world", "spans": [{span}]}}\n')
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(bad)
+    assert str(info.value).startswith(f"{bad}:1: ")
+    assert main(["preprocess", "--input", str(bad)]) == 1
+    assert f"{bad}:1: " in capsys.readouterr().err
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claimspan import preprocess
 from claimspan.preprocess import (
     AnnotatedPost,
     CharSpan,
@@ -45,6 +47,16 @@ def test_tokenize_offsets_slice_back():
 def test_tokenize_empty_and_whitespace():
     assert tokenize("") == []
     assert tokenize("   \t\n ") == []
+
+
+def test_tokenize_trailing_whitespace_is_linear():
+    # A regex search started inside a trailing whitespace run scans the rest
+    # of it before failing; started at every position, that is quadratic
+    # (16 s for this text on a 2-vCPU machine, against under 1 ms).
+    text = "a," + " \t" * 10_000
+    began = time.perf_counter()
+    assert tokenize(text) == [Token("a", 0, 1), Token(",", 1, 2)]
+    assert time.perf_counter() - began < 1.0
 
 
 def test_tokenize_hashtag_expansion_offsets():
@@ -135,14 +147,25 @@ _FRONT_END_ALPHABET = [
 @example("!!!word 🙂")
 @example("a ²")
 @example("x https://t.co/x1")
+# offsets summed across a hashtag's trailing underscores and then a "_" token,
+# across Unicode whitespace, over whitespace alone, and after a hashtag that
+# ends in n or is followed by n't
+@example("#ab_ _")
+@example(" a\x1cb ")
+@example(" \t\u2003\n")
+@example("#WuhanLabn't")
+@example("#ab n't")
 def test_front_end_matches_scalar_oracle(raw):
     norm, omap = normalize_text(raw)
     ref_norm, ref_norm_to_raw, ref_raw_to_norm = normalize_text_scalar(raw)
     assert norm == ref_norm
     assert list(omap.norm_to_raw) == ref_norm_to_raw
     assert list(omap.raw_to_norm) == ref_raw_to_norm
-    assert tokenize(raw) == tokenize_scalar(raw)
-    assert tokenize(norm) == tokenize_scalar(ref_norm)
+    for text in (raw, norm):
+        tokens = tokenize(text)
+        assert tokens == tokenize_scalar(text)
+        # a plain tuple would compare equal, but has no .start, .end or .surface
+        assert all(type(t) is Token for t in tokens)
     assert index_terms(raw) == index_terms_scalar(raw)
 
 
@@ -327,6 +350,19 @@ def test_load_corpus_bad_span_rejected(tmp_path):
         path.write_text(json.dumps({"id": "a", "text": "short", key: 5}) + "\n")
         with pytest.raises(CorpusFormatError, match="bad.jsonl:1: .* expected a list of spans, got 5"):
             load_corpus(path)
+
+
+def test_load_corpus_checks_each_span_list_once(tmp_path, monkeypatch):
+    posts = [AnnotatedPost(f"p{i}", "garlic cures flu", [CharSpan(0, 6)]) for i in range(83)]
+    posts[0].predicted_spans = [CharSpan(7, 12)]
+    posts[5].predicted_spans = []
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(posts, path)
+    calls = []
+    real = preprocess.check_spans
+    monkeypatch.setattr(preprocess, "check_spans", lambda *args: calls.append(1) or real(*args))
+    assert load_corpus(path) == posts
+    assert len(calls) == 83 + 2
 
 
 def test_load_corpus_overlapping_spans_rejected(tmp_path):

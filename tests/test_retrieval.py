@@ -2,11 +2,13 @@ import math
 import random
 import re
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claimspan import preprocess, retrieval
 from claimspan.preprocess import AnnotatedPost, CharSpan, CorpusFormatError
 from claimspan.retrieval import (
     RetrievalJudgment,
@@ -41,6 +43,26 @@ def test_index_terms_lowercase_and_strip():
 
 def test_index_terms_keeps_numbers():
     assert index_terms("5G towers, 100% fake") == ["5g", "towers", "100", "fake"]
+
+
+def test_index_and_query_run_the_text_front_end(monkeypatch):
+    # The benchmark's tracer fails a retrieve pass in which
+    # preprocess.tokenize or preprocess.normalize_text records no call. Each
+    # is counted in both modules a retrieve pass runs through.
+    calls = Counter()
+    for name in ("tokenize", "normalize_text"):
+        real = getattr(preprocess, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (preprocess, retrieval):
+            if getattr(module, name) is real:
+                monkeypatch.setattr(module, name, counted)
+    query(build_index(DOCS3), "garlic soup", 2)
+    assert calls["tokenize"] >= 1
+    assert calls["normalize_text"] >= 1
 
 
 # ---------------------------------------------------------------------------
