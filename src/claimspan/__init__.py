@@ -3,7 +3,7 @@ gating adapter and a CRF tagging head, plus the evaluation and retrieval
 experiments built around it."""
 
 from .encoder import ModelConfig
-from .metrics import EvalReport, build_report, dice, paired_f1_ttest, token_prf
+from .metrics import EvalReport, build_report, dice, paired_f1_ttest
 from .model import (
     ModelParams,
     Vocabulary,
@@ -65,7 +65,6 @@ __all__ = [
     "split_corpus",
     "split_hashtag",
     "synthetic_bank",
-    "token_prf",
     "tokenize",
     "train",
 ]

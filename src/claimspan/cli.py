@@ -17,7 +17,6 @@ from importlib import resources
 
 from .descnet import load_bank_texts
 from .encoder import ModelConfig
-from .metrics import build_report
 from .model import (
     CheckpointError,
     build_bank,
@@ -29,7 +28,6 @@ from .model import (
 )
 from .preprocess import (
     CorpusFormatError,
-    decode_bio,
     encode_bio,
     load_corpus,
     normalize_post,
@@ -41,6 +39,7 @@ from .synthetic import split_corpus
 from .training import (
     ConfigError,
     TrainConfig,
+    evaluate_split,
     grad_check,
     layer_sweep,
     load_config,
@@ -163,13 +162,6 @@ def _load_model(args):
     return config, vocab, bank, params
 
 
-def _predict_corpus(posts, config, vocab, bank, params):
-    """(post, example, predicted tags) per post; empty posts get no tags."""
-    examples = [post_to_example(post, vocab, config) for post in posts]
-    tags = predict_tags(params, config, [ex.token_ids for ex in examples], bank)
-    return zip(posts, examples, tags)
-
-
 def render_report(doc: dict) -> str:
     rows = [("", "DSC", "P", "R", "F1")]
     o = doc["overall"]
@@ -189,14 +181,9 @@ def cmd_eval(args) -> int:
     posts = load_corpus(args.input)
     if not posts:
         raise CorpusFormatError(f"{args.input}: empty corpus")
-    pred_tags_all, gold_tags_all, pred_spans_all, gold_spans_all = [], [], [], []
-    for post, ex, tags in _predict_corpus(posts, config, vocab, bank, params):
-        pred_tags_all.append(tags)
-        gold_tags_all.append(ex.gold_tags)
-        pred_spans_all.append(decode_bio(ex.tokens, tags)[0] if tags else [])
-        gold_spans_all.append(post.spans)
-    report = build_report(pred_tags_all, gold_tags_all, pred_spans_all, gold_spans_all)
-    doc = report.to_dict()
+    # every post is scored, a post with no tokens too
+    examples = [post_to_example(post, vocab, config) for post in posts]
+    doc = evaluate_split(params, config, examples, bank, [p.spans for p in posts]).to_dict()
     if args.pretty and not args.output:
         print(render_report(doc))
     else:
@@ -207,12 +194,12 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     config, vocab, bank, params = _load_model(args)
     posts = load_corpus(args.input)
-    out_posts = []
-    for post, ex, tags in _predict_corpus(posts, config, vocab, bank, params):
-        post.predicted_spans = spans_to_raw(ex, tags) if tags else []
-        out_posts.append(post)
-    save_corpus(out_posts, args.output)
-    print(json.dumps({"posts": len(out_posts), "output": args.output}))
+    examples = [post_to_example(post, vocab, config) for post in posts]
+    tags = predict_tags(params, config, [ex.token_ids for ex in examples], bank)
+    for post, ex, post_tags in zip(posts, examples, tags):
+        post.predicted_spans = spans_to_raw(ex, post_tags)
+    save_corpus(posts, args.output)
+    print(json.dumps({"posts": len(posts), "output": args.output}))
     return 0
 
 

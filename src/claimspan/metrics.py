@@ -31,7 +31,7 @@ class EvalReport:
     overall: Scores
     per_tag: dict[str, Scores]
     dsc: float
-    span_count_ratio: float
+    span_count_ratio: float | None
     n_posts: int
     overall_micro: Scores
     averaging: ClassVar[str] = "macro-over-posts"
@@ -137,14 +137,6 @@ def _per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scor
     return out
 
 
-def token_prf(pred: list[list[str]], gold: list[list[str]]):
-    """Returns (overall Scores, per-tag dict); see module docstring for rules."""
-    _check_aligned(pred, gold)
-    pred_sets = [inspan_indices(t) for t in pred]
-    gold_sets = [inspan_indices(t) for t in gold]
-    return overall_prf(pred_sets, gold_sets), _per_tag_prf(pred, gold)
-
-
 def span_count_ratio(pred_spans: list[list], gold_spans: list[list]) -> float:
     """Total predicted spans over total gold spans, corpus-wide."""
     gold_total = sum(len(s) for s in gold_spans)
@@ -154,7 +146,11 @@ def span_count_ratio(pred_spans: list[list], gold_spans: list[list]) -> float:
 
 
 def build_report(pred: list[list[str]], gold: list[list[str]],
-                 pred_spans: list[list], gold_spans: list[list]) -> EvalReport:
+                 pred_spans: list[list] | None = None,
+                 gold_spans: list[list] | None = None) -> EvalReport:
+    """Every score of the predicted tag sequences against the gold ones; see
+    the module docstring for the rules. The span-count ratio needs both span
+    lists and is None without them."""
     _check_aligned(pred, gold)
     pred_sets = [inspan_indices(t) for t in pred]
     gold_sets = [inspan_indices(t) for t in gold]
@@ -162,7 +158,8 @@ def build_report(pred: list[list[str]], gold: list[list[str]],
         overall=overall_prf(pred_sets, gold_sets),
         per_tag=_per_tag_prf(pred, gold),
         dsc=mean_dice(pred_sets, gold_sets),
-        span_count_ratio=span_count_ratio(pred_spans, gold_spans),
+        span_count_ratio=(None if gold_spans is None
+                          else span_count_ratio(pred_spans, gold_spans)),
         n_posts=len(pred),
         overall_micro=micro_overall_prf(pred_sets, gold_sets),
     )

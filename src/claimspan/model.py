@@ -14,6 +14,7 @@ from __future__ import annotations
 import base64
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -156,14 +157,23 @@ def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> 
     return id_lists
 
 
+def bank_encoder(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
+                 config: ModelConfig) -> Callable[[], DescriptionBank | None]:
+    """A function encoding the description bank with ``params``' current
+    weights; the texts are tokenized once, here, since only the weights
+    change between banks. It returns None for a model without the adapter."""
+    if params.descnet is None:
+        return lambda: None
+    ids = bank_token_ids(texts, vocab, config)
+    return lambda: encode_description_bank(texts, ids, params.encoder,
+                                           params.descnet.description_encoder, config)
+
+
 def build_bank(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
                config: ModelConfig) -> DescriptionBank | None:
     """Tokenize description texts and encode them with the current weights;
     None for a model without adapter weights."""
-    if params.descnet is None:
-        return None
-    return encode_description_bank(texts, bank_token_ids(texts, vocab, config), params.encoder,
-                                   params.descnet.description_encoder, config)
+    return bank_encoder(texts, vocab, params, config)()
 
 
 def sequence_forward(params: ModelParams, config: ModelConfig, token_ids,

@@ -64,21 +64,22 @@ class AnnotatedPost:
     predicted_spans: list[CharSpan] | None = None
 
     def __post_init__(self):
-        check_spans(self.spans, len(self.text), self.id)
+        check_spans(self.spans, len(self.text), self.id, "spans")
         if self.predicted_spans is not None:
-            check_spans(self.predicted_spans, len(self.text), self.id)
+            check_spans(self.predicted_spans, len(self.text), self.id, "predicted_spans")
 
 
-def check_spans(spans: list[CharSpan], text_len: int, post_id: str = "?") -> None:
-    """Reject out-of-range, unsorted, or overlapping spans."""
+def check_spans(spans: list[CharSpan], text_len: int, post_id: str, key: str) -> None:
+    """Reject out-of-range, unsorted, or overlapping spans; the error names
+    the post and its span list ``key``."""
     prev_end = -1
     for sp in spans:
         if sp.start < 0 or sp.end > text_len:
-            raise CorpusFormatError(
-                f"record {post_id!r}: span [{sp.start}, {sp.end}) out of range for text of length {text_len}"
-            )
+            raise CorpusFormatError(f"record {post_id!r}: {key}: span [{sp.start}, {sp.end}) "
+                                    f"out of range for text of length {text_len}")
         if sp.start < prev_end:
-            raise CorpusFormatError(f"record {post_id!r}: spans overlap or are unsorted at [{sp.start}, {sp.end})")
+            raise CorpusFormatError(f"record {post_id!r}: {key}: spans overlap or are unsorted "
+                                    f"at [{sp.start}, {sp.end})")
         prev_end = sp.end
 
 

@@ -11,22 +11,21 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .crf import forbidden_masks, pin_forbidden
-from .descnet import DescriptionBank, bank_backward, encode_description_bank
+from .descnet import DescriptionBank, bank_backward
 from .encoder import CONFIG_TYPES, ModelConfig, check_field_types
-from .metrics import inspan_indices, mean_dice, overall_prf
+from .metrics import EvalReport, build_report
 from .model import (
     UNK,
     Example,
     ModelParams,
     Vocabulary,
-    bank_token_ids,
+    bank_encoder,
     init_model_params,
     post_to_example,
     predict_tags,
@@ -35,7 +34,7 @@ from .model import (
 )
 from .numerics import flat_views, named_arrays
 from .packing import Packing, make_chunks
-from .preprocess import AnnotatedPost, CharSpan
+from .preprocess import AnnotatedPost, CharSpan, decode_bio
 
 
 class ConfigError(ValueError):
@@ -175,18 +174,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
 # ---------------------------------------------------------------------------
 # Training
 
-def _bank_encoder(texts: list[str] | None, vocab: Vocabulary, params: ModelParams,
-                 config: ModelConfig) -> Callable[[], DescriptionBank | None]:
-    """A function encoding the description bank with ``params``' current
-    weights; the texts are tokenized once, here, since only the weights
-    change between banks. It returns None for a model without the adapter."""
-    if params.descnet is None:
-        return lambda: None
-    ids = bank_token_ids(texts, vocab, config)
-    return lambda: encode_description_bank(texts, ids, params.encoder,
-                                           params.descnet.description_encoder, config)
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -262,13 +249,17 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
 
 
 def evaluate_split(params: ModelParams, config: ModelConfig, examples: list[Example],
-                   bank: DescriptionBank | None) -> tuple[float, float, float, float]:
-    """Returns (precision, recall, f1, dice) over in-span token sets."""
+                   bank: DescriptionBank | None,
+                   gold_spans: list[list] | None = None) -> EvalReport:
+    """The ``eval`` report of the model's tags for ``examples``: validation,
+    ``eval`` and held-out scoring all go through here. Given each post's
+    raw gold spans it also counts spans; without them, as on the validation
+    split, the span-count ratio is None."""
     tags = predict_tags(params, config, [ex.token_ids for ex in examples], bank)
-    golds = [inspan_indices(ex.gold_tags) for ex in examples]
-    preds = [inspan_indices(t) for t in tags]
-    scores = overall_prf(preds, golds)
-    return scores.p, scores.r, scores.f1, mean_dice(preds, golds)
+    pred_spans = None
+    if gold_spans is not None:
+        pred_spans = [decode_bio(ex.tokens, t)[0] for ex, t in zip(examples, tags)]
+    return build_report(tags, [ex.gold_tags for ex in examples], pred_spans, gold_spans)
 
 
 def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
@@ -304,7 +295,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
 
     # One bank per set of weights: encoded before the first step and after
     # each Adam step, so validation reuses the bank of the epoch's last step.
-    encode_bank = _bank_encoder(bank_texts, vocab, params, mc)
+    encode_bank = bank_encoder(bank_texts, vocab, params, mc)
     bank = encode_bank()
     records: list[EpochRecord] = []
     best_params = flat_views(params, params.vector.copy())
@@ -329,16 +320,16 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
                 adam_step(params, grads, state, tc.learning_rate)
                 bank = encode_bank()
 
-            _p, _r, val_f1, val_dsc = evaluate_split(params, mc, val_ex, bank)
-            rec = EpochRecord(epoch, float(np.mean(losses)), val_f1, val_dsc,
+            report = evaluate_split(params, mc, val_ex, bank)
+            rec = EpochRecord(epoch, float(np.mean(losses)), report.overall.f1, report.dsc,
                               time.perf_counter() - tic)
             records.append(rec)
             if log_fh:
                 log_fh.write(rec.to_json() + "\n")
                 log_fh.flush()
 
-            if val_dsc > best_dsc:
-                best_dsc = val_dsc
+            if rec.val_dsc > best_dsc:
+                best_dsc = rec.val_dsc
                 best_epoch = epoch
                 best_params.vector[...] = params.vector
                 bad_epochs = 0
@@ -406,7 +397,7 @@ def grad_check(model_config: ModelConfig | None = None) -> GradCheckReport:
             arr[...] = 0.5 * rng.normal(size=arr.shape)
     pin_forbidden(params.crf)
 
-    encode_bank = _bank_encoder(_CHECK_BANK, vocab, params, mc)
+    encode_bank = bank_encoder(_CHECK_BANK, vocab, params, mc)
     packing = Packing([len(probe.token_ids)])
 
     def loss_at() -> float:

@@ -50,8 +50,8 @@ def _held_out_scores(result, test_posts):
     mc = result.model_config
     bank = build_bank(result.bank_texts, result.vocab, result.params, mc)
     test_ex = prepare_examples(test_posts, result.vocab, mc)
-    _p, _r, f1, dsc = evaluate_split(result.params, mc, test_ex, bank)
-    return f1, dsc
+    report = evaluate_split(result.params, mc, test_ex, bank)
+    return report.overall.f1, report.dsc
 
 
 @pytest.fixture(scope="module")

@@ -111,6 +111,23 @@ def test_preprocess_rejects_non_integer_offsets(tmp_path, capsys, span):
     assert f"{bad}:1: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,spans,message", [
+    ("spans", [{"start": 0, "end": 9}], "span [0, 9) out of range for text of length 5"),
+    ("predicted_spans", [{"start": 0, "end": 9}],
+     "span [0, 9) out of range for text of length 5"),
+    ("predicted_spans", [{"start": 0, "end": 3}, {"start": 2, "end": 4}],
+     "spans overlap or are unsorted at [2, 4)"),
+], ids=["gold-range", "predicted-range", "predicted-overlap"])
+def test_preprocess_error_names_the_bad_span_list(tmp_path, capsys, key, spans, message):
+    # the other list is valid, so only the list's name tells which one is bad
+    good = [{"start": 0, "end": 5}]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"id": "a", "text": "hello", "spans": good,
+                               "predicted_spans": good, key: spans}) + "\n")
+    assert main(["preprocess", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: record 'a': {key}: {message}\n"
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert main(["preprocess", "--input", str(tmp_path / "nope.jsonl")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -214,6 +231,16 @@ def test_eval_and_predict_keep_each_post_prediction(tmp_path, capsys):
                             [decode_bio(ex.tokens, t)[0] for ex, t in zip(examples, tags)],
                             [p.spans for p in posts])
     assert json.loads(report_path.read_text()) == json.loads(json.dumps(expected.to_dict()))
+
+
+def test_eval_without_gold_spans_exits_one(tmp_path, capsys):
+    # the span-count ratio is undefined without gold spans: a validation error
+    posts, _path, ckpt, *_model = _mixed_corpus_and_checkpoint(tmp_path)
+    bare = tmp_path / "bare.jsonl"
+    save_corpus([AnnotatedPost(p.id, p.text) for p in posts], bare)
+    for pretty in ([], ["--pretty"]):
+        assert main(["eval", "--checkpoint", str(ckpt), "--input", str(bare), *pretty]) == 1
+        assert capsys.readouterr().err == "error: no gold spans; ratio undefined\n"
 
 
 def test_eval_pretty_table(tmp_path, corpus_file, config_file, capsys):

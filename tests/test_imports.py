@@ -1,7 +1,8 @@
 """Static scans: every imported name is used, every function the
 benchmark's tracer wraps exists, every chunk function takes its
-``Packing`` without a default and no ``train`` flag, and JSON lines are
-parsed in one place."""
+``Packing`` without a default and no ``train`` flag, JSON lines are
+parsed in one place, and training and the CLI score only through
+``build_report``."""
 
 import ast
 import importlib
@@ -136,3 +137,43 @@ def test_json_lines_parsed_in_one_place():
     found = [f"{path.stem}.{site}" for path in sources
              for site in json_loads_sites(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert found == ["preprocess.read_jsonl"]
+
+
+def metrics_imports(tree: ast.Module, functions: set[str]) -> list[str]:
+    """Imports of ``functions`` from a ``metrics`` module, and imports of the
+    module itself, which would reach all of them."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "metrics":
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name in functions]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: metrics" for a in node.names if a.name == "metrics"]
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names
+                      if a.name.split(".")[-1] == "metrics"]
+    return found
+
+
+def test_training_and_cli_score_only_through_build_report():
+    # the scan itself: a scorer imported by name, a relative or absolute
+    # module import are flagged; build_report and a class are not
+    tree = ast.parse("from .metrics import EvalReport, build_report, mean_dice\n"
+                     "from claimspan.metrics import overall_prf\n"
+                     "from . import metrics\nimport claimspan.metrics\n"
+                     "from .model import predict_tags\n")
+    assert metrics_imports(tree, {"mean_dice", "overall_prf", "predict_tags"}) == [
+        "line 1: mean_dice", "line 2: overall_prf", "line 3: metrics",
+        "line 4: claimspan.metrics"]
+    # every function of metrics.py but build_report: the four that rebuild
+    # its overall and dice scores among them
+    metrics_tree = ast.parse((ROOT / "src/claimspan/metrics.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in metrics_tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"overall_prf", "mean_dice", "inspan_indices", "micro_overall_prf"} <= functions
+    functions.discard("build_report")
+    found = {}
+    for name in ("training.py", "cli.py"):
+        path = ROOT / "src/claimspan" / name
+        hits = metrics_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)), functions)
+        if hits:
+            found[name] = hits
+    assert not found, found

@@ -18,7 +18,6 @@ from claimspan.metrics import (
     reg_inc_beta,
     span_count_ratio,
     student_t_sf_two_sided,
-    token_prf,
 )
 
 scipy_special = pytest.importorskip("scipy.special")
@@ -44,7 +43,8 @@ def seqs(min_posts=1, max_posts=5):
 def test_single_post_worked_example():
     gold = [["B", "I", "O", "O"]]
     pred = [["B", "O", "O", "O"]]
-    overall, per_tag = token_prf(pred, gold)
+    report = build_report(pred, gold)
+    overall, per_tag = report.overall, report.per_tag
     # in-span tokens: predicted {0}, gold {0, 1}
     assert overall.p == 1.0
     assert overall.r == 0.5
@@ -58,7 +58,8 @@ def test_single_post_worked_example():
 
 def test_perfect_prediction_all_ones():
     gold = [["B", "I", "O"], ["O", "B", "I", "I"]]
-    overall, per_tag = token_prf(gold, gold)
+    report = build_report(gold, gold)
+    overall, per_tag = report.overall, report.per_tag
     assert overall == Scores(1.0, 1.0, 1.0)
     for t in "BIO":
         assert per_tag[t] == Scores(1.0, 1.0, 1.0)
@@ -67,13 +68,14 @@ def test_perfect_prediction_all_ones():
 def test_all_o_prediction():
     gold = [["B", "I", "O", "O"]]
     pred = [["O", "O", "O", "O"]]
-    overall, _ = token_prf(pred, gold)
+    overall = build_report(pred, gold).overall
     # no predicted in-span tokens: precision 0/0 -> 0 because gold is non-empty
     assert overall.p == 0.0 and overall.r == 0.0 and overall.f1 == 0.0
 
 
 def test_both_empty_conventions():
-    overall, per_tag = token_prf([["O", "O"]], [["O", "O"]])
+    report = build_report([["O", "O"]], [["O", "O"]])
+    overall, per_tag = report.overall, report.per_tag
     assert overall == Scores(1.0, 1.0, 1.0)
     assert per_tag["B"] == Scores(1.0, 1.0, 1.0)  # no B anywhere
 
@@ -82,7 +84,7 @@ def test_macro_over_posts_vs_micro():
     # post 1: tiny, perfect. post 2: large, half recall.
     gold = [["B", "O"], ["B", "I", "I", "I", "I", "I", "I", "I"]]
     pred = [["B", "O"], ["B", "I", "I", "I", "O", "O", "O", "O"]]
-    overall, _ = token_prf(pred, gold)
+    overall = build_report(pred, gold).overall
     # per-post recalls are 1.0 and 0.5 -> macro recall 0.75
     assert overall.r == pytest.approx(0.75)
     micro = micro_overall_prf([inspan_indices(t) for t in pred],
@@ -94,9 +96,9 @@ def test_macro_over_posts_vs_micro():
 
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
-        token_prf([["B", "O"]], [["B"]])
+        build_report([["B", "O"]], [["B"]])
     with pytest.raises(ValueError):
-        token_prf([["B"]], [["B"], ["O"]])
+        build_report([["B"]], [["B"], ["O"]])
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,8 @@ def test_dice_symmetric(a, b):
 def test_swap_exchanges_precision_and_recall(data):
     golds, preds = data
     preds = list(preds)
-    o1, t1 = token_prf(preds, golds)
-    o2, t2 = token_prf(golds, preds)
+    r1, r2 = build_report(preds, golds), build_report(golds, preds)
+    o1, t1, o2, t2 = r1.overall, r1.per_tag, r2.overall, r2.per_tag
     assert o1.p == pytest.approx(o2.r)
     assert o1.r == pytest.approx(o2.p)
     for t in "BIO":
@@ -156,7 +158,8 @@ def test_swap_exchanges_precision_and_recall(data):
 @given(seqs())
 def test_scores_bounded_and_harmonic(data):
     golds, preds = data
-    overall, per_tag = token_prf(list(preds), golds)
+    report = build_report(list(preds), golds)
+    overall, per_tag = report.overall, report.per_tag
     for s in [overall, *per_tag.values()]:
         assert 0.0 <= s.p <= 1.0
         assert 0.0 <= s.r <= 1.0
@@ -266,3 +269,7 @@ def test_build_report_and_json():
     assert set(doc["per_tag"]) == {"B", "I", "O"}
     assert doc["dsc"] == pytest.approx(report.dsc)
     assert math.isfinite(doc["overall"]["f1"])
+    # without span lists every score but the span-count ratio is the same
+    bare = build_report(pred, gold)
+    assert bare.span_count_ratio is None
+    assert bare.to_dict() == {**report.to_dict(), "span_count_ratio": None}

@@ -13,6 +13,7 @@ import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
 from claimspan.encoder import ModelConfig
 from claimspan.crf import INDEX_TAG
+from claimspan.metrics import EvalReport, Scores, build_report
 from claimspan.model import (
     Example,
     Vocabulary,
@@ -36,6 +37,7 @@ from claimspan.training import (
     grad_check,
     layer_sweep,
     parse_config_text,
+    prepare_examples,
     train,
 )
 
@@ -325,13 +327,39 @@ def test_train_returns_best_epoch_parameters(monkeypatch):
     def scripted(params, *args):
         seen.append(params.vector.copy())
         dsc = next(scores)
-        return dsc, dsc, dsc, dsc
+        return EvalReport(Scores(dsc, dsc, dsc), {}, dsc, None, 0, Scores(dsc, dsc, dsc))
 
     monkeypatch.setattr(training_mod, "evaluate_split", scripted)
     res = train(tr, va, synthetic_bank(), TINY_MC, dataclasses.replace(TINY_TC, patience=4))
     assert res.best_epoch == 2 and len(seen) == 4
     assert np.array_equal(res.params.vector, seen[1])
     assert not np.array_equal(res.params.vector, seen[-1])
+
+
+def test_validation_scores_are_the_eval_report():
+    # the logged validation F1 and dice of the best epoch are, bitwise, the
+    # eval report's overall F1 and DSC of the returned parameters on the
+    # validation split
+    tr, va, _ = split_corpus(_mini_corpus())
+    res = train(tr, va, synthetic_bank(), TINY_MC, TINY_TC)
+    mc = res.model_config
+    val_ex = prepare_examples(va, res.vocab, mc)
+    bank = build_bank(res.bank_texts, res.vocab, res.params, mc)
+    tags = predict_tags(res.params, mc, [ex.token_ids for ex in val_ex], bank)
+    report = build_report(tags, [ex.gold_tags for ex in val_ex])
+    best = res.records[res.best_epoch - 1]
+    assert best.val_f1.hex() == report.overall.f1.hex()
+    assert best.val_dsc.hex() == res.best_val_dsc.hex() == report.dsc.hex()
+
+
+def test_train_on_validation_posts_without_gold_spans():
+    # validation scores tags only, so a split with no gold spans still trains
+    tr, va, _ = split_corpus(_mini_corpus())
+    bare = [AnnotatedPost(p.id, p.text) for p in va]
+    tc = dataclasses.replace(TINY_TC, max_epochs=2, patience=2)
+    res = train(tr, bare, synthetic_bank(), TINY_MC, tc)
+    assert len(res.records) == 2
+    assert all(0.0 <= r.val_f1 <= 1.0 and 0.0 <= r.val_dsc <= 1.0 for r in res.records)
 
 
 def test_train_nan_aborts_with_diagnostic(monkeypatch):
@@ -554,8 +582,8 @@ def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
     # once, since only the weights change between banks.
     tr, va, _ = split_corpus(_mini_corpus())
     tc = dataclasses.replace(TINY_TC, max_epochs=2, patience=2)
-    real_bank, real_adam = training_mod.encode_description_bank, training_mod.adam_step
-    real_ids = training_mod.bank_token_ids
+    real_bank, real_adam = model_mod.encode_description_bank, training_mod.adam_step
+    real_ids = model_mod.bank_token_ids
     banks, steps, lookups = [], [], []
 
     def counting_bank(*args, **kwargs):
@@ -570,8 +598,8 @@ def test_train_encodes_one_bank_per_set_of_weights(monkeypatch):
         steps.append(1)
         real_adam(*args, **kwargs)
 
-    monkeypatch.setattr(training_mod, "encode_description_bank", counting_bank)
-    monkeypatch.setattr(training_mod, "bank_token_ids", counting_ids)
+    monkeypatch.setattr(model_mod, "encode_description_bank", counting_bank)
+    monkeypatch.setattr(model_mod, "bank_token_ids", counting_ids)
     monkeypatch.setattr(training_mod, "adam_step", counting_adam)
     res = train(tr, va, synthetic_bank(), TINY_MC, tc)
     assert len(res.records) == 2
