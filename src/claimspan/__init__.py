@@ -15,7 +15,7 @@ from .model import (
 from .preprocess import (
     AnnotatedPost,
     CharSpan,
-    Token,
+    Tokens,
     decode_bio,
     encode_bio,
     load_corpus,
@@ -37,7 +37,7 @@ __all__ = [
     "EvalReport",
     "ModelConfig",
     "ModelParams",
-    "Token",
+    "Tokens",
     "TrainConfig",
     "Vocabulary",
     "build_index",

@@ -112,7 +112,8 @@ def cmd_preprocess(args) -> int:
         out_records.append({
             "id": post.id,
             "text": norm.text,
-            "tokens": [{"surface": t.surface, "start": t.start, "end": t.end} for t in tokens],
+            "tokens": [{"surface": s, "start": a, "end": b}
+                       for s, a, b in zip(tokens.surfaces, tokens.starts, tokens.ends)],
             "tags": tags,
             "spans": [{"start": s.start, "end": s.end} for s in norm.spans],
         })

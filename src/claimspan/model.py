@@ -40,7 +40,7 @@ from .encoder import (
 )
 from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
-from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Token, decode_bio, encode_bio, normalize_post, tokenize
+from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Tokens, decode_bio, encode_bio, normalize_post, tokenize
 
 CHECKPOINT_VERSION = 2
 UNK = "<unk>"
@@ -119,7 +119,7 @@ class Example:
     predictions back onto the raw text."""
 
     post_id: str
-    tokens: list[Token]
+    tokens: Tokens
     token_ids: list[int]
     gold_tags: list[str]
     offset_map: OffsetMap
@@ -131,7 +131,7 @@ def post_to_example(post: AnnotatedPost, vocab: Vocabulary, config: ModelConfig)
     norm, omap, dropped = normalize_post(post)
     tokens = tokenize(norm.text)[: config.max_len]
     tags = encode_bio(tokens, norm.spans)
-    ids = [vocab.lookup(t.surface) for t in tokens]
+    ids = list(map(vocab.lookup, tokens.surfaces))
     return Example(post.id, tokens, ids, tags, omap, dropped)
 
 
@@ -150,10 +150,10 @@ def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> 
     """Token ids of each description text."""
     id_lists = []
     for text in texts:
-        toks = tokenize(text)
-        if len(toks) > config.max_len:
+        surfaces = tokenize(text).surfaces
+        if len(surfaces) > config.max_len:
             raise ValueError(f"description longer than max_len: {text!r}")
-        id_lists.append([vocab.lookup(t.surface) for t in toks])
+        id_lists.append(list(map(vocab.lookup, surfaces)))
     return id_lists
 
 

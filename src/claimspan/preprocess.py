@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from operator import sub
-from typing import NamedTuple
+from itertools import accumulate
+from operator import add, sub
 
 TAG_B = "B"
 TAG_I = "I"
@@ -47,13 +47,25 @@ class CharSpan:
             raise ValueError(f"empty or inverted span [{self.start}, {self.end})")
 
 
-class Token(NamedTuple):
-    """An immutable ``(surface, start, end)`` tuple: the token's text and its
-    character range in the text it was cut from."""
+@dataclass(frozen=True)
+class Tokens:
+    """A text's tokens as three parallel lists: ``surfaces[i]`` is token i's
+    text and ``[starts[i], ends[i])`` its character range in the text it was
+    cut from. Tokens are in text order and disjoint, so both offset lists
+    ascend. ``len()`` is the token count, and a slice is a ``Tokens``."""
 
-    surface: str
-    start: int
-    end: int
+    surfaces: list[str]
+    starts: list[int]
+    ends: list[int]
+
+    def __len__(self) -> int:
+        return len(self.surfaces)
+
+    def __getitem__(self, index: slice) -> Tokens:
+        if not isinstance(index, slice):
+            raise TypeError(f"Tokens takes a slice, not {type(index).__name__}; "
+                            "index surfaces, starts or ends")
+        return Tokens(self.surfaces[index], self.starts[index], self.ends[index])
 
 
 @dataclass
@@ -171,7 +183,7 @@ def split_hashtag(token: str) -> list[str]:
     return pieces
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Tokens:
     """Whitespace/punctuation tokenizer with exact character offsets.
 
     Hashtags are expanded through ``split_hashtag`` with each piece keeping
@@ -183,36 +195,43 @@ def tokenize(text: str) -> list[Token]:
     ``_SPACED_TOKEN_RE`` tile the text up to its trailing whitespace, and a
     token ends at the summed lengths of the matches up to its own. The
     search ends before the trailing whitespace, where each failed match
-    would rescan the rest of the run.
+    would rescan the rest of the run. The three columns are built whole, with
+    no object per token.
     """
     chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
     # str.isspace and the regex's \s accept the same characters.
     surfaces = list(map(str.lstrip, chunks))
     ends = list(accumulate(map(len, chunks)))
-    # tuple.__new__(Token, fields) skips NamedTuple's Python-level __new__.
-    tokens = list(map(tuple.__new__, repeat(Token),
-                      zip(surfaces, map(sub, ends, map(len, surfaces)), ends)))
-    if "#" not in text:
-        return tokens
-    expanded = []
-    for tok in tokens:
-        if tok.surface[0] == "#" and len(tok.surface) > 1:
-            cursor = tok.start
-            for piece in split_hashtag(tok.surface):
-                at = text.index(piece, cursor)
-                expanded.append(Token(piece, at, at + len(piece)))
-                cursor = at + len(piece)
-        else:
-            expanded.append(tok)
-    return expanded
+    starts = list(map(sub, ends, map(len, surfaces)))
+    if "#" in text:
+        # Replace each hashtag by its pieces, last first, so the indices of
+        # the hashtags still to do stay put.
+        hashtags = [i for i, s in enumerate(surfaces) if s[0] == "#" and len(s) > 1]
+        for i in reversed(hashtags):
+            pieces = split_hashtag(surfaces[i])
+            piece_starts, cursor = [], starts[i]
+            for piece in pieces:
+                cursor = text.index(piece, cursor)
+                piece_starts.append(cursor)
+                cursor += len(piece)
+            surfaces[i:i + 1] = pieces
+            starts[i:i + 1] = piece_starts
+            ends[i:i + 1] = map(add, piece_starts, map(len, pieces))
+    return Tokens(surfaces, starts, ends)
 
 
-def encode_bio(tokens: list[Token], spans: list[CharSpan]) -> list[str]:
+def encode_bio(tokens: Tokens, spans: list[CharSpan]) -> list[str]:
     """Tag tokens with B/I/O against character spans.
 
     A token is in-span iff its character range intersects the span; the first
     token of each span gets B, the rest I. Spans must be sorted and
-    non-overlapping.
+    non-overlapping. A token cut by the boundary between two spans stays with
+    the earlier one.
+
+    Since the tokens are disjoint and in order, a span's tokens are the run
+    from the first one ending after its start to the last one starting before
+    its end, found by bisection; only the run's first token can belong to an
+    earlier span.
     """
     prev_end = -1
     for sp in spans:
@@ -221,17 +240,16 @@ def encode_bio(tokens: list[Token], spans: list[CharSpan]) -> list[str]:
         prev_end = sp.end
     tags = [TAG_O] * len(tokens)
     for sp in spans:
-        members = [
-            i
-            for i, tok in enumerate(tokens)
-            if tok.start < sp.end and sp.start < tok.end and tags[i] == TAG_O
-        ]
-        for rank, i in enumerate(members):
-            tags[i] = TAG_B if rank == 0 else TAG_I
+        lo = bisect_right(tokens.ends, sp.start)
+        hi = bisect_left(tokens.starts, sp.end)
+        if lo < hi and tags[lo] != TAG_O:
+            lo += 1
+        if lo < hi:
+            tags[lo:hi] = [TAG_B] + [TAG_I] * (hi - lo - 1)
     return tags
 
 
-def decode_bio(tokens: list[Token], tags: list[str]) -> tuple[list[CharSpan], int]:
+def decode_bio(tokens: Tokens, tags: list[str]) -> tuple[list[CharSpan], int]:
     """Turn a BIO tag sequence back into character spans.
 
     Each maximal B I* run becomes one span from the first token's start to the
@@ -240,6 +258,7 @@ def decode_bio(tokens: list[Token], tags: list[str]) -> tuple[list[CharSpan], in
     """
     if len(tags) != len(tokens):
         raise ValueError(f"{len(tags)} tags for {len(tokens)} tokens")
+    starts, ends = tokens.starts, tokens.ends
     spans = []
     repairs = 0
     run_start = None
@@ -252,17 +271,17 @@ def decode_bio(tokens: list[Token], tags: list[str]) -> tuple[list[CharSpan], in
             repairs += 1
         if starts_run:
             if run_start is not None:
-                spans.append(CharSpan(tokens[run_start].start, tokens[last].end))
+                spans.append(CharSpan(starts[run_start], ends[last]))
             run_start = i
             last = i
         elif tag == TAG_I:
             last = i
         else:
             if run_start is not None:
-                spans.append(CharSpan(tokens[run_start].start, tokens[last].end))
+                spans.append(CharSpan(starts[run_start], ends[last]))
             run_start = None
     if run_start is not None:
-        spans.append(CharSpan(tokens[run_start].start, tokens[last].end))
+        spans.append(CharSpan(starts[run_start], ends[last]))
     return spans, repairs
 
 

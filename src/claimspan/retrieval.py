@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -28,8 +28,7 @@ def index_terms(text: str) -> list[str]:
     clean, _ = normalize_text(text)
     # Only a one-character token can lack an alphanumeric character: hashtag
     # pieces and alphanumeric runs are alphanumeric, and n't holds n and t.
-    return [s.lower() for s, _start, _end in tokenize(clean)
-            if len(s) > 1 or s.isalnum()]
+    return [s.lower() for s in tokenize(clean).surfaces if len(s) > 1 or s.isalnum()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +40,9 @@ class Bm25Index:
     (ascending, intp) and ``posting_values`` each one's BM25 value
     ``idf * tf * (K1 + 1) / (tf + K1 * (1 - B + B * len / avgdl))``, computed
     once at build from the document's term count ``len`` and the mean count
-    ``avgdl``; a term's df is the length of its slice. Every value is > 0:
+    ``avgdl``; a term's df is the length of its slice. Terms are keyed, and
+    their slices laid out, in the order of their first occurrence in the
+    documents. Every value is > 0:
     idf > 0 since df <= n_docs, tf >= 1 and the length normalization is at
     least K1 * (1 - B) > 0.
     ``doc_rank[d]`` is document d's position in doc-id order, which breaks
@@ -59,36 +60,51 @@ class Bm25Index:
 
 
 def build_index(docs: list[dict]) -> Bm25Index:
-    """``docs`` entries need "id" and "text"; duplicate ids are rejected."""
+    """``docs`` entries need "id" and "text"; duplicate ids are rejected.
+
+    Inversion by sorting (Witten, Moffat & Bell, *Managing Gigabytes*, 1999,
+    ch. 5): each term occurrence is one int64 key ``term id * n_docs + doc``.
+    A term's id is the position of its first occurrence among all of them, so
+    ids follow first appearance, as ``postings`` does, and stay below the
+    occurrence count. Sorted, the keys run term by term and, within a term,
+    document by document: each run of equal keys is one posting, its length
+    the tf, and a term's df is its number of runs.
+    """
     ids, lengths = [], []
-    postings: dict[str, tuple[list[int], list[int]]] = {}
+    first: dict[str, int] = {}
+    occurrences: list[int] = []  # the term id of every occurrence, doc by doc
+    position = itertools.count()
     seen = set()
-    for di, doc in enumerate(docs):
+    for doc in docs:
         doc_id = doc["id"]
         if doc_id in seen:
             raise ValueError(f"duplicate document id {doc_id!r}")
         seen.add(doc_id)
         terms = index_terms(doc["text"])
-        for term, count in Counter(terms).items():
-            entry = postings.get(term)
-            if entry is None:
-                entry = postings[term] = ([], [])
-            entry[0].append(di)
-            entry[1].append(count)
+        occurrences.extend(map(first.setdefault, terms, position))
         ids.append(doc_id)
         lengths.append(len(terms))
     n_docs = len(ids)
     avgdl = sum(lengths) / n_docs if n_docs else 0.0
     doc_rank = np.empty(n_docs, dtype=np.intp)
     doc_rank[sorted(range(n_docs), key=ids.__getitem__)] = np.arange(n_docs)
-    dfs = [len(d) for d, _t in postings.values()]
-    bounds = itertools.pairwise(itertools.accumulate(dfs, initial=0))
-    slices = {term: slice(start, end) for term, (start, end) in zip(postings, bounds)}
-    posting_docs = np.fromiter(itertools.chain.from_iterable(
-        d for d, _t in postings.values()), np.intp, sum(dfs))
-    tf = np.fromiter(itertools.chain.from_iterable(
-        t for _d, t in postings.values()), np.float64, sum(dfs))
-    postings.clear()
+    keys = np.fromiter(occurrences, np.int64, len(occurrences))
+    del occurrences
+    keys *= n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    keys.sort()
+    runs = _run_starts(keys)
+    tf = np.diff(runs, append=keys.size).astype(np.float64)
+    keys = keys[runs]  # one key per posting
+    del runs
+    # Split each key in place into its term id and its document; n_docs is 0
+    # only when there are no keys.
+    posting_docs = keys % (n_docs or 1)
+    keys //= n_docs or 1
+    bounds = _run_starts(keys).tolist() + [keys.size]  # where each term's postings start
+    del keys
+    slices = dict(zip(first, map(slice, bounds, bounds[1:])))
+    dfs = list(map(sub, bounds[1:], bounds))
     # One pass over all postings: idf * tf * (K1 + 1) / (tf + norm), in place.
     # avgdl is 0 only when no document has a term, and then there are no postings.
     doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / (avgdl or 1.0))
@@ -98,6 +114,14 @@ def build_index(docs: list[dict]) -> Bm25Index:
     tf += doc_norm[posting_docs]
     values /= tf
     return Bm25Index(tuple(ids), slices, posting_docs, values, doc_rank)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def idf(n_docs: int, df: int) -> float:

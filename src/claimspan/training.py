@@ -282,9 +282,9 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     # vocabulary of <unk> alone, the vocabulary is built from their tokens,
     # and then their ids are looked up in it.
     train_ex = prepare_examples(corpus_train, Vocabulary([UNK]), mc)
-    vocab = Vocabulary.build([[t.surface for t in ex.tokens] for ex in train_ex], mc.vocab_size)
+    vocab = Vocabulary.build([ex.tokens.surfaces for ex in train_ex], mc.vocab_size)
     for ex in train_ex:
-        ex.token_ids = [vocab.lookup(t.surface) for t in ex.tokens]
+        ex.token_ids = list(map(vocab.lookup, ex.tokens.surfaces))
     val_ex = prepare_examples(corpus_val, vocab, mc)
     if not train_ex or not val_ex:
         raise ValueError("no usable examples after preprocessing")

@@ -9,13 +9,14 @@ kept so that tests can compare the two.
 import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 
 from claimspan.crf import INDEX_TAG, forbidden_masks
 from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import split_hashtag
-from claimspan.retrieval import index_terms
+from claimspan.retrieval import B, K1, Bm25Index, idf, index_terms
 from claimspan.training import ADAM_EPS, BETA1, BETA2
 
 
@@ -275,6 +276,42 @@ def bm25_full_scan(docs, text, k, k1: float = 1.2, b: float = 0.75):
     return [(docs[di]["id"], s) for di, s in ranked[:k]]
 
 
+def build_index_by_counter(docs) -> Bm25Index:
+    """The index as built before inversion by sorting: a ``Counter`` per
+    document and a ``(docs, tfs)`` pair of lists per term, in the order the
+    terms first appear; the values are computed as ``build_index`` does."""
+    ids, lengths = [], []
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    for di, doc in enumerate(docs):
+        terms = index_terms(doc["text"])
+        for term, count in Counter(terms).items():
+            entry = postings.get(term)
+            if entry is None:
+                entry = postings[term] = ([], [])
+            entry[0].append(di)
+            entry[1].append(count)
+        ids.append(doc["id"])
+        lengths.append(len(terms))
+    n_docs = len(ids)
+    avgdl = sum(lengths) / n_docs if n_docs else 0.0
+    doc_rank = np.empty(n_docs, dtype=np.intp)
+    doc_rank[sorted(range(n_docs), key=ids.__getitem__)] = np.arange(n_docs)
+    dfs = [len(d) for d, _t in postings.values()]
+    bounds = itertools.pairwise(itertools.accumulate(dfs, initial=0))
+    slices = {term: slice(start, end) for term, (start, end) in zip(postings, bounds)}
+    posting_docs = np.fromiter(itertools.chain.from_iterable(
+        d for d, _t in postings.values()), np.intp, sum(dfs))
+    tf = np.fromiter(itertools.chain.from_iterable(
+        t for _d, t in postings.values()), np.float64, sum(dfs))
+    doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / (avgdl or 1.0))
+    values = np.repeat([idf(n_docs, df) for df in dfs], dfs)
+    values *= tf
+    values *= K1 + 1.0
+    tf += doc_norm[posting_docs]
+    values /= tf
+    return Bm25Index(tuple(ids), slices, posting_docs, values, doc_rank)
+
+
 # ---------------------------------------------------------------------------
 # Text front end: one chunk and one character at a time
 
@@ -337,3 +374,16 @@ def index_terms_scalar(text: str) -> list[str]:
     clean = normalize_text_scalar(text)[0]
     return [s.lower() for s, _a, _b in tokenize_scalar(clean)
             if any(c.isalnum() for c in s)]
+
+
+def encode_bio_scan(starts, ends, spans) -> list[str]:
+    """BIO tags by testing every token against every span: a token is in a
+    span iff their ranges intersect, and one already tagged by an earlier
+    span keeps its tag."""
+    tags = ["O"] * len(starts)
+    for sp in spans:
+        members = [i for i in range(len(starts))
+                   if starts[i] < sp.end and sp.start < ends[i] and tags[i] == "O"]
+        for rank, i in enumerate(members):
+            tags[i] = "B" if rank == 0 else "I"
+    return tags

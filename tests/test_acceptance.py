@@ -153,7 +153,7 @@ def test_criterion_4_bio_round_trip():
             if on and start is None:
                 start = i
             elif not on and start is not None:
-                spans.append(CharSpan(tokens[start].start, tokens[i - 1].end))
+                spans.append(CharSpan(tokens.starts[start], tokens.ends[i - 1]))
                 start = None
         tags = encode_bio(tokens, spans)
         decoded, repairs = decode_bio(tokens, tags)

@@ -54,7 +54,7 @@ def test_post_to_example_roundtrip(tiny_config, tiny_vocab):
     post = AnnotatedPost(id="p", text="see https://t.co/x garlic cures flu ok",
                          spans=[CharSpan(19, 35)])
     ex = post_to_example(post, tiny_vocab, tiny_config)
-    assert [t.surface for t in ex.tokens] == ["see", "garlic", "cures", "flu", "ok"]
+    assert ex.tokens.surfaces == ["see", "garlic", "cures", "flu", "ok"]
     assert ex.gold_tags == ["O", "B", "I", "I", "O"]
     assert ex.token_ids[0] == 0  # "see" is out of vocabulary
     spans = spans_to_raw(ex, ex.gold_tags)
@@ -64,8 +64,12 @@ def test_post_to_example_roundtrip(tiny_config, tiny_vocab):
 
 def test_post_to_example_truncates(tiny_config, tiny_vocab):
     text = " ".join(["the"] * 40)
-    ex = post_to_example(AnnotatedPost(id="p", text=text, spans=[]), tiny_vocab, tiny_config)
-    assert len(ex.tokens) == tiny_config.max_len
+    # the span starts inside the kept tokens and ends past the cut
+    ex = post_to_example(AnnotatedPost(id="p", text=text, spans=[CharSpan(4, len(text))]),
+                         tiny_vocab, tiny_config)
+    assert len(ex.tokens) == len(ex.token_ids) == len(ex.gold_tags) == tiny_config.max_len
+    assert len(ex.tokens.starts) == len(ex.tokens.ends) == tiny_config.max_len
+    assert ex.gold_tags == ["O", "B"] + ["I"] * (tiny_config.max_len - 2)
 
 
 # ---------------------------------------------------------------------------

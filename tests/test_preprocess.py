@@ -12,7 +12,7 @@ from claimspan.preprocess import (
     AnnotatedPost,
     CharSpan,
     CorpusFormatError,
-    Token,
+    Tokens,
     decode_bio,
     encode_bio,
     load_corpus,
@@ -24,29 +24,46 @@ from claimspan.preprocess import (
 )
 from claimspan.retrieval import index_terms, load_documents, load_judgments
 
-from oracles import index_terms_scalar, normalize_text_scalar, tokenize_scalar
+from oracles import encode_bio_scan, index_terms_scalar, normalize_text_scalar, tokenize_scalar
 
 
 # ---------------------------------------------------------------------------
 # tokenize
 
 def test_tokenize_contraction_and_punctuation():
-    surfaces = [t.surface for t in tokenize("No! Bleach won't cure it")]
+    surfaces = tokenize("No! Bleach won't cure it").surfaces
     assert surfaces == ["No", "!", "Bleach", "wo", "n't", "cure", "it"]
 
 
 def test_tokenize_offsets_slice_back():
     text = "No! Bleach won't cure it"
-    for tok in tokenize(text):
-        assert text[tok.start:tok.end] == tok.surface or tok.surface in ("wo", "n't")
+    toks = tokenize(text)
+    for surface, start, end in zip(toks.surfaces, toks.starts, toks.ends):
+        assert text[start:end] == surface or surface in ("wo", "n't")
     # the contraction split shares the original word's characters
-    wo, nt = tokenize(text)[3], tokenize(text)[4]
-    assert text[wo.start:nt.end] == "won't"
+    assert text[toks.starts[3]:toks.ends[4]] == "won't"
 
 
 def test_tokenize_empty_and_whitespace():
-    assert tokenize("") == []
-    assert tokenize("   \t\n ") == []
+    assert tokenize("") == Tokens([], [], [])
+    assert tokenize("   \t\n ") == Tokens([], [], [])
+
+
+def test_tokens_contract():
+    text = "go #WuhanLab now, don't"
+    toks = tokenize(text)
+    # len() counts tokens, not the three columns
+    assert len(toks) == len(toks.surfaces) == len(toks.starts) == len(toks.ends) == 7
+    for cut in (slice(None, 3), slice(2, 6), slice(5, None), slice(7, 20), slice(None, 0)):
+        part = toks[cut]
+        assert type(part) is Tokens
+        assert part == Tokens(toks.surfaces[cut], toks.starts[cut], toks.ends[cut])
+        assert len(part) == len(toks.surfaces[cut])
+        # the columns stay aligned: each offset pair still cuts out its surface
+        assert [text[a:b] for a, b in zip(part.starts, part.ends)] == part.surfaces
+    # a single token is read through a column, not by indexing
+    with pytest.raises(TypeError):
+        toks[0]
 
 
 def test_tokenize_trailing_whitespace_is_linear():
@@ -55,17 +72,16 @@ def test_tokenize_trailing_whitespace_is_linear():
     # (16 s for this text on a 2-vCPU machine, against under 1 ms).
     text = "a," + " \t" * 10_000
     began = time.perf_counter()
-    assert tokenize(text) == [Token("a", 0, 1), Token(",", 1, 2)]
+    assert tokenize(text) == Tokens(["a", ","], [0, 1], [1, 2])
     assert time.perf_counter() - began < 1.0
 
 
 def test_tokenize_hashtag_expansion_offsets():
     text = "go #WuhanLab now"
     toks = tokenize(text)
-    assert [t.surface for t in toks] == ["go", "Wuhan", "Lab", "now"]
-    wuhan, lab = toks[1], toks[2]
-    assert text[wuhan.start:wuhan.end] == "Wuhan"
-    assert text[lab.start:lab.end] == "Lab"
+    assert toks.surfaces == ["go", "Wuhan", "Lab", "now"]
+    assert text[toks.starts[1]:toks.ends[1]] == "Wuhan"
+    assert text[toks.starts[2]:toks.ends[2]] == "Lab"
 
 
 @pytest.mark.parametrize("tag,parts", [
@@ -163,9 +179,9 @@ def test_front_end_matches_scalar_oracle(raw):
     assert list(omap.raw_to_norm) == ref_raw_to_norm
     for text in (raw, norm):
         tokens = tokenize(text)
-        assert tokens == tokenize_scalar(text)
-        # a plain tuple would compare equal, but has no .start, .end or .surface
-        assert all(type(t) is Token for t in tokens)
+        assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == tokenize_scalar(text)
+        assert type(tokens) is Tokens
+        assert all(type(column) is list for column in (tokens.surfaces, tokens.starts, tokens.ends))
     assert index_terms(raw) == index_terms_scalar(raw)
 
 
@@ -192,7 +208,8 @@ def test_normalize_post_drops_vanished_span():
 # BIO encode / decode
 
 def toks(*surfaces_with_offsets):
-    return [Token(s, a, b) for s, a, b in surfaces_with_offsets]
+    surfaces, starts, ends = map(list, zip(*surfaces_with_offsets))
+    return Tokens(surfaces, starts, ends)
 
 
 def test_encode_bio_basic():
@@ -231,11 +248,13 @@ def test_decode_bio_length_mismatch():
 @st.composite
 def token_aligned_spans(draw):
     n = draw(st.integers(min_value=1, max_value=12))
-    tokens = []
+    tokens = Tokens([], [], [])
     pos = 0
     for _ in range(n):
         length = draw(st.integers(min_value=1, max_value=5))
-        tokens.append(Token("x" * length, pos, pos + length))
+        tokens.surfaces.append("x" * length)
+        tokens.starts.append(pos)
+        tokens.ends.append(pos + length)
         pos += length + 1
     # choose disjoint token-index runs
     flags = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
@@ -246,7 +265,7 @@ def token_aligned_spans(draw):
             j = i
             while j + 1 < n and flags[j + 1] == 2:
                 j += 1
-            spans.append(CharSpan(tokens[i].start, tokens[j].end))
+            spans.append(CharSpan(tokens.starts[i], tokens.ends[j]))
             i = j + 1
         else:
             i += 1
@@ -266,6 +285,34 @@ def test_bio_roundtrip_property(case):
     for t in tags:
         assert not (t == "I" and prev == "O")
         prev = t
+
+
+# Sorted cut points over the text of at most 12 tokens (72 characters), and
+# which of the intervals between consecutive points are spans: spans that
+# abut, leave gaps, start or end inside a token, or fall between tokens.
+_CUTS = st.lists(st.integers(min_value=0, max_value=72), max_size=10, unique=True).map(sorted)
+
+
+@given(token_aligned_spans(), _CUTS, st.lists(st.booleans(), min_size=10, max_size=10))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_encode_bio_matches_scan(case, cuts, keep):
+    tokens, spans = case
+    assert encode_bio(tokens, spans) == encode_bio_scan(tokens.starts, tokens.ends, spans)
+    free = [CharSpan(a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k]
+    assert encode_bio(tokens, free) == encode_bio_scan(tokens.starts, tokens.ends, free)
+
+
+def test_encode_bio_token_cut_by_span_boundary():
+    # "abcdef" is cut at 3 by the boundary between two abutting spans: it
+    # stays with the first, and the second begins at the next token
+    tokens = toks(("abcdef", 0, 6), ("gh", 7, 9), ("ij", 10, 12))
+    spans = [CharSpan(0, 3), CharSpan(3, 9)]
+    assert encode_bio(tokens, spans) == ["B", "B", "O"]
+    assert encode_bio_scan(tokens.starts, tokens.ends, spans) == ["B", "B", "O"]
+    # a token covering a whole later span leaves that span no token
+    tokens = toks(("abcdefgh", 0, 8), ("ij", 9, 11))
+    spans = [CharSpan(0, 2), CharSpan(3, 4), CharSpan(6, 11)]
+    assert encode_bio(tokens, spans) == encode_bio_scan(tokens.starts, tokens.ends, spans) == ["B", "B"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from claimspan.retrieval import (
     span_query_text,
 )
 
-from oracles import bm25_full_scan, bm25_score_scalar
+from oracles import bm25_full_scan, bm25_score_scalar, build_index_by_counter
 
 DOCS3 = [
     {"id": "d1", "text": "garlic cures covid"},
@@ -209,6 +210,36 @@ def test_posting_values_positive(doc_words, extra_len):
     assert index.posting_values.size == sum(
         len(index.posting_docs[span]) for span in index.postings.values())
     assert (index.posting_values > 0.0).all()
+
+
+# Words that make hashtags, URLs, junk-only chunks, repeated and mixed-case
+# terms and non-ASCII letters; a text of only "", "🙂", "→→", "!!!" or a URL
+# has no term.
+_LAYOUT_WORDS = ["garlic", "Garlic", "GARLIC", "cures", "5G", "don't", "#WuhanLab",
+                 "#covid_19", "#COVID19", "#", "https://t.co/x1", "🙂", "→→", "!!!",
+                 "naïve", "ÉCOLE", "x日本", "İstanbul", "a", "a", ""]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.sampled_from(_LAYOUT_WORDS), max_size=9).map(" ".join),
+                max_size=8).flatmap(
+           lambda texts: st.tuples(st.just(texts), st.permutations(range(len(texts))))))
+@example(([], []))
+@example((["", "🙂 !!!", "https://t.co/x1"], [2, 0, 1]))
+@example((["a a A", "#WuhanLab wuhan LAB", "a"], [1, 2, 0]))
+def test_posting_layout_equals_counter_build(case):
+    texts, order = case
+    # ids out of index order, so doc_rank is no identity
+    docs = [{"id": f"d{i}", "text": t} for i, t in zip(order, texts)]
+    index, want = build_index(docs), build_index_by_counter(docs)
+    assert index.doc_ids == want.doc_ids
+    assert list(index.postings.items()) == list(want.postings.items())
+    assert index.posting_docs.dtype == want.posting_docs.dtype == np.intp
+    assert index.posting_docs.tolist() == want.posting_docs.tolist()
+    assert index.posting_values.dtype == np.float64
+    assert index.posting_values.tobytes() == want.posting_values.tobytes()
+    assert index.doc_rank.dtype == want.doc_rank.dtype
+    assert index.doc_rank.tolist() == want.doc_rank.tolist()
 
 
 @pytest.mark.parametrize("docs", [[], [{"id": "x", "text": "!! ..."},

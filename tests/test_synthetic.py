@@ -74,7 +74,7 @@ def test_posts_tokenize_cleanly():
     for post in generate_corpus(n_posts=30, seed=6):
         toks = tokenize(post.text)
         assert toks, post.text
-        assert all(t.surface for t in toks)
+        assert all(toks.surfaces)
 
 
 def test_split_sizes():
