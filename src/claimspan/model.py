@@ -52,8 +52,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Vocabulary:
-    """Word-level vocabulary of distinct lowercase strings (``lookup``
-    lowercases its surface); index 0 is the unknown token."""
+    """Word-level vocabulary of distinct lowercase strings (``ids``
+    lowercases the surfaces); index 0 is the unknown token."""
 
     words: list[str]
     index: dict[str, int] = field(default_factory=dict, repr=False)
@@ -71,8 +71,10 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def lookup(self, surface: str) -> int:
-        return self.index.get(surface.lower(), 0)
+    def ids(self, surfaces: list[str]) -> list[int]:
+        """The id of each surface, lowercased; 0 for an unknown one."""
+        get = self.index.get
+        return [get(w, 0) for w in map(str.lower, surfaces)]
 
     @classmethod
     def build(cls, token_lists: list[list[str]], max_size: int) -> "Vocabulary":
@@ -129,10 +131,11 @@ class Example:
 def post_to_example(post: AnnotatedPost, vocab: Vocabulary, config: ModelConfig) -> Example:
     """Normalize, tokenize, truncate to the model's max length, BIO-encode."""
     norm, omap, dropped = normalize_post(post)
-    tokens = tokenize(norm.text)[: config.max_len]
+    tokens = tokenize(norm.text)
+    if len(tokens) > config.max_len:
+        tokens = tokens[: config.max_len]
     tags = encode_bio(tokens, norm.spans)
-    ids = list(map(vocab.lookup, tokens.surfaces))
-    return Example(post.id, tokens, ids, tags, omap, dropped)
+    return Example(post.id, tokens, vocab.ids(tokens.surfaces), tags, omap, dropped)
 
 
 def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:
@@ -153,7 +156,7 @@ def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> 
         surfaces = tokenize(text).surfaces
         if len(surfaces) > config.max_len:
             raise ValueError(f"description longer than max_len: {text!r}")
-        id_lists.append(list(map(vocab.lookup, surfaces)))
+        id_lists.append(vocab.ids(surfaces))
     return id_lists
 
 

@@ -2,7 +2,8 @@
 
 Offsets are always character offsets into the text they were produced from.
 Normalization edits (URL / junk-token removal) are tracked through an
-``OffsetMap`` so gold spans survive the rewrite.
+``OffsetMap``, one ascending list of the raw offset of each kept character,
+so gold spans survive the rewrite: a span is remapped by bisecting that list.
 """
 
 from __future__ import annotations
@@ -97,27 +98,27 @@ def check_spans(spans: list[CharSpan], text_len: int, post_id: str, key: str) ->
 
 @dataclass
 class OffsetMap:
-    """Mapping between raw text offsets and normalized text offsets.
+    """Mapping from normalized text offsets back to raw text offsets.
 
     ``norm_to_raw[i]`` is the raw index of the character at normalized
-    position ``i``. ``raw_to_norm[j]`` is the normalized index of raw
-    character ``j``, or -1 if it was removed. A text that normalization
-    leaves as it is gets ``range`` objects for both.
+    position ``i``. Normalization only removes characters, so the list
+    ascends strictly, and a raw span is remapped by bisecting it. A text that
+    normalization leaves as it is gets a ``range``.
     """
 
     norm_to_raw: Sequence[int]
-    raw_to_norm: Sequence[int]
 
     def remap_span(self, start: int, end: int) -> tuple[int, int] | None:
         """Project a raw-text span onto the normalized text.
 
         Endpoints snap inward past removed characters; returns None when the
-        whole span was removed.
+        whole span was removed. The kept characters of ``[start, end)`` are
+        the normalized positions from the first one at or past ``start`` to
+        the last one before ``end``.
         """
-        kept = [self.raw_to_norm[j] for j in range(start, end) if self.raw_to_norm[j] >= 0]
-        if not kept:
-            return None
-        return kept[0], kept[-1] + 1
+        lo = bisect_left(self.norm_to_raw, start)
+        hi = bisect_left(self.norm_to_raw, end, lo)
+        return None if lo == hi else (lo, hi)
 
 
 def normalize_text(raw: str) -> tuple[str, OffsetMap]:
@@ -139,15 +140,13 @@ def normalize_text(raw: str) -> tuple[str, OffsetMap]:
             kept.append((lo, start))
         lo = m.end()
     if lo == 0:  # no junk chunk
-        return raw, OffsetMap(range(len(raw)), range(len(raw)))
+        return raw, OffsetMap(range(len(raw)))
     if lo < len(raw):
         kept.append((lo, len(raw)))
     norm_to_raw: list[int] = []
-    raw_to_norm = [-1] * len(raw)
     for a, b in kept:
-        raw_to_norm[a:b] = range(len(norm_to_raw), len(norm_to_raw) + b - a)
         norm_to_raw += range(a, b)
-    return "".join(raw[a:b] for a, b in kept), OffsetMap(norm_to_raw, raw_to_norm)
+    return "".join(raw[a:b] for a, b in kept), OffsetMap(norm_to_raw)
 
 
 def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:

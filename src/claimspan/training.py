@@ -284,7 +284,7 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     train_ex = prepare_examples(corpus_train, Vocabulary([UNK]), mc)
     vocab = Vocabulary.build([ex.tokens.surfaces for ex in train_ex], mc.vocab_size)
     for ex in train_ex:
-        ex.token_ids = list(map(vocab.lookup, ex.tokens.surfaces))
+        ex.token_ids = vocab.ids(ex.tokens.surfaces)
     val_ex = prepare_examples(corpus_val, vocab, mc)
     if not train_ex or not val_ex:
         raise ValueError("no usable examples after preprocessing")

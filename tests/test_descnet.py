@@ -356,7 +356,7 @@ def test_fuse_shapes_and_backward():
 
 def test_bank_identical_texts_identical_matrices(tiny_config, tiny_params, tiny_vocab):
     texts = ["garlic cures flu", "garlic cures flu"]
-    ids = [[tiny_vocab.lookup(w) for w in t.split()] for t in texts]
+    ids = [tiny_vocab.ids(t.split()) for t in texts]
     bank = encode_description_bank(texts, ids, tiny_params.encoder,
                                    tiny_params.descnet.description_encoder, tiny_config)
     assert bank.size == 2

@@ -31,8 +31,7 @@ def test_vocab_build_frequency_and_ties():
     vocab = Vocabulary.build([["b", "a", "a", "C", "c"]], max_size=10)
     # a:2, c:2 (case-folded), b:1; ties alphabetical
     assert vocab.words == ["<unk>", "a", "c", "b"]
-    assert vocab.lookup("A") == 1
-    assert vocab.lookup("missing") == 0
+    assert vocab.ids(["A", "missing", "C"]) == [1, 0, 2]
 
 
 def test_vocab_cap():
@@ -170,7 +169,7 @@ def test_checkpoint_rejects_missing_and_unknown_tensors(tmp_path, tiny_config, t
 def test_checkpoint_rejects_bad_vocab_entries(tmp_path, tiny_config, tiny_vocab, tiny_params,
                                               entry, match):
     # a vocabulary the model could not have been trained with: a word that is
-    # not a string, repeated, or upper case (never found by lookup)
+    # not a string, repeated, or upper case (never found by ids)
     path = tmp_path / "model.json"
     save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
     doc = json.loads(path.read_text())

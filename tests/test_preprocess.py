@@ -141,12 +141,25 @@ def test_normalize_offset_map_property(pieces, lead, trail):
     raw = lead + "".join(p + g for p, g in pieces) + trail
     norm, omap = normalize_text(raw)
     assert len(omap.norm_to_raw) == len(norm)
-    assert len(omap.raw_to_norm) == len(raw)
     for i, j in enumerate(omap.norm_to_raw):
         assert norm[i] == raw[j]
-        assert omap.raw_to_norm[j] == i
-    kept = set(omap.norm_to_raw)
-    assert all(omap.raw_to_norm[j] == -1 for j in range(len(raw)) if j not in kept)
+    assert_remap_matches_per_character(omap, normalize_text_scalar(raw)[2])
+
+
+def assert_remap_matches_per_character(omap, raw_to_norm):
+    """``remap_span`` on every ``(start, end)`` pair of the raw text against
+    its per-character definition: the normalized positions of the span's
+    kept characters, first to last, or None when none is kept."""
+    n = len(raw_to_norm)
+    for start in range(n + 1):
+        assert omap.remap_span(start, start) is None
+        first = last = None
+        for end in range(start + 1, n + 1):
+            if raw_to_norm[end - 1] >= 0:
+                if first is None:
+                    first = raw_to_norm[end - 1]
+                last = raw_to_norm[end - 1]
+            assert omap.remap_span(start, end) == (None if first is None else (first, last + 1))
 
 
 # Pieces are joined with no gap, so they also make mixed chunks such as
@@ -176,7 +189,7 @@ def test_front_end_matches_scalar_oracle(raw):
     ref_norm, ref_norm_to_raw, ref_raw_to_norm = normalize_text_scalar(raw)
     assert norm == ref_norm
     assert list(omap.norm_to_raw) == ref_norm_to_raw
-    assert list(omap.raw_to_norm) == ref_raw_to_norm
+    assert_remap_matches_per_character(omap, ref_raw_to_norm)
     for text in (raw, norm):
         tokens = tokenize(text)
         assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == tokenize_scalar(text)
