@@ -13,7 +13,9 @@ Averaging rules, pinned by tests:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 TAGS = ("B", "I", "O")
@@ -119,18 +121,14 @@ def _check_aligned(pred: list[list[str]], gold: list[list[str]]) -> None:
 
 def _per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scores]:
     """Corpus-level micro scores per tag (that tag as the positive class),
-    for tag sequences already checked to align."""
+    for tag sequences already checked to align; every tag's counts come from
+    one count of the (predicted, gold) tag pairs."""
+    pairs = Counter(zip(chain.from_iterable(pred), chain.from_iterable(gold)))
     out = {}
     for tag in TAGS:
-        tp = fp = fn = 0
-        for a_seq, g_seq in zip(pred, gold):
-            for a, g in zip(a_seq, g_seq):
-                if a == tag and g == tag:
-                    tp += 1
-                elif a == tag:
-                    fp += 1
-                elif g == tag:
-                    fn += 1
+        tp = pairs[tag, tag]
+        fp = sum(n for (a, _g), n in pairs.items() if a == tag) - tp
+        fn = sum(n for (_a, g), n in pairs.items() if g == tag) - tp
         p = _ratio(tp, tp + fp, tp + fn == 0)
         r = _ratio(tp, tp + fn, tp + fp == 0)
         out[tag] = Scores(p, r, _harmonic(p, r))

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 
 from claimspan.crf import INDEX_TAG, forbidden_masks
+from claimspan.metrics import TAGS, Scores, _harmonic, _ratio
 from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import split_hashtag
 from claimspan.retrieval import B, K1, Bm25Index, idf, index_terms
@@ -387,3 +388,22 @@ def encode_bio_scan(starts, ends, spans) -> list[str]:
         for rank, i in enumerate(members):
             tags[i] = "B" if rank == 0 else "I"
     return tags
+
+
+def per_tag_prf_scan(pred, gold) -> dict:
+    """Per-tag micro scores by walking every token once per tag."""
+    out = {}
+    for tag in TAGS:
+        tp = fp = fn = 0
+        for a_seq, g_seq in zip(pred, gold):
+            for a, g in zip(a_seq, g_seq):
+                if a == tag and g == tag:
+                    tp += 1
+                elif a == tag:
+                    fp += 1
+                elif g == tag:
+                    fn += 1
+        p = _ratio(tp, tp + fp, tp + fn == 0)
+        r = _ratio(tp, tp + fn, tp + fp == 0)
+        out[tag] = Scores(p, r, _harmonic(p, r))
+    return out

@@ -20,6 +20,8 @@ from claimspan.metrics import (
     student_t_sf_two_sided,
 )
 
+from oracles import per_tag_prf_scan
+
 scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -168,6 +170,13 @@ def test_scores_bounded_and_harmonic(data):
             assert s.f1 == pytest.approx(2 * s.p * s.r / (s.p + s.r), abs=1e-12)
         else:
             assert s.f1 == 0.0
+
+
+@settings(max_examples=200)
+@given(seqs())
+def test_per_tag_scores_match_scan(data):
+    golds, preds = data
+    assert build_report(list(preds), golds).per_tag == per_tag_prf_scan(list(preds), golds)
 
 
 # ---------------------------------------------------------------------------
