@@ -44,9 +44,9 @@ def softmax_rows_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 
 
 def log_sum_exp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    # one ufunc; logaddexp shifts by the larger term, so it cannot overflow,
+    # and an all -inf slice gives -inf
+    return np.logaddexp.reduce(a, axis=axis)
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,13 @@ def sigmoid_masked(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_sum_exp_max_shift(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` as first written: shift by the
+    maximum, exponentiate, sum, take the log and shift back."""
+    m = a.max(axis=axis, keepdims=True)
+    return np.squeeze(m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), axis=axis)
+
+
 def coda_scalar(q, k) -> np.ndarray:
     """tanh(QK^T/sqrt d) * sigmoid(-L1(Q,K)/sqrt d), one entry at a time."""
     s_n, d = q.shape

@@ -18,10 +18,10 @@ from claimspan.crf import (
     tags_to_indices,
     viterbi_decode,
 )
-from claimspan.numerics import flat_views
+from claimspan.numerics import flat_views, log_sum_exp
 from claimspan.packing import Packing
 
-from oracles import crf_enumerate, viterbi_decode_per_sequence
+from oracles import crf_enumerate, log_sum_exp_max_shift, viterbi_decode_per_sequence
 from test_encoder import fd_grad
 
 
@@ -149,6 +149,26 @@ def test_viterbi_backtrack_matches_per_sequence_backtrack(lengths, ties, seed):
     shape = (packing.n_rows, 3)
     e = rng.integers(-1, 2, size=shape).astype(float) if ties else rng.normal(size=shape)
     assert viterbi_decode(e, crf, packing) == viterbi_decode_per_sequence(e, crf, packing)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_log_sum_exp_matches_max_shift(axis):
+    # the recursions' inputs: pinned forbidden scores next to entries of
+    # about +-1e3 and ordinary ones
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(6, 3, 3))
+    a[rng.random(a.shape) < 0.2] = FORBIDDEN_SCORE
+    a[rng.random(a.shape) < 0.2] = 1e3
+    a[rng.random(a.shape) < 0.2] = -1e3
+    got, ref = log_sum_exp(a, axis=axis), log_sum_exp_max_shift(a, axis=axis)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_log_sum_exp_of_nothing_is_minus_inf():
+    # a slice with no finite entry has no mass: -inf, with no NaN or warning
+    a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, FORBIDDEN_SCORE]])
+    assert log_sum_exp(a, axis=1).tolist() == [-np.inf, 0.0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
