@@ -121,8 +121,7 @@ def _check_aligned(pred: list[list[str]], gold: list[list[str]]) -> None:
 
 def _per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scores]:
     """Corpus-level micro scores per tag (that tag as the positive class),
-    for tag sequences already checked to align; every tag's counts come from
-    one count of the (predicted, gold) tag pairs."""
+    for tag sequences already checked to align, from one pair count."""
     pairs = Counter(zip(chain.from_iterable(pred), chain.from_iterable(gold)))
     out = {}
     for tag in TAGS:

@@ -72,7 +72,6 @@ class Vocabulary:
         return len(self.words)
 
     def ids(self, surfaces: list[str]) -> list[int]:
-        """The id of each surface, lowercased; 0 for an unknown one."""
         get = self.index.get
         return [get(w, 0) for w in map(str.lower, surfaces)]
 

@@ -44,8 +44,7 @@ def softmax_rows_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 
 
 def log_sum_exp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    # one ufunc; logaddexp shifts by the larger term, so it cannot overflow,
-    # and an all -inf slice gives -inf
+    # one ufunc, shifted by the larger term; an all -inf slice gives -inf
     return np.logaddexp.reduce(a, axis=axis)
 
 

@@ -2,8 +2,7 @@
 
 Offsets are always character offsets into the text they were produced from.
 Normalization edits (URL / junk-token removal) are tracked through an
-``OffsetMap``, one ascending list of the raw offset of each kept character,
-so gold spans survive the rewrite: a span is remapped by bisecting that list.
+``OffsetMap`` (one offset list, bisected) so gold spans survive the rewrite.
 """
 
 from __future__ import annotations
@@ -112,9 +111,7 @@ class OffsetMap:
         """Project a raw-text span onto the normalized text.
 
         Endpoints snap inward past removed characters; returns None when the
-        whole span was removed. The kept characters of ``[start, end)`` are
-        the normalized positions from the first one at or past ``start`` to
-        the last one before ``end``.
+        whole span was removed.
         """
         lo = bisect_left(self.norm_to_raw, start)
         hi = bisect_left(self.norm_to_raw, end, lo)
@@ -156,15 +153,9 @@ def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:
     that vanished entirely with the removed text.
     """
     text, omap = normalize_text(post.text)
-    spans = []
-    dropped = 0
-    for sp in post.spans:
-        remapped = omap.remap_span(sp.start, sp.end)
-        if remapped is None:
-            dropped += 1
-        else:
-            spans.append(CharSpan(*remapped))
-    return AnnotatedPost(post.id, text, spans), omap, dropped
+    remapped = [omap.remap_span(sp.start, sp.end) for sp in post.spans]
+    spans = [CharSpan(*r) for r in remapped if r is not None]
+    return AnnotatedPost(post.id, text, spans), omap, len(post.spans) - len(spans)
 
 
 def split_hashtag(token: str) -> list[str]:
