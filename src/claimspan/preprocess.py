@@ -153,7 +153,9 @@ def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:
     that vanished entirely with the removed text.
     """
     text, omap = normalize_text(post.text)
-    remapped = [omap.remap_span(sp.start, sp.end) for sp in post.spans]
+    if len(text) == len(post.text):  # nothing removed, so the spans stand
+        return AnnotatedPost(post.id, text, list(post.spans)), omap, 0
+    remapped =[omap.remap_span(sp.start, sp.end) for sp in post.spans]
     spans = [CharSpan(*r) for r in remapped if r is not None]
     return AnnotatedPost(post.id, text, spans), omap, len(post.spans) - len(spans)
 
