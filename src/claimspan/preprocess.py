@@ -155,7 +155,7 @@ def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:
     text, omap = normalize_text(post.text)
     if len(text) == len(post.text):  # nothing removed, so the spans stand
         return AnnotatedPost(post.id, text, list(post.spans)), omap, 0
-    remapped =[omap.remap_span(sp.start, sp.end) for sp in post.spans]
+    remapped = [omap.remap_span(sp.start, sp.end) for sp in post.spans]
     spans = [CharSpan(*r) for r in remapped if r is not None]
     return AnnotatedPost(post.id, text, spans), omap, len(post.spans) - len(spans)
 
