@@ -27,6 +27,9 @@ from .model import (
     spans_to_raw,
 )
 from .preprocess import (
+    TAG_B,
+    TAG_O,
+    TAGS,
     CorpusFormatError,
     encode_bio,
     load_corpus,
@@ -96,13 +99,13 @@ def cmd_preprocess(args) -> int:
     single = multi = empty = 0
     out_records = []
     for post in posts:
-        norm, _omap, _dropped = normalize_post(post)
-        tokens = tokenize(norm.text)
-        tags = encode_bio(tokens, norm.spans)
-        spans_here = sum(1 for t in tags if t == "B")
+        text, spans, _norm_to_raw = normalize_post(post)
+        tokens = tokenize(text)
+        tags = encode_bio(tokens, spans)
+        spans_here = tags.count(TAG_B)
         n_spans += spans_here
         token_total += len(tokens)
-        span_token_total += sum(1 for t in tags if t != "O")
+        span_token_total += len(tags) - tags.count(TAG_O)
         if spans_here == 0:
             empty += 1
         elif spans_here == 1:
@@ -111,11 +114,11 @@ def cmd_preprocess(args) -> int:
             multi += 1
         out_records.append({
             "id": post.id,
-            "text": norm.text,
+            "text": text,
             "tokens": [{"surface": s, "start": a, "end": b}
                        for s, a, b in zip(tokens.surfaces, tokens.starts, tokens.ends)],
             "tags": tags,
-            "spans": [{"start": s.start, "end": s.end} for s in norm.spans],
+            "spans": [{"start": s.start, "end": s.end} for s in spans],
         })
     n = len(posts)
     stats = {
@@ -167,7 +170,7 @@ def render_report(doc: dict) -> str:
     rows = [("", "DSC", "P", "R", "F1")]
     o = doc["overall"]
     rows.append(("overall", f"{doc['dsc']:.4f}", f"{o['p']:.4f}", f"{o['r']:.4f}", f"{o['f1']:.4f}"))
-    for tag in ("B", "I", "O"):
+    for tag in TAGS:
         s = doc["per_tag"][tag]
         rows.append((f"tag {tag}", "", f"{s['p']:.4f}", f"{s['r']:.4f}", f"{s['f1']:.4f}"))
     widths = [max(len(r[c]) for r in rows) for c in range(5)]

@@ -1,10 +1,10 @@
 """Linear-chain CRF head over BIO tags.
 
 All recursions run in log space, with one time loop over a whole packed
-chunk of sequences. Structurally forbidden moves (starting on I,
-O followed by I) are pinned to a large negative score and masked out of
-gradient updates, which guarantees Viterbi never emits an undecodable tag
-sequence. Tag order is B, I, O; argmax ties resolve to the lowest index.
+chunk of sequences. Structurally forbidden moves (starting on I, O followed
+by I) are pinned to a large negative score and masked out of gradient
+updates, which guarantees Viterbi never emits an undecodable tag sequence.
+Tags are ordered as ``preprocess.TAGS``; argmax ties take the lowest index.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import numpy as np
 
 from .numerics import init_normal, log_sum_exp
 from .packing import Packing
+from .preprocess import TAG_I, TAG_O, TAGS
 
-TAG_INDEX = {"B": 0, "I": 1, "O": 2}
-INDEX_TAG = ("B", "I", "O")
-N_TAGS = 3
+TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
+INDEX_TAG = TAGS
+N_TAGS = len(TAGS)
 FORBIDDEN_SCORE = -1.0e4
 
 
@@ -34,9 +35,9 @@ class CrfParams:
 def forbidden_masks() -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks of the pinned (non-trainable) transition/start entries."""
     trans = np.zeros((N_TAGS, N_TAGS), dtype=bool)
-    trans[TAG_INDEX["O"], TAG_INDEX["I"]] = True
+    trans[TAG_INDEX[TAG_O], TAG_INDEX[TAG_I]] = True
     start = np.zeros(N_TAGS, dtype=bool)
-    start[TAG_INDEX["I"]] = True
+    start[TAG_INDEX[TAG_I]] = True
     return trans, start
 
 

@@ -69,6 +69,10 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        # sizes first, so a head count of 0 fails here and not as a division
+        for name in ("d", "h", "d_ff", "layers", "max_len", "vocab_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.d % self.h != 0:
             raise ValueError(f"head count {self.h} must divide width {self.d}")
         if not 1 <= self.adapter_layer <= self.layers:
@@ -77,9 +81,6 @@ class ModelConfig:
             raise ValueError(f"dropout_p {self.dropout_p} outside [0, 1)")
         if self.attention_variant not in ATTENTION_VARIANTS:
             raise ValueError(f"attention_variant must be one of {ATTENTION_VARIANTS}")
-        for name in ("d", "h", "d_ff", "layers", "max_len", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import ClassVar
 
-TAGS = ("B", "I", "O")
+from .preprocess import TAG_O, TAGS
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _harmonic(p: float, r: float) -> float:
 
 
 def inspan_indices(tags: list[str]) -> set[int]:
-    return {i for i, t in enumerate(tags) if t != "O"}
+    return {i for i, t in enumerate(tags) if t != TAG_O}
 
 
 def set_prf(pred: set[int], gold: set[int]) -> Scores:

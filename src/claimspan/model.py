@@ -14,7 +14,7 @@ from __future__ import annotations
 import base64
 import json
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,7 +40,7 @@ from .encoder import (
 )
 from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
-from .preprocess import AnnotatedPost, CharSpan, OffsetMap, Tokens, decode_bio, encode_bio, normalize_post, tokenize
+from .preprocess import AnnotatedPost, CharSpan, Tokens, decode_bio, encode_bio, normalize_post, tokenize
 
 CHECKPOINT_VERSION = 2
 UNK = "<unk>"
@@ -123,29 +123,26 @@ class Example:
     tokens: Tokens
     token_ids: list[int]
     gold_tags: list[str]
-    offset_map: OffsetMap
+    norm_to_raw: Sequence[int]
     dropped_spans: int = 0
 
 
 def post_to_example(post: AnnotatedPost, vocab: Vocabulary, config: ModelConfig) -> Example:
     """Normalize, tokenize, truncate to the model's max length, BIO-encode."""
-    norm, omap, dropped = normalize_post(post)
-    tokens = tokenize(norm.text)
+    text, spans, norm_to_raw = normalize_post(post)
+    tokens = tokenize(text)
     if len(tokens) > config.max_len:
         tokens = tokens[: config.max_len]
-    tags = encode_bio(tokens, norm.spans)
-    return Example(post.id, tokens, vocab.ids(tokens.surfaces), tags, omap, dropped)
+    tags = encode_bio(tokens, spans)
+    return Example(post.id, tokens, vocab.ids(tokens.surfaces), tags, norm_to_raw,
+                   len(post.spans) - len(spans))
 
 
 def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:
     """Decode predicted tags to spans in the post's original raw text."""
     spans, _repairs = decode_bio(example.tokens, tags)
-    out = []
-    for sp in spans:
-        raw_start = example.offset_map.norm_to_raw[sp.start]
-        raw_end = example.offset_map.norm_to_raw[sp.end - 1] + 1
-        out.append(CharSpan(raw_start, raw_end))
-    return out
+    norm_to_raw = example.norm_to_raw
+    return [CharSpan(norm_to_raw[sp.start], norm_to_raw[sp.end - 1] + 1) for sp in spans]
 
 
 def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> list[list[int]]:

@@ -1,8 +1,9 @@
-"""Text normalization, tokenization, and BIO codecs for span-annotated posts.
+"""Text normalization, tokenization, and the BIO tag set and codecs for
+span-annotated posts; ``TAGS`` is the tag set's one definition.
 
 Offsets are always character offsets into the text they were produced from.
-Normalization edits (URL / junk-token removal) are tracked through an
-``OffsetMap`` (one offset list, bisected) so gold spans survive the rewrite.
+Normalization edits (URL / junk-token removal) are tracked through one
+offset list, ``norm_to_raw``, bisected so gold spans survive the rewrite.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, sub
 
-TAG_B = "B"
-TAG_I = "I"
-TAG_O = "O"
-TAGS = (TAG_B, TAG_I, TAG_O)
+TAGS = ("B", "I", "O")
+TAG_B, TAG_I, TAG_O = TAGS
 
 # A junk chunk (a whitespace-delimited run) is a URL, or has no ASCII
 # alphanumeric character at all (emoji, arrows, bare punctuation runs). The
@@ -95,35 +94,27 @@ def check_spans(spans: list[CharSpan], text_len: int, post_id: str, key: str) ->
         prev_end = sp.end
 
 
-@dataclass
-class OffsetMap:
-    """Mapping from normalized text offsets back to raw text offsets.
+def remap_span(norm_to_raw: Sequence[int], start: int, end: int) -> tuple[int, int] | None:
+    """Project a raw-text span onto the normalized text.
 
     ``norm_to_raw[i]`` is the raw index of the character at normalized
     position ``i``. Normalization only removes characters, so the list
-    ascends strictly, and a raw span is remapped by bisecting it. A text that
-    normalization leaves as it is gets a ``range``.
+    ascends strictly and the span is found by bisecting it. Endpoints snap
+    inward past removed characters; returns None when the whole span was
+    removed.
     """
-
-    norm_to_raw: Sequence[int]
-
-    def remap_span(self, start: int, end: int) -> tuple[int, int] | None:
-        """Project a raw-text span onto the normalized text.
-
-        Endpoints snap inward past removed characters; returns None when the
-        whole span was removed.
-        """
-        lo = bisect_left(self.norm_to_raw, start)
-        hi = bisect_left(self.norm_to_raw, end, lo)
-        return None if lo == hi else (lo, hi)
+    lo = bisect_left(norm_to_raw, start)
+    hi = bisect_left(norm_to_raw, end, lo)
+    return None if lo == hi else (lo, hi)
 
 
-def normalize_text(raw: str) -> tuple[str, OffsetMap]:
-    """Strip URL tokens and special-character-only tokens, keeping an offset map.
+def normalize_text(raw: str) -> tuple[str, Sequence[int]]:
+    """Strip URL tokens and special-character-only tokens; returns the text
+    and ``norm_to_raw``, the raw index of each kept character.
 
     A removed token swallows the whitespace run after it (or before it when
     it ends the text) so the remaining tokens stay singly spaced. Idempotent:
-    a clean text maps through unchanged.
+    a clean text maps through unchanged, with a ``range`` as its offsets.
     """
     kept = []  # [start, end) raw ranges that survive, in order
     lo = 0
@@ -137,27 +128,27 @@ def normalize_text(raw: str) -> tuple[str, OffsetMap]:
             kept.append((lo, start))
         lo = m.end()
     if lo == 0:  # no junk chunk
-        return raw, OffsetMap(range(len(raw)))
+        return raw, range(len(raw))
     if lo < len(raw):
         kept.append((lo, len(raw)))
     norm_to_raw: list[int] = []
     for a, b in kept:
         norm_to_raw += range(a, b)
-    return "".join(raw[a:b] for a, b in kept), OffsetMap(norm_to_raw)
+    return "".join(raw[a:b] for a, b in kept), norm_to_raw
 
 
-def normalize_post(post: AnnotatedPost) -> tuple[AnnotatedPost, OffsetMap, int]:
+def normalize_post(post: AnnotatedPost) -> tuple[str, list[CharSpan], Sequence[int]]:
     """Normalize a post's text and remap its gold spans.
 
-    Returns the rewritten post, the offset map, and the number of gold spans
-    that vanished entirely with the removed text.
+    Returns the text, the spans that survive on it (a span whose text was
+    all removed is gone) and ``norm_to_raw``. The spans are the post's own
+    or remapped from them, so they are not checked again.
     """
-    text, omap = normalize_text(post.text)
+    text, norm_to_raw = normalize_text(post.text)
     if len(text) == len(post.text):  # nothing removed, so the spans stand
-        return AnnotatedPost(post.id, text, list(post.spans)), omap, 0
-    remapped = [omap.remap_span(sp.start, sp.end) for sp in post.spans]
-    spans = [CharSpan(*r) for r in remapped if r is not None]
-    return AnnotatedPost(post.id, text, spans), omap, len(post.spans) - len(spans)
+        return text, post.spans, norm_to_raw
+    remapped = [remap_span(norm_to_raw, sp.start, sp.end) for sp in post.spans]
+    return text, [CharSpan(*r) for r in remapped if r is not None], norm_to_raw
 
 
 def split_hashtag(token: str) -> list[str]:
@@ -251,29 +242,20 @@ def decode_bio(tokens: Tokens, tags: list[str]) -> tuple[list[CharSpan], int]:
     if len(tags) != len(tokens):
         raise ValueError(f"{len(tags)} tags for {len(tokens)} tokens")
     starts, ends = tokens.starts, tokens.ends
-    spans = []
-    repairs = 0
-    run_start = None
-    last = None
+    spans, repairs = [], 0
+    first = last = None  # the open run's first and last token
     for i, tag in enumerate(tags):
         if tag not in TAGS:
             raise ValueError(f"unknown tag {tag!r} at position {i}")
-        starts_run = tag == TAG_B or (tag == TAG_I and run_start is None)
-        if tag == TAG_I and run_start is None:
-            repairs += 1
-        if starts_run:
-            if run_start is not None:
-                spans.append(CharSpan(starts[run_start], ends[last]))
-            run_start = i
+        if tag == TAG_I and first is not None:
             last = i
-        elif tag == TAG_I:
-            last = i
-        else:
-            if run_start is not None:
-                spans.append(CharSpan(starts[run_start], ends[last]))
-            run_start = None
-    if run_start is not None:
-        spans.append(CharSpan(starts[run_start], ends[last]))
+            continue
+        if first is not None:
+            spans.append(CharSpan(starts[first], ends[last]))
+        repairs += tag == TAG_I  # a stray I opens a run, as B does
+        first = last = None if tag == TAG_O else i
+    if first is not None:
+        spans.append(CharSpan(starts[first], ends[last]))
     return spans, repairs
 
 

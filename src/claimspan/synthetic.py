@@ -64,6 +64,10 @@ HASHTAG_WORDS = ["stay", "safe", "truth", "wake", "up", "share", "now"]
 
 URL_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+# Shares of posts with a hashtag before the first claim and with a second claim.
+HASHTAG_RATE = 0.2
+MULTI_SPAN_RATE = 0.25
+
 
 def _words(rng: np.random.Generator, pool: list[str], n: int) -> list[str]:
     return [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
@@ -86,8 +90,7 @@ def _claim_phrase(rng: np.random.Generator) -> list[str]:
     return build(x, y)
 
 
-def generate_corpus(n_posts: int = 500, seed: int = 0, multi_span_rate: float = 0.25,
-                    hashtag_rate: float = 0.2, url_rate: float = 0.3) -> list[AnnotatedPost]:
+def generate_corpus(n_posts: int = 500, seed: int = 0, url_rate: float = 0.3) -> list[AnnotatedPost]:
     """Posts with 1-2 planted claim spans surrounded by filler."""
     rng = np.random.default_rng(seed)
     posts = []
@@ -111,11 +114,11 @@ def generate_corpus(n_posts: int = 500, seed: int = 0, multi_span_rate: float = 
             spans.append(CharSpan(start, cursor))
 
         push(_words(rng, FILLER, int(rng.integers(2, 9))))
-        if rng.random() < hashtag_rate:
+        if rng.random() < HASHTAG_RATE:
             push([_make_hashtag(rng)])
         push_span(_claim_phrase(rng))
         push(_words(rng, FILLER, int(rng.integers(1, 7))))
-        if rng.random() < multi_span_rate:
+        if rng.random() < MULTI_SPAN_RATE:
             push_span(_claim_phrase(rng))
             push(_words(rng, FILLER, int(rng.integers(1, 5))))
         if rng.random() < url_rate:

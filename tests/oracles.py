@@ -14,9 +14,9 @@ from collections import Counter
 import numpy as np
 
 from claimspan.crf import INDEX_TAG, forbidden_masks
-from claimspan.metrics import TAGS, Scores, _harmonic, _ratio
+from claimspan.metrics import Scores, _harmonic, _ratio
 from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
-from claimspan.preprocess import split_hashtag
+from claimspan.preprocess import TAGS, split_hashtag
 from claimspan.retrieval import B, K1, Bm25Index, idf, index_terms
 from claimspan.training import ADAM_EPS, BETA1, BETA2
 

@@ -5,6 +5,7 @@ import pytest
 
 import numpy as np
 
+from claimspan import cli
 from claimspan.cli import main
 from claimspan.crf import pin_forbidden
 from claimspan.encoder import ModelConfig
@@ -37,6 +38,23 @@ batch_size = 8
 max_epochs = 2
 patience = 2
 seed = 1
+"""
+
+
+# Criterion 9's training set-up (test_acceptance.py), less its seed line.
+SEEDLESS_CONFIG = """
+d = 24
+h = 4
+d_ff = 48
+layers = 2
+max_len = 40
+vocab_size = 256
+dropout_p = 0.1
+adapter_layer = 2
+learning_rate = 0.003
+batch_size = 16
+max_epochs = 3
+patience = 3
 """
 
 
@@ -268,6 +286,9 @@ def test_eval_bad_checkpoint(tmp_path, corpus_file, capsys):
     (lambda doc: [doc], "not a JSON object"),
     (lambda doc: {**doc, "bank_texts": [1, 2, 3]}, "bank_texts"),
     (lambda doc: {**doc, "bank_texts": "abc"}, "bank_texts"),
+    # the adapter switched on with bank_texts null
+    (lambda doc: {**doc, "config": {**doc["config"], "use_descnet": True}},
+     "checkpoint has adapter weights but no bank_texts"),
     (lambda doc: {**doc, "params": {**doc["params"],
                                     "crf.w_emit": {"shape": [8, 3], "values": "not base64!"}}},
      "bad tensor 'crf.w_emit'"),
@@ -297,6 +318,34 @@ def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, matc
     assert main(["eval", "--checkpoint", str(path), "--input", str(corpus_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
+
+
+def test_train_seed_flag_matches_seed_in_config(tmp_path, capsys):
+    # --seed over a config file without a seed trains exactly as the same
+    # config file holding that seed
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(generate_corpus(n_posts=120, seed=21), corpus)
+    seedless, seeded = tmp_path / "seedless.cfg", tmp_path / "seeded.cfg"
+    seedless.write_text(SEEDLESS_CONFIG)
+    seeded.write_text(SEEDLESS_CONFIG + "seed = 5\n")
+    outputs = []
+    for name, flags in [("flag", ["--config", str(seedless), "--seed", "5"]),
+                        ("file", ["--config", str(seeded)])]:
+        ckpt = tmp_path / f"{name}.json"
+        assert main(["train", *flags, "--input", str(corpus), "--output", str(ckpt)]) == 0
+        outputs.append((ckpt.read_bytes(), (tmp_path / f"{name}.json.log").read_bytes()))
+    capsys.readouterr()
+    assert json.loads(outputs[0][0])["config"]["seed"] == 5
+    assert outputs[0] == outputs[1]
+
+
+def test_runtime_failure_exits_two(monkeypatch, corpus_file, capsys):
+    def broken(_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_preprocess", broken)
+    assert main(["preprocess", "--input", str(corpus_file)]) == 2
+    assert capsys.readouterr().err == "runtime failure: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])

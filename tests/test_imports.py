@@ -1,8 +1,8 @@
 """Static scans: every imported name is used, every function the
 benchmark's tracer wraps exists, every chunk function takes its
 ``Packing`` without a default and no ``train`` flag, JSON lines are
-parsed in one place, and training and the CLI score only through
-``build_report``."""
+parsed in one place, training and the CLI score only through
+``build_report``, and only ``preprocess`` spells out a BIO tag."""
 
 import ast
 import importlib
@@ -177,3 +177,24 @@ def test_training_and_cli_score_only_through_build_report():
         if hits:
             found[name] = hits
     assert not found, found
+
+
+def tag_literals(tree: ast.Module) -> list[str]:
+    """String constants that are exactly one BIO tag."""
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("B", "I", "O")]
+
+
+def test_only_preprocess_spells_out_the_tags():
+    # the scan itself: a tag as a literal, in a tuple or as a dict key is
+    # found; a longer string, a docstring naming the tags and a name are not
+    tree = ast.parse('"""Tags B, I, O."""\nx = "B"\ny = ("I", "BO")\nz = {"O": 1}\nO = 2\n')
+    assert tag_literals(tree) == ["line 2: 'B'", "line 3: 'I'", "line 4: 'O'"]
+    sources = sorted(ROOT.glob("src/claimspan/*.py"))
+    assert sources
+    found = {}
+    for path in sources:
+        hits = tag_literals(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if hits:
+            found[path.name] = hits
+    assert set(found) == {"preprocess.py"}, found

@@ -59,6 +59,17 @@ def test_post_to_example_roundtrip(tiny_config, tiny_vocab):
     spans = spans_to_raw(ex, ex.gold_tags)
     assert spans == [CharSpan(19, 35)]
     assert post.text[spans[0].start:spans[0].end] == "garlic cures flu"
+    assert ex.dropped_spans == 0
+
+
+def test_post_to_example_counts_dropped_spans(tiny_config, tiny_vocab):
+    # the first span lies wholly in removed text, the second survives
+    post = AnnotatedPost(id="p", text="keep →→→ tail garlic",
+                         spans=[CharSpan(5, 8), CharSpan(14, 20)])
+    ex = post_to_example(post, tiny_vocab, tiny_config)
+    assert ex.dropped_spans == 1
+    assert ex.gold_tags == ["O", "O", "B"]
+    assert list(ex.norm_to_raw) == [*range(0, 5), *range(9, 20)]
 
 
 def test_post_to_example_truncates(tiny_config, tiny_vocab):

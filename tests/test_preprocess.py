@@ -18,6 +18,7 @@ from claimspan.preprocess import (
     load_corpus,
     normalize_post,
     normalize_text,
+    remap_span,
     save_corpus,
     split_hashtag,
     tokenize,
@@ -106,19 +107,20 @@ def test_split_hashtag_requires_prefix():
 # normalize_text
 
 def test_normalize_strips_urls_and_emoji():
-    text, omap = normalize_text("read this https://t.co/abc123 now →→")
+    text, norm_to_raw = normalize_text("read this https://t.co/abc123 now →→")
     assert text == "read this now"
     # surviving characters map back onto their raw positions
     raw = "read this https://t.co/abc123 now →→"
     for i, ch in enumerate(text):
-        assert raw[omap.norm_to_raw[i]] == ch
+        assert raw[norm_to_raw[i]] == ch
 
 
 def test_normalize_clean_text_is_identity():
     raw = "plain words only"
-    text, omap = normalize_text(raw)
+    text, norm_to_raw = normalize_text(raw)
     assert text == raw
-    assert [omap.norm_to_raw[i] for i in range(len(text))] == list(range(len(raw)))
+    assert [norm_to_raw[i] for i in range(len(text))] == list(range(len(raw)))
+    assert norm_to_raw == range(len(raw))
 
 
 def test_normalize_idempotent():
@@ -139,27 +141,28 @@ _NORM_GAPS = ["", " ", "  ", "\t", "\n", " \n\t"]
        st.sampled_from(["", " →", " https://t.co/z", "\n", " "]))
 def test_normalize_offset_map_property(pieces, lead, trail):
     raw = lead + "".join(p + g for p, g in pieces) + trail
-    norm, omap = normalize_text(raw)
-    assert len(omap.norm_to_raw) == len(norm)
-    for i, j in enumerate(omap.norm_to_raw):
+    norm, norm_to_raw = normalize_text(raw)
+    assert len(norm_to_raw) == len(norm)
+    for i, j in enumerate(norm_to_raw):
         assert norm[i] == raw[j]
-    assert_remap_matches_per_character(omap, normalize_text_scalar(raw)[2])
+    assert_remap_matches_per_character(norm_to_raw, normalize_text_scalar(raw)[2])
 
 
-def assert_remap_matches_per_character(omap, raw_to_norm):
+def assert_remap_matches_per_character(norm_to_raw, raw_to_norm):
     """``remap_span`` on every ``(start, end)`` pair of the raw text against
     its per-character definition: the normalized positions of the span's
     kept characters, first to last, or None when none is kept."""
     n = len(raw_to_norm)
     for start in range(n + 1):
-        assert omap.remap_span(start, start) is None
+        assert remap_span(norm_to_raw, start, start) is None
         first = last = None
         for end in range(start + 1, n + 1):
             if raw_to_norm[end - 1] >= 0:
                 if first is None:
                     first = raw_to_norm[end - 1]
                 last = raw_to_norm[end - 1]
-            assert omap.remap_span(start, end) == (None if first is None else (first, last + 1))
+            assert remap_span(norm_to_raw, start, end) == (
+                None if first is None else (first, last + 1))
 
 
 # Pieces are joined with no gap, so they also make mixed chunks such as
@@ -185,11 +188,11 @@ _FRONT_END_ALPHABET = [
 @example("#WuhanLabn't")
 @example("#ab n't")
 def test_front_end_matches_scalar_oracle(raw):
-    norm, omap = normalize_text(raw)
+    norm, norm_to_raw = normalize_text(raw)
     ref_norm, ref_norm_to_raw, ref_raw_to_norm = normalize_text_scalar(raw)
     assert norm == ref_norm
-    assert list(omap.norm_to_raw) == ref_norm_to_raw
-    assert_remap_matches_per_character(omap, ref_raw_to_norm)
+    assert list(norm_to_raw) == ref_norm_to_raw
+    assert_remap_matches_per_character(norm_to_raw, ref_raw_to_norm)
     for text in (raw, norm):
         tokens = tokenize(text)
         assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == tokenize_scalar(text)
@@ -202,19 +205,19 @@ def test_normalize_post_remaps_spans():
     post = AnnotatedPost(id="x", text="see https://t.co/q garlic cures flu ok",
                          spans=[CharSpan(19, 35)])
     assert post.text[19:35] == "garlic cures flu"
-    norm, omap, dropped = normalize_post(post)
-    assert dropped == 0
-    s = norm.spans[0]
-    assert norm.text[s.start:s.end] == "garlic cures flu"
+    text, spans, _norm_to_raw = normalize_post(post)
+    assert len(post.spans) - len(spans) == 0
+    s = spans[0]
+    assert text[s.start:s.end] == "garlic cures flu"
 
 
 def test_normalize_post_drops_vanished_span():
     post = AnnotatedPost(id="x", text="keep →→→ tail",
                          spans=[CharSpan(5, 8)])
-    norm, _omap, dropped = normalize_post(post)
-    assert dropped == 1
-    assert norm.spans == []
-    assert norm.text == "keep tail"
+    text, spans, _norm_to_raw = normalize_post(post)
+    assert len(post.spans) - len(spans) == 1
+    assert spans == []
+    assert text == "keep tail"
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,17 @@ def test_decode_bio_roundtrip_and_repair():
 def test_decode_bio_length_mismatch():
     with pytest.raises(ValueError):
         decode_bio(toks(("a", 0, 1)), ["O", "O"])
+
+
+def test_decode_bio_rejects_unknown_tag():
+    with pytest.raises(ValueError, match="unknown tag 'X' at position 1"):
+        decode_bio(toks(("a", 0, 1), ("b", 2, 3)), ["B", "X"])
+
+
+@pytest.mark.parametrize("start, end", [(3, 3), (4, 3)], ids=["empty", "inverted"])
+def test_char_span_rejects_empty_and_inverted(start, end):
+    with pytest.raises(ValueError, match=rf"empty or inverted span \[{start}, {end}\)"):
+        CharSpan(start, end)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import pytest
 
+from claimspan import synthetic
 from claimspan.preprocess import tokenize
 from claimspan.synthetic import (
     DISEASES,
@@ -47,25 +48,30 @@ def test_every_span_slices_to_claim_words():
     assert n_spans >= 120  # every post carries at least one claim
 
 
-def test_spans_do_not_overlap_and_are_sorted():
-    for post in generate_corpus(n_posts=100, seed=3, multi_span_rate=1.0):
+def test_spans_do_not_overlap_and_are_sorted(monkeypatch):
+    monkeypatch.setattr(synthetic, "MULTI_SPAN_RATE", 1.0)
+    for post in generate_corpus(n_posts=100, seed=3):
         spans = post.spans
         assert spans == sorted(spans, key=lambda s: s.start)
         for left, right in zip(spans, spans[1:]):
             assert left.end < right.start
 
 
-def test_multi_span_rate_extremes():
-    never = generate_corpus(n_posts=40, seed=4, multi_span_rate=0.0)
+def test_multi_span_rate_extremes(monkeypatch):
+    monkeypatch.setattr(synthetic, "MULTI_SPAN_RATE", 0.0)
+    never = generate_corpus(n_posts=40, seed=4)
     assert all(len(p.spans) == 1 for p in never)
-    always = generate_corpus(n_posts=40, seed=4, multi_span_rate=1.0)
+    monkeypatch.setattr(synthetic, "MULTI_SPAN_RATE", 1.0)
+    always = generate_corpus(n_posts=40, seed=4)
     assert all(len(p.spans) == 2 for p in always)
 
 
-def test_noise_rates():
-    plain = generate_corpus(n_posts=60, seed=5, hashtag_rate=0.0, url_rate=0.0)
+def test_noise_rates(monkeypatch):
+    monkeypatch.setattr(synthetic, "HASHTAG_RATE", 0.0)
+    plain = generate_corpus(n_posts=60, seed=5, url_rate=0.0)
     assert not any("#" in p.text or "https://" in p.text for p in plain)
-    noisy = generate_corpus(n_posts=60, seed=5, hashtag_rate=1.0, url_rate=1.0)
+    monkeypatch.setattr(synthetic, "HASHTAG_RATE", 1.0)
+    noisy = generate_corpus(n_posts=60, seed=5, url_rate=1.0)
     assert all("#" in p.text for p in noisy)
     assert all("https://t.co/" in p.text for p in noisy)
 

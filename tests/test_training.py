@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import claimspan.crf as crf_mod
+import claimspan.preprocess as preprocess
 import claimspan.model as model_mod
 import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
@@ -36,6 +37,7 @@ from claimspan.training import (
     configs_from_mapping,
     grad_check,
     layer_sweep,
+    load_config,
     parse_config_text,
     prepare_examples,
     train,
@@ -232,10 +234,21 @@ def test_configs_from_mapping_types_and_sharing():
     ({"patience": "50", "max_epochs": "10"}, "patience"),
     ({"learning_rate": "-1"}, "learning_rate"),
     ({"attention_variant": "fancy"}, "attention_variant"),
+    # the model's own checks, against the defaults d = 64 and layers = 4
+    ({"h": "3"}, "head count 3 must divide width 64"),
+    ({"adapter_layer": "5"}, "adapter_layer 5 outside"),
+    ({"dropout_p": "1.0"}, "dropout_p 1.0 outside"),
+    ({"d_ff": "0"}, "d_ff must be positive"),
+    ({"h": "0"}, "h must be positive"),
 ])
-def test_configs_from_mapping_errors(kv, match):
+def test_configs_from_mapping_errors(tmp_path, kv, match):
     with pytest.raises(ConfigError, match=match):
         configs_from_mapping(kv)
+    # a config file holding the same keys fails the same way
+    path = tmp_path / "bad.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in kv.items()))
+    with pytest.raises(ConfigError, match=match):
+        load_config(path)
 
 
 def test_train_config_validation():
@@ -626,6 +639,19 @@ def test_train_normalizes_each_post_once(monkeypatch):
             monkeypatch.setattr(mod, "normalize_post", counting)
     train(tr, va, synthetic_bank(), TINY_MC, tc)
     assert len(calls) == len(tr) + len(va)
+
+
+def test_prepare_examples_checks_no_spans(monkeypatch):
+    # posts that exist were checked when they were built; making examples of
+    # them, with normalization remapping some spans, checks none again
+    posts = generate_corpus(n_posts=40, seed=3, url_rate=0.5)
+    assert any("https://" in p.text for p in posts)
+    calls = []
+    real = preprocess.check_spans
+    monkeypatch.setattr(preprocess, "check_spans", lambda *args: calls.append(1) or real(*args))
+    examples = prepare_examples(posts, Vocabulary(["<unk>"]), TINY_MC)
+    assert len(examples) == len(posts)
+    assert calls == []
 
 
 def test_train_validates_inputs():
