@@ -127,15 +127,17 @@ class Example:
     dropped_spans: int = 0
 
 
-def post_to_example(post: AnnotatedPost, vocab: Vocabulary, config: ModelConfig) -> Example:
-    """Normalize, tokenize, truncate to the model's max length, BIO-encode."""
+def post_to_example(post: AnnotatedPost, vocab: Vocabulary | None, config: ModelConfig) -> Example:
+    """Normalize, tokenize, truncate to the model's max length, BIO-encode.
+    With ``vocab`` None the token ids are left empty, for ``train`` to look
+    up once it has built its vocabulary from the examples' tokens."""
     text, spans, norm_to_raw = normalize_post(post)
     tokens = tokenize(text)
     if len(tokens) > config.max_len:
         tokens = tokens[: config.max_len]
     tags = encode_bio(tokens, spans)
-    return Example(post.id, tokens, vocab.ids(tokens.surfaces), tags, norm_to_raw,
-                   len(post.spans) - len(spans))
+    token_ids = [] if vocab is None else vocab.ids(tokens.surfaces)
+    return Example(post.id, tokens, token_ids, tags, norm_to_raw, len(post.spans) - len(spans))
 
 
 def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:

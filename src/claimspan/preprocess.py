@@ -46,16 +46,39 @@ class CharSpan:
             raise ValueError(f"empty or inverted span [{self.start}, {self.end})")
 
 
+class _Offsets:
+    """The ``starts`` or ``ends`` field of a ``Tokens`` from ``tokenize`` not
+    read yet: the first read computes both into the instance dict, which every
+    later read finds first, since this descriptor has no ``__set__``."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, tokens, owner=None):
+        if tokens is None:  # read on the class, as ``dataclass`` does: no default
+            raise AttributeError(self.name)
+        # Each match is a token and the whitespace run before it, so a token
+        # ends at the summed match lengths up to its own.
+        columns = tokens.__dict__
+        ends = columns["ends"] = list(accumulate(map(len, columns.pop("_chunks"))))
+        starts = columns["starts"] = list(map(sub, ends, map(len, tokens.surfaces)))
+        return starts if self.name == "starts" else ends
+
+
 @dataclass(frozen=True)
 class Tokens:
     """A text's tokens as three parallel lists: ``surfaces[i]`` is token i's
     text and ``[starts[i], ends[i])`` its character range in the text it was
     cut from. Tokens are in text order and disjoint, so both offset lists
-    ascend. ``len()`` is the token count, and a slice is a ``Tokens``."""
+    ascend. ``len()`` is the token count, and a slice is a ``Tokens``.
+
+    ``tokenize`` computes the offsets on first read, from the matches it
+    leaves as ``_chunks``, so surface-only readers such as BM25 indexing do
+    not pay for them."""
 
     surfaces: list[str]
-    starts: list[int]
-    ends: list[int]
+    starts: list[int] = _Offsets()
+    ends: list[int] = _Offsets()
 
     def __len__(self) -> int:
         return len(self.surfaces)
@@ -178,18 +201,21 @@ def tokenize(text: str) -> Tokens:
     ``_SPACED_TOKEN_RE`` tile the text up to its trailing whitespace, and a
     token ends at the summed lengths of the matches up to its own. The
     search ends before the trailing whitespace, where each failed match
-    would rescan the rest of the run. The three columns are built whole, with
-    no object per token.
+    would rescan the rest of the run. The columns are built whole, with no
+    object per token, and the offsets only when first read (see ``Tokens``);
+    a hashtag text reads them at once, to place its pieces.
     """
     chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
     # str.isspace and the regex's \s accept the same characters.
     surfaces = list(map(str.lstrip, chunks))
-    ends = list(accumulate(map(len, chunks)))
-    starts = list(map(sub, ends, map(len, surfaces)))
+    tokens = object.__new__(Tokens)
+    columns = tokens.__dict__
+    columns["surfaces"], columns["_chunks"] = surfaces, chunks
     if "#" in text:
         # Replace each hashtag by its pieces, last first, so the indices of
         # the hashtags still to do stay put.
         hashtags = [i for i, s in enumerate(surfaces) if s[0] == "#" and len(s) > 1]
+        starts, ends = tokens.starts, tokens.ends
         for i in reversed(hashtags):
             pieces = split_hashtag(surfaces[i])
             piece_starts, cursor = [], starts[i]
@@ -200,7 +226,7 @@ def tokenize(text: str) -> Tokens:
             surfaces[i:i + 1] = pieces
             starts[i:i + 1] = piece_starts
             ends[i:i + 1] = map(add, piece_starts, map(len, pieces))
-    return Tokens(surfaces, starts, ends)
+    return tokens
 
 
 def encode_bio(tokens: Tokens, spans: list[CharSpan]) -> list[str]:

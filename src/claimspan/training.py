@@ -21,7 +21,6 @@ from .descnet import DescriptionBank, bank_backward
 from .encoder import CONFIG_TYPES, ModelConfig, check_field_types
 from .metrics import EvalReport, build_report
 from .model import (
-    UNK,
     Example,
     ModelParams,
     Vocabulary,
@@ -202,13 +201,14 @@ class TrainResult:
     stopped_early: bool
 
 
-def prepare_examples(corpus: list[AnnotatedPost], vocab: Vocabulary,
+def prepare_examples(corpus: list[AnnotatedPost], vocab: Vocabulary | None,
                      config: ModelConfig) -> list[Example]:
-    """Posts as model inputs; posts with no surviving tokens are dropped."""
+    """Posts as model inputs; posts with no surviving tokens are dropped.
+    With ``vocab`` None the token ids are left empty (see ``post_to_example``)."""
     out = []
     for post in corpus:
         ex = post_to_example(post, vocab, config)
-        if ex.token_ids:
+        if ex.tokens.surfaces:
             out.append(ex)
     return out
 
@@ -278,10 +278,10 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
         raise ValueError("adapter enabled but no description bank given")
 
     rng = np.random.default_rng(tc.seed)
-    # Each post is tokenized once: the training examples are made against a
-    # vocabulary of <unk> alone, the vocabulary is built from their tokens,
-    # and then their ids are looked up in it.
-    train_ex = prepare_examples(corpus_train, Vocabulary([UNK]), mc)
+    # Each post is tokenized once and its ids looked up once: the training
+    # examples are made without ids, the vocabulary is built from their
+    # tokens, and then their ids are looked up in it.
+    train_ex = prepare_examples(corpus_train, None, mc)
     vocab = Vocabulary.build([ex.tokens.surfaces for ex in train_ex], mc.vocab_size)
     for ex in train_ex:
         ex.token_ids = vocab.ids(ex.tokens.surfaces)

@@ -641,6 +641,40 @@ def test_train_normalizes_each_post_once(monkeypatch):
     assert len(calls) == len(tr) + len(va)
 
 
+def test_train_looks_up_each_text_once(monkeypatch):
+    # one vocabulary lookup per training post, validation post and bank text:
+    # the training examples are made without ids and looked up once the
+    # vocabulary is built from their tokens
+    tr, va, _ = split_corpus(_mini_corpus())
+    bank = synthetic_bank()
+    tc = dataclasses.replace(TINY_TC, max_epochs=1, patience=1)
+    real = model_mod.Vocabulary.ids
+    calls = []
+
+    def counting(self, surfaces):
+        calls.append(len(surfaces))
+        return real(self, surfaces)
+
+    monkeypatch.setattr(model_mod.Vocabulary, "ids", counting)
+    res = train(tr, va, bank, TINY_MC, tc)
+    assert len(calls) == len(tr) + len(va) + len(bank)
+    assert all(calls)
+    # the ids are the real vocabulary's, as the model's inputs are
+    ex = prepare_examples(tr[:1], res.vocab, TINY_MC)[0]
+    assert ex.token_ids == res.vocab.ids(ex.tokens.surfaces)
+    assert any(ex.token_ids)
+
+
+def test_prepare_examples_without_vocabulary_keeps_the_same_posts():
+    # a post is dropped only when no token survives, with or without ids
+    posts = _mini_corpus()[:6] + [AnnotatedPost("junk", "🙂 https://t.co/x →→")]
+    without = prepare_examples(posts, None, TINY_MC)
+    with_ids = prepare_examples(posts, Vocabulary(["<unk>"]), TINY_MC)
+    assert [ex.post_id for ex in without] == [ex.post_id for ex in with_ids] == [p.id for p in posts[:6]]
+    assert all(ex.token_ids == [] for ex in without)
+    assert [ex.tokens for ex in without] == [ex.tokens for ex in with_ids]
+
+
 def test_prepare_examples_checks_no_spans(monkeypatch):
     # posts that exist were checked when they were built; making examples of
     # them, with normalization remapping some spans, checks none again
