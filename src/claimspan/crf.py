@@ -2,9 +2,10 @@
 
 All recursions run in log space, with one time loop over a whole packed
 chunk of sequences. Structurally forbidden moves (starting on I, O followed
-by I) are pinned to a large negative score and masked out of gradient
-updates, which guarantees Viterbi never emits an undecodable tag sequence.
-Tags are ordered as ``preprocess.TAGS``; argmax ties take the lowest index.
+by I) are pinned to a large negative score, so Viterbi never emits an
+undecodable tag sequence; their gradient here is the plain one, and the
+optimizer alone (``training.AdamState``) keeps them frozen. Tags are ordered
+as ``preprocess.TAGS``; argmax ties take the lowest index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .packing import Packing
 from .preprocess import TAG_I, TAG_O, TAGS
 
 TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
-INDEX_TAG = TAGS
 N_TAGS = len(TAGS)
 FORBIDDEN_SCORE = -1.0e4
 
@@ -108,30 +108,31 @@ def _forward_messages(e: np.ndarray, crf: CrfParams,
 
 
 def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str],
-             packing: Packing) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+             packing: Packing) -> tuple[np.ndarray, dict]:
     """Each sequence's log Z minus its gold-path score, nonnegative up to
-    roundoff, as a (sequences,) array, and the forward messages
-    ``(alpha, log_z)`` that ``nll_backward`` needs.
+    roundoff, as a (sequences,) array, and the cache ``nll_backward`` reads:
+    the emissions, the gold tag ids, the forward messages alpha, log Z and
+    the packing.
 
     ``e`` and ``tags`` are the chunk's packed emission rows and gold tags.
     """
-    messages = _forward_messages(e, crf, packing)
-    return messages[1] - score_sequence(e, crf, tags_to_indices(tags), packing), messages
+    tag_ids = tags_to_indices(tags)
+    alpha, log_z = _forward_messages(e, crf, packing)
+    return log_z - score_sequence(e, crf, tag_ids, packing), {
+        "e": e, "tag_ids": tag_ids, "alpha": alpha, "log_z": log_z, "packing": packing}
 
 
-def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
-                 messages: tuple[np.ndarray, np.ndarray], g: CrfParams,
-                 packing: Packing) -> np.ndarray:
+def nll_backward(crf: CrfParams, cache: dict, g: CrfParams) -> np.ndarray:
     """Accumulate CRF-parameter gradients of the chunk's summed NLL and return
     d(loss)/d(emissions) for its packed rows.
 
-    ``messages`` are the forward messages ``nll_loss`` returned for the same
-    emissions and parameters. Uses the exact identity: the emission gradient
-    is marginals minus the gold one-hot; transition/start/end gradients are
-    expected counts minus observed counts. Pinned entries get zero gradient.
+    ``cache`` is what ``nll_loss`` returned for the same parameters. Uses the
+    exact identity: the emission gradient is marginals minus the gold
+    one-hot; transition/start/end gradients are expected counts minus
+    observed counts. Every entry gets its plain gradient, the pinned ones
+    too; only the optimizer freezes those.
     """
-    alpha, log_z = messages
-    tag_ids = tags_to_indices(tags)
+    e, tag_ids, packing = cache["e"], cache["tag_ids"], cache["packing"]
     em = packing.pad(e, 0.0)
     beta = np.empty(em.shape)
     step = beta[:, -1] = crf.end_scores
@@ -145,7 +146,8 @@ def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
     # marginals minus the gold one-hot, and the pair marginals
     # p(y_t = i, y_t+1 = j) of every step of every sequence at once, all on
     # the packed rows, so no value past a sequence's end is read
-    alpha, beta, log_z = packing.unpad(alpha), packing.unpad(beta), log_z[packing.seg]
+    alpha, beta = packing.unpad(cache["alpha"]), packing.unpad(beta)
+    log_z = cache["log_z"][packing.seg]
     d_e = np.exp(alpha + beta - log_z[:, None])
     d_e[np.arange(len(e)), tag_ids] -= 1.0
     pairs = packing.pair_rows
@@ -156,10 +158,6 @@ def nll_backward(e: np.ndarray, crf: CrfParams, tags: list[str],
                            minlength=N_TAGS * N_TAGS).reshape(N_TAGS, N_TAGS)
     d_start = d_e[packing.starts].sum(axis=0)
     d_end = d_e[packing.ends].sum(axis=0)
-
-    trans_mask, start_mask = forbidden_masks()
-    d_trans[trans_mask] = 0.0
-    d_start[start_mask] = 0.0
 
     g.transitions += d_trans
     g.start_scores += d_start
@@ -191,4 +189,4 @@ def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing) -> list[str]
             path[ending, t] = best[ending]
         if t:
             path[:, t - 1] = backptr[rows, t, path[:, t]]
-    return [INDEX_TAG[i] for i in packing.unpad(path).tolist()]
+    return [TAGS[i] for i in packing.unpad(path).tolist()]

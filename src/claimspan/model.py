@@ -56,7 +56,7 @@ class Vocabulary:
     lowercases the surfaces); index 0 is the unknown token."""
 
     words: list[str]
-    index: dict[str, int] = field(default_factory=dict, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.words or self.words[0] != UNK:
@@ -201,23 +201,21 @@ def sequence_forward(params: ModelParams, config: ModelConfig, token_ids,
 
 def sequence_loss(params: ModelParams, config: ModelConfig, token_ids, gold_tags: list[str],
                   bank: DescriptionBank | None, packing: Packing, rng=None):
-    """Each sequence's loss as a (sequences,) array, and (emissions, cache)
-    for ``sequence_backward``; ``gold_tags`` are the chunk's packed tags."""
+    """Each sequence's loss as a (sequences,) array, and the cache
+    ``sequence_backward`` reads; ``gold_tags`` are the chunk's packed tags."""
     e, cache = sequence_forward(params, config, token_ids, bank, packing, rng)
     losses, cache["crf"] = nll_loss(e, params.crf, gold_tags, packing)
-    return losses, (e, cache)
+    return losses, cache
 
 
-def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[str],
-                      e: np.ndarray, cache, grads: ModelParams,
+def sequence_backward(params: ModelParams, config: ModelConfig, cache, grads: ModelParams,
                       d_bank: np.ndarray | None) -> None:
     """Accumulate the gradient of the chunk's summed loss into ``grads``.
 
     With the adapter on, the gradient w.r.t. the bank's keys is added into
     ``d_bank``; the caller runs ``bank_backward`` once per batch.
     """
-    packing = cache["packing"]
-    d_e = nll_backward(e, params.crf, gold_tags, cache["crf"], grads.crf, packing)
+    d_e = nll_backward(params.crf, cache["crf"], grads.crf)
     d_z = emissions_backward(d_e, cache["z"], params.crf, grads.crf)
     blocks, g_blocks = params.encoder.blocks, grads.encoder.blocks
     for i in range(len(blocks), 0, -1):
@@ -227,7 +225,7 @@ def sequence_backward(params: ModelParams, config: ModelConfig, gold_tags: list[
             d_z = d_in + d_z if config.adapter_residual else d_in
         d_z = encoder_block_backward(d_z, cache["blocks"][i - 1], blocks[i - 1], config,
                                      g_blocks[i - 1])
-    embed_backward(d_z, cache["token_ids"], grads.encoder, packing)
+    embed_backward(d_z, cache["token_ids"], grads.encoder, cache["packing"])
 
 
 def predict_tags(params: ModelParams, config: ModelConfig, id_lists: list[list[int]],

@@ -64,9 +64,10 @@ HASHTAG_WORDS = ["stay", "safe", "truth", "wake", "up", "share", "now"]
 
 URL_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
-# Shares of posts with a hashtag before the first claim and with a second claim.
+# Shares of posts with a hashtag before the first claim, a second claim and a URL.
 HASHTAG_RATE = 0.2
 MULTI_SPAN_RATE = 0.25
+URL_RATE = 0.3
 
 
 def _words(rng: np.random.Generator, pool: list[str], n: int) -> list[str]:
@@ -90,7 +91,7 @@ def _claim_phrase(rng: np.random.Generator) -> list[str]:
     return build(x, y)
 
 
-def generate_corpus(n_posts: int = 500, seed: int = 0, url_rate: float = 0.3) -> list[AnnotatedPost]:
+def generate_corpus(n_posts: int = 500, seed: int = 0) -> list[AnnotatedPost]:
     """Posts with 1-2 planted claim spans surrounded by filler."""
     rng = np.random.default_rng(seed)
     posts = []
@@ -121,7 +122,7 @@ def generate_corpus(n_posts: int = 500, seed: int = 0, url_rate: float = 0.3) ->
         if rng.random() < MULTI_SPAN_RATE:
             push_span(_claim_phrase(rng))
             push(_words(rng, FILLER, int(rng.integers(1, 5))))
-        if rng.random() < url_rate:
+        if rng.random() < URL_RATE:
             push([_make_url(rng)])
         posts.append(AnnotatedPost(id=f"post-{idx:04d}", text=" ".join(chunks), spans=spans))
     return posts

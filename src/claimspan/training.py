@@ -135,7 +135,8 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam's step count and moment vectors over a model's parameter vector,
-    two scratch vectors for the update, and the pinned CRF entries' indices."""
+    two scratch vectors for the update, and the pinned CRF entries' indices:
+    the optimizer alone freezes those forbidden moves (see ``adam_step``)."""
 
     def __init__(self, params: ModelParams):
         self.step = 0
@@ -234,13 +235,13 @@ def batch_gradients(params: ModelParams, config: ModelConfig, batch: list[Exampl
     losses = np.empty(len(batch))
     for chunk in make_chunks([ex.token_ids for ex in batch]):
         tags = [t for i in chunk.order for t in batch[i].gold_tags]
-        chunk_losses, (e, cache) = sequence_loss(params, config, chunk.token_ids, tags, bank,
-                                                 chunk.packing, rng)
+        chunk_losses, cache = sequence_loss(params, config, chunk.token_ids, tags, bank,
+                                            chunk.packing, rng)
         for i, loss in zip(chunk.order, chunk_losses):
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} at post {batch[i].post_id}")
             losses[i] = loss
-        sequence_backward(params, config, tags, e, cache, grads, d_bank)
+        sequence_backward(params, config, cache, grads, d_bank)
     if bank is not None:
         bank_backward(d_bank, bank, params.descnet.description_encoder, config,
                       grads.descnet.description_encoder, grads.encoder)

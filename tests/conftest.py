@@ -1,10 +1,15 @@
+import time
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import claimspan.model as model_mod
 from claimspan.encoder import ModelConfig
 from claimspan.model import Vocabulary, init_model_params
 from claimspan.preprocess import AnnotatedPost, CharSpan
+from claimspan.training import grad_check
 
 # Tier-1 runs the same Hypothesis examples on every run, with no wall-clock
 # deadline, so its outcome does not depend on chance or machine load.
@@ -44,3 +49,24 @@ def small_corpus() -> list:
         make_post("p2", "today the news said people share numbers", []),
         make_post("p3", "garlic cures flu said someone today", [(0, 16)]),
     ]
+
+
+GradCheckRun = namedtuple("GradCheckRun", "report tokenized elapsed_s")
+
+
+@pytest.fixture(scope="session")
+def default_grad_check() -> GradCheckRun:
+    """One default ``grad_check()`` run, shared by the tests that assert on
+    its report, with the texts it tokenized and its wall time."""
+    real, tokenized = model_mod.tokenize, []
+
+    def counting(text):
+        tokenized.append(text)
+        return real(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "tokenize", counting)
+        tic = time.perf_counter()
+        report = grad_check()
+        elapsed_s = time.perf_counter() - tic
+    return GradCheckRun(report, tokenized, elapsed_s)

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from claimspan.crf import INDEX_TAG, forbidden_masks
+from claimspan.crf import forbidden_masks
 from claimspan.metrics import Scores, _harmonic, _ratio
 from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import TAGS, split_hashtag
@@ -203,7 +203,7 @@ def viterbi_decode_per_sequence(e, crf, packing) -> list[str]:
         path, steps = [best[seq]], pointers[seq]
         for t in range(n - 1, 0, -1):
             path.append(steps[t][path[-1]])
-        out.extend(INDEX_TAG[i] for i in reversed(path))
+        out.extend(TAGS[i] for i in reversed(path))
     return out
 
 

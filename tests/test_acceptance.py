@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from claimspan.cli import main as cli_main
-from claimspan.crf import INDEX_TAG, init_crf_params, pin_forbidden, viterbi_decode
+from claimspan.crf import init_crf_params, pin_forbidden, viterbi_decode
 from claimspan.descnet import coda_forward, igm_forward, init_descnet_params
 from claimspan.encoder import ModelConfig
 from claimspan.metrics import dice, paired_f1_ttest
 from claimspan.model import build_bank
 from claimspan.packing import Packing
-from claimspan.preprocess import CharSpan, decode_bio, encode_bio, save_corpus, tokenize
+from claimspan.preprocess import TAGS, CharSpan, decode_bio, encode_bio, save_corpus, tokenize
 from claimspan.retrieval import (
     RetrievalJudgment,
     build_index,
@@ -33,7 +33,7 @@ from claimspan.synthetic import (
     split_corpus,
     synthetic_bank,
 )
-from claimspan.training import TrainConfig, evaluate_split, grad_check, prepare_examples, train
+from claimspan.training import TrainConfig, evaluate_split, prepare_examples, train
 
 from oracles import coda_scalar, crf_enumerate, igm_scalar
 from test_crf import log_z_and_marginals
@@ -85,10 +85,10 @@ def test_criterion_1_crf_matches_enumeration():
         pin_forbidden(crf)
         ref_lp, ref_marg, ref_best = crf_enumerate(e, crf)
         # log Z and marginals as training sees them, through nll_loss/nll_backward
-        (lp,), marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in ref_best], Packing([n]))
+        (lp,), marg = log_z_and_marginals(e, crf, [TAGS[i] for i in ref_best], Packing([n]))
         max_lp_err = max(max_lp_err, abs(lp - ref_lp))
         max_marg_err = max(max_marg_err, float(np.max(np.abs(marg - ref_marg))))
-        assert viterbi_decode(e, crf, Packing([n])) == [INDEX_TAG[i] for i in ref_best]
+        assert viterbi_decode(e, crf, Packing([n])) == [TAGS[i] for i in ref_best]
     elapsed = time.perf_counter() - tic
     assert max_lp_err < 1e-9
     assert max_marg_err < 1e-9
@@ -97,10 +97,8 @@ def test_criterion_1_crf_matches_enumeration():
           f"marginal err {max_marg_err:.2e}, viterbi exact, {elapsed:.1f}s")
 
 
-def test_criterion_2_gradients_match_finite_differences():
-    tic = time.perf_counter()
-    report = grad_check()
-    elapsed = time.perf_counter() - tic
+def test_criterion_2_gradients_match_finite_differences(default_grad_check):
+    report, _tokenized, elapsed = default_grad_check
     assert report.max_rel_err < 1e-4, f"worst tensor {report.parameter}: {report.max_rel_err}"
     assert elapsed < 60.0
     print(f"criterion 2: PASS — max relative gradient error {report.max_rel_err:.2e} "
@@ -161,7 +159,7 @@ def test_criterion_4_bio_round_trip():
         assert decoded == spans, f"trial {trial}"
 
         # arbitrary (possibly ill-formed) tag strings decode to clean spans
-        noisy = [INDEX_TAG[i] for i in rng.integers(0, 3, size=n)]
+        noisy = [TAGS[i] for i in rng.integers(0, 3, size=n)]
         noisy_spans, _reps = decode_bio(tokens, noisy)
         retags = encode_bio(tokens, noisy_spans)
         assert retags[0] != "I"

@@ -101,6 +101,24 @@ def test_preprocess_stats_match_recount(tmp_path, corpus_file, capsys):
             assert rec["text"][tok["start"]:tok["end"]] == tok["surface"]
 
 
+def test_preprocess_counts_posts_by_span_count(tmp_path, capsys):
+    # posts with no span, one span and two spans, one of them a span that
+    # normalization removes with its URL
+    posts = generate_corpus(n_posts=12, seed=8) + [
+        AnnotatedPost("none", "people keep sharing this", []),
+        AnnotatedPost("url-span", "see https://t.co/abc today", [CharSpan(4, 20)])]
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(posts, path)
+    out = tmp_path / "tokenized.jsonl"
+    assert main(["preprocess", "--input", str(path), "--output", str(out)]) == 0
+    stats = read_stdout_json(capsys)
+    per_post = [r["tags"].count("B") for r in map(json.loads, out.read_text().splitlines())]
+    assert per_post[-2:] == [0, 0] and 2 in per_post
+    assert stats["no_span_posts"] == per_post.count(0) == 2
+    assert stats["single_span_posts"] == per_post.count(1)
+    assert stats["multi_span_posts"] == per_post.count(2)
+
+
 def test_preprocess_empty_corpus(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -190,6 +208,47 @@ def test_train_eval_predict_roundtrip(tmp_path, corpus_file, config_file, capsys
             assert 0 <= span.start < span.end <= len(post.text)
 
 
+def _one_epoch_config(tmp_path):
+    path = tmp_path / "one-epoch.cfg"
+    path.write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1")
+                    .replace("patience = 2", "patience = 1"))
+    return path
+
+
+def test_train_reads_the_bank_file(tmp_path, corpus_file, capsys):
+    bank = tmp_path / "bank.txt"
+    bank.write_text("# two descriptions\nclaims that a remedy cures a disease\n\n"
+                    "  claims that a disease was made in a lab  \n")
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", str(_one_epoch_config(tmp_path)), "--input",
+                 str(corpus_file), "--bank", str(bank), "--output", str(ckpt)]) == 0
+    assert json.loads(ckpt.read_text())["bank_texts"] == [
+        "claims that a remedy cures a disease", "claims that a disease was made in a lab"]
+
+
+def test_train_rejects_a_description_longer_than_max_len(tmp_path, corpus_file, capsys):
+    bank = tmp_path / "bank.txt"
+    long_text = " ".join(["word"] * 33)
+    bank.write_text(f"a short description\n{long_text}\n")
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", str(_one_epoch_config(tmp_path)), "--input",
+                 str(corpus_file), "--bank", str(bank), "--output", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: description longer than max_len: {long_text!r}\n"
+    assert not ckpt.exists()
+
+
+def test_train_without_any_token_exits_one(tmp_path, capsys):
+    # posts that normalization empties: no example survives
+    posts = [AnnotatedPost(f"p{i}", f"https://t.co/x{i} \U0001F600") for i in range(10)]
+    path = tmp_path / "empty-tokens.jsonl"
+    save_corpus(posts, path)
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", str(_one_epoch_config(tmp_path)), "--input", str(path),
+                 "--output", str(ckpt)]) == 1
+    assert capsys.readouterr().err == "error: no usable examples after preprocessing\n"
+    assert not ckpt.exists()
+
+
 def _mixed_corpus_and_checkpoint(tmp_path):
     """A corpus of ordinary posts filling several packed chunks, posts that
     normalize to zero tokens and posts cut at max_len, and a checkpoint with
@@ -259,6 +318,14 @@ def test_eval_without_gold_spans_exits_one(tmp_path, capsys):
     for pretty in ([], ["--pretty"]):
         assert main(["eval", "--checkpoint", str(ckpt), "--input", str(bare), *pretty]) == 1
         assert capsys.readouterr().err == "error: no gold spans; ratio undefined\n"
+
+
+def test_eval_empty_corpus_exits_one(tmp_path, capsys):
+    _posts, _path, ckpt, *_model = _mixed_corpus_and_checkpoint(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
 
 
 def test_eval_pretty_table(tmp_path, corpus_file, config_file, capsys):
@@ -367,6 +434,19 @@ def test_gradcheck_passes(capsys):
     doc = read_stdout_json(capsys)
     assert doc["passed"] is True
     assert doc["max_rel_err"] < doc["tolerance"] == 1e-4
+
+
+def test_gradcheck_pretty_prints_per_tensor(monkeypatch, default_grad_check, capsys):
+    # the default config's check, shared with the other tests of its report
+    def shared(config):
+        assert config == ModelConfig()
+        return default_grad_check.report
+
+    monkeypatch.setattr(cli, "grad_check", shared)
+    assert main(["gradcheck", "--pretty"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["per_tensor"] == default_grad_check.report.per_tensor
+    assert doc["parameter"] in doc["per_tensor"]
 
 
 def test_layer_sweep_rows(tmp_path, corpus_file, config_file, capsys):

@@ -9,7 +9,6 @@ from claimspan.crf import (
     emissions_backward,
     emissions_from,
     forbidden_masks,
-    INDEX_TAG,
     init_crf_params,
     nll_backward,
     nll_loss,
@@ -20,6 +19,7 @@ from claimspan.crf import (
 )
 from claimspan.numerics import flat_views, log_sum_exp
 from claimspan.packing import Packing
+from claimspan.preprocess import TAGS
 
 from oracles import crf_enumerate, log_sum_exp_max_shift, viterbi_decode_per_sequence
 from test_encoder import fd_grad
@@ -38,9 +38,9 @@ def log_z_and_marginals(e, crf, tags, packing):
     """log Z per sequence from the training loss and tag marginals from its
     gradient: nll_loss plus the gold score, and nll_backward's d_e plus the
     gold one-hot, for a packed chunk."""
-    tag_ids = tags_to_indices(tags)
-    loss, messages = nll_loss(e, crf, tags, packing)
-    marginals = nll_backward(e, crf, tags, messages, flat_views(crf), packing)
+    loss, cache = nll_loss(e, crf, tags, packing)
+    marginals = nll_backward(crf, cache, flat_views(crf))
+    tag_ids = cache["tag_ids"]
     marginals[np.arange(len(tags)), tag_ids] += 1.0
     return loss + score_sequence(e, crf, tag_ids, packing), marginals
 
@@ -67,7 +67,7 @@ def test_partition_and_marginals_match_enumeration():
         e = rng.normal(scale=2.0, size=(n, 3))
         crf = rand_crf(rng)
         log_z, marg, best = crf_enumerate(e, crf)
-        got_log_z, got_marg = log_z_and_marginals(e, crf, [INDEX_TAG[i] for i in best],
+        got_log_z, got_marg = log_z_and_marginals(e, crf, [TAGS[i] for i in best],
                                                   Packing([n]))
         assert got_log_z == pytest.approx(log_z, abs=1e-9)
         assert np.allclose(got_marg, marg, atol=1e-9)
@@ -83,7 +83,7 @@ def test_ragged_chunk_matches_enumeration_per_sequence():
         packing = Packing(lengths)
         e = rng.normal(scale=2.0, size=(packing.n_rows, 3))
         refs = [crf_enumerate(e[lo:lo + n], crf) for lo, n in zip(packing.starts, lengths)]
-        tags = [INDEX_TAG[i] for _lz, _m, best in refs for i in best]
+        tags = [TAGS[i] for _lz, _m, best in refs for i in best]
         log_z, marg = log_z_and_marginals(e, crf, tags, packing)
         assert log_z.shape == (len(lengths),)
         for b, (ref_log_z, ref_marg, _best) in enumerate(refs):
@@ -108,8 +108,8 @@ def test_score_sequence_is_lse_component():
     e = rng.normal(size=(4, 3))
     crf = rand_crf(rng)
     s = score_sequence(e, crf, tags_to_indices(["B", "I", "O", "B"]), Packing([4]))
-    loss, (_alpha, log_z) = nll_loss(e, crf, ["B", "I", "O", "B"], Packing([4]))
-    assert s <= log_z
+    loss, cache = nll_loss(e, crf, ["B", "I", "O", "B"], Packing([4]))
+    assert s <= cache["log_z"]
     assert loss >= 0.0
 
 
@@ -188,8 +188,8 @@ def test_long_ragged_chunk_numerics_hold(scale):
     for seq in packing.split(tags):
         assert seq[0] != "I"
         assert ("O", "I") not in set(zip(seq, seq[1:]))
-    losses, messages = nll_loss(e, crf, tags, packing)
-    log_z = messages[1]
+    losses, cache = nll_loss(e, crf, tags, packing)
+    log_z = cache["log_z"]
     assert np.all(np.isfinite(losses)) and np.all(np.isfinite(log_z))
     assert np.all(losses >= -1e-12 * np.abs(log_z))
     _log_z, marginals = log_z_and_marginals(e, crf, tags, packing)
@@ -220,7 +220,7 @@ def test_nll_gradient_is_marginals_minus_onehot():
     tags = ["O", "B", "I", "O", "B"]
     one = Packing([5])
     g = flat_views(crf)
-    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags, one)[1], g, one)
+    d_e = nll_backward(crf, nll_loss(e, crf, tags, one)[1], g)
     expected = crf_enumerate(e, crf)[1].copy()
     for t, y in enumerate(tags_to_indices(tags)):
         expected[t, y] -= 1.0
@@ -234,21 +234,44 @@ def test_nll_backward_matches_fd_on_all_params():
     tags = ["B", "I", "I", "O"]
     one = Packing([4])
     g = flat_views(crf)
-    d_e = nll_backward(e, crf, tags, nll_loss(e, crf, tags, one)[1], g, one)
+    d_e = nll_backward(crf, nll_loss(e, crf, tags, one)[1], g)
     fd_e = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), e)
     assert np.allclose(d_e, fd_e, atol=1e-6)
-    trans_mask, start_mask = forbidden_masks()
     fd_trans = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), crf.transitions)
     fd_start = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), crf.start_scores)
     fd_end = fd_grad(lambda: nll_loss(e, crf, tags, one)[0].sum(), crf.end_scores)
-    assert np.allclose(np.where(trans_mask, 0.0, g.transitions),
-                       np.where(trans_mask, 0.0, fd_trans), atol=1e-6)
-    assert np.allclose(np.where(start_mask, 0.0, g.start_scores),
-                       np.where(start_mask, 0.0, fd_start), atol=1e-6)
+    assert np.allclose(g.transitions, fd_trans, atol=1e-6)
+    assert np.allclose(g.start_scores, fd_start, atol=1e-6)
     assert np.allclose(g.end_scores, fd_end, atol=1e-6)
-    # pinned entries carry exactly zero gradient
+    # at the pinned score the plain gradient of a forbidden move underflows
+    # to exactly zero, so the optimizer's freeze changes nothing else
     assert g.transitions[2, 1] == 0.0
     assert g.start_scores[1] == 0.0
+
+
+def test_nll_backward_is_the_plain_gradient_at_every_entry():
+    # with the forbidden entries left unpinned, O -> I and start-I are
+    # ordinary parameters, and their gradient is not masked: every CRF entry
+    # matches central differences, on a ragged chunk whose gold paths take
+    # those moves
+    rng = np.random.default_rng(12)
+    crf = init_crf_params(rng, d=4)
+    for arr in (crf.transitions, crf.start_scores, crf.end_scores):
+        arr[...] = rng.normal(size=arr.shape)
+    packing = Packing([3, 1, 4])
+    e = rng.normal(size=(packing.n_rows, 3))
+    tags = ["I", "O", "I", "B", "O", "O", "I", "I"]
+    g = flat_views(crf)
+    d_e = nll_backward(crf, nll_loss(e, crf, tags, packing)[1], g)
+
+    def loss() -> float:
+        return nll_loss(e, crf, tags, packing)[0].sum()
+
+    assert np.allclose(d_e, fd_grad(loss, e), atol=1e-6)
+    for name in ("transitions", "start_scores", "end_scores"):
+        fd = fd_grad(loss, getattr(crf, name))
+        assert np.allclose(getattr(g, name), fd, atol=1e-6), name
+    assert abs(g.transitions[2, 1]) > 1e-2 and abs(g.start_scores[1]) > 1e-2
 
 
 def test_single_token_sequence():

@@ -46,6 +46,17 @@ def test_vocab_requires_unk_sentinel():
         Vocabulary(["word"])
 
 
+def test_vocab_index_is_built_not_passed():
+    # the index is derived from the words; passing one is an error, not a
+    # value silently replaced
+    with pytest.raises(TypeError, match="index"):
+        Vocabulary(["<unk>", "a"], index={"a": 7})
+    vocab = Vocabulary(["<unk>", "a", "b"])
+    assert vocab.index == {"<unk>": 0, "a": 1, "b": 2}
+    assert vocab == Vocabulary(["<unk>", "a", "b"])
+    assert "index" not in repr(vocab)
+
+
 # ---------------------------------------------------------------------------
 # examples
 

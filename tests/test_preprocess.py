@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimspan import preprocess
+from claimspan import preprocess, synthetic
 from claimspan.preprocess import (
     AnnotatedPost,
     CharSpan,
@@ -248,7 +248,8 @@ def offset_fills(monkeypatch):
     return fills
 
 
-def test_offsets_computed_only_for_offset_readers(offset_fills, tiny_config, tiny_vocab):
+def test_offsets_computed_only_for_offset_readers(offset_fills, tiny_config, tiny_vocab,
+                                                   monkeypatch):
     # BM25 indexing and querying and the description bank read surfaces
     # only, so their #-free texts compute no offsets
     posts, docs, _relevant = generate_retrieval_fixture(8, seed=3)
@@ -265,7 +266,8 @@ def test_offsets_computed_only_for_offset_readers(offset_fills, tiny_config, tin
     # an example computes them once, whether truncation, encode_bio (for
     # its spans) or spans_to_raw (for its predictions) reads them first
     offset_fills.clear()
-    corpus = generate_corpus(n_posts=20, seed=4, url_rate=0.5)
+    monkeypatch.setattr(synthetic, "URL_RATE", 0.5)
+    corpus = generate_corpus(n_posts=20, seed=4)
     corpus = [p for p in corpus if "#" not in p.text] + [AnnotatedPost("none", "no span here")]
     assert any(len(tokenize(p.text)) > tiny_config.max_len for p in corpus)
     for post in corpus:
@@ -484,6 +486,15 @@ def test_load_corpus_id_types(tmp_path):
         path.write_text(f'{{"id": "a", "text": "ok"}}\n{{"id": {bad}, "text": "ok"}}\n')
         with pytest.raises(CorpusFormatError, match="ids.jsonl:2: 'id'"):
             load_corpus(path)
+
+
+def test_load_corpus_text_must_be_a_string(tmp_path):
+    path = tmp_path / "texts.jsonl"
+    for bad in ["null", "7", '["ok"]', '{"t": "ok"}']:
+        path.write_text(f'{{"id": "a", "text": "ok"}}\n{{"id": "b", "text": {bad}}}\n')
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:2: record 'b': 'text' must be a string"
 
 
 def test_load_corpus_bad_span_rejected(tmp_path):

@@ -68,10 +68,12 @@ def test_multi_span_rate_extremes(monkeypatch):
 
 def test_noise_rates(monkeypatch):
     monkeypatch.setattr(synthetic, "HASHTAG_RATE", 0.0)
-    plain = generate_corpus(n_posts=60, seed=5, url_rate=0.0)
+    monkeypatch.setattr(synthetic, "URL_RATE", 0.0)
+    plain = generate_corpus(n_posts=60, seed=5)
     assert not any("#" in p.text or "https://" in p.text for p in plain)
     monkeypatch.setattr(synthetic, "HASHTAG_RATE", 1.0)
-    noisy = generate_corpus(n_posts=60, seed=5, url_rate=1.0)
+    monkeypatch.setattr(synthetic, "URL_RATE", 1.0)
+    noisy = generate_corpus(n_posts=60, seed=5)
     assert all("#" in p.text for p in noisy)
     assert all("https://t.co/" in p.text for p in noisy)
 

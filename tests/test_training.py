@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import claimspan.crf as crf_mod
 import claimspan.preprocess as preprocess
 import claimspan.model as model_mod
+import claimspan.synthetic as synthetic
 import claimspan.training as training_mod
 from claimspan.crf import FORBIDDEN_SCORE
 from claimspan.encoder import ModelConfig
-from claimspan.crf import INDEX_TAG
 from claimspan.metrics import EvalReport, Scores, build_report
 from claimspan.model import (
     Example,
@@ -26,7 +26,7 @@ from claimspan.model import (
 )
 from claimspan.numerics import flat_views, named_arrays
 from claimspan.packing import _CHUNK_TOKENS, Packing, make_chunks
-from claimspan.preprocess import AnnotatedPost, CharSpan
+from claimspan.preprocess import TAGS, AnnotatedPost, CharSpan
 from claimspan.synthetic import generate_corpus, split_corpus, synthetic_bank
 from claimspan.training import (
     AdamState,
@@ -267,7 +267,9 @@ def test_train_config_validation():
 # training loop
 
 def _mini_corpus(n=24, seed=3):
-    return generate_corpus(n_posts=n, seed=seed, url_rate=0.2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthetic, "URL_RATE", 0.2)
+        return generate_corpus(n_posts=n, seed=seed)
 
 
 def test_train_memorizes_two_examples():
@@ -276,6 +278,9 @@ def test_train_memorizes_two_examples():
                              learning_rate=2e-2, batch_size=2)
     res = train(posts[:2], posts[:2], None, dataclasses.replace(TINY_MC, use_descnet=False), tc)
     assert res.records[-1].train_loss < 1e-3
+    # 150 Adam steps later the forbidden moves are still pinned exactly
+    assert res.params.crf.transitions[2, 1] == FORBIDDEN_SCORE  # O -> I
+    assert res.params.crf.start_scores[1] == FORBIDDEN_SCORE    # start -> I
 
 
 def test_train_deterministic_given_seed(tmp_path):
@@ -497,6 +502,25 @@ def _ragged_batch():
     return vocab, batch
 
 
+def test_batch_gradients_converts_each_chunks_tags_once(monkeypatch):
+    # nll_loss converts a chunk's gold tags to ids and nll_backward reads
+    # them from its cache
+    vocab, batch = _ragged_batch()
+    params = init_model_params(TINY_MC, len(vocab), len(synthetic_bank()),
+                               np.random.default_rng(0))
+    bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
+    real, converted = crf_mod.tags_to_indices, []
+
+    def counting(tags):
+        converted.append(len(tags))
+        return real(tags)
+
+    monkeypatch.setattr(crf_mod, "tags_to_indices", counting)
+    training_mod.batch_gradients(params, TINY_MC, batch, bank)
+    chunks = make_chunks([ex.token_ids for ex in batch])
+    assert converted == [chunk.packing.n_rows for chunk in chunks]
+
+
 def _probe_params(vocab, seed):
     """Weights at O(1) scale, as in grad_check, so no backward formula hides
     behind a small gradient."""
@@ -556,7 +580,7 @@ def _ragged_sequences(draw):
     seqs = []
     for n in lengths:
         ids = draw(st.lists(st.integers(0, 19), min_size=n, max_size=n))
-        tags = draw(st.lists(st.sampled_from(INDEX_TAG), min_size=n, max_size=n))
+        tags = draw(st.lists(st.sampled_from(TAGS), min_size=n, max_size=n))
         tags = ["B" if t == "I" and (i == 0 or tags[i - 1] == "O") else t
                 for i, t in enumerate(tags)]
         seqs.append((ids, tags))
@@ -678,7 +702,8 @@ def test_prepare_examples_without_vocabulary_keeps_the_same_posts():
 def test_prepare_examples_checks_no_spans(monkeypatch):
     # posts that exist were checked when they were built; making examples of
     # them, with normalization remapping some spans, checks none again
-    posts = generate_corpus(n_posts=40, seed=3, url_rate=0.5)
+    monkeypatch.setattr(synthetic, "URL_RATE", 0.5)
+    posts = generate_corpus(n_posts=40, seed=3)
     assert any("https://" in p.text for p in posts)
     calls = []
     real = preprocess.check_spans
@@ -699,18 +724,10 @@ def test_train_validates_inputs():
 # ---------------------------------------------------------------------------
 # gradient checker
 
-def test_grad_check_passes_default_instance(monkeypatch):
+def test_grad_check_passes_default_instance(default_grad_check):
     # the probe post and each check-bank text are tokenized once, not once
     # per finite-difference evaluation
-    real = model_mod.tokenize
-    calls = []
-
-    def counting(text):
-        calls.append(text)
-        return real(text)
-
-    monkeypatch.setattr(model_mod, "tokenize", counting)
-    report = grad_check()
+    report, calls, _elapsed = default_grad_check
     assert report.passed, f"max_rel_err {report.max_rel_err} at {report.parameter}"
     assert report.max_rel_err < 1e-4
     assert report.tolerance == 1e-4
@@ -731,9 +748,8 @@ def test_grad_check_catches_sabotage(monkeypatch):
     assert report.parameter == "descnet.w_proj"
 
 
-def test_grad_check_covers_descnet_tensors():
-    report = grad_check()
-    names = set(report.per_tensor)
+def test_grad_check_covers_descnet_tensors(default_grad_check):
+    names = set(default_grad_check.report.per_tensor)
     assert any(n.startswith("descnet.") for n in names)
     assert any(n.startswith("encoder.") for n in names)
     assert any(n.startswith("crf.") for n in names)
