@@ -141,6 +141,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     mc, tc = _load_configs(args)
+    if args.bank and not mc.use_descnet:
+        raise ConfigError("--bank given, but the config has use_descnet = false")
     posts = load_corpus(args.input)
     bank_texts = _load_bank_texts(args.bank) if mc.use_descnet else None
     tr, va, _te = split_corpus(posts)

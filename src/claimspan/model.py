@@ -1,6 +1,6 @@
 """Full tagger assembly: vocabulary, parameter bundle, the loss and tags of a
-packed chunk of sequences, and checkpoint serialization (a JSON document
-holding each tensor as base64 of its little-endian float64 bytes).
+packed chunk of sequences, and checkpoint serialization (one JSON header
+line, then the parameter vector as raw little-endian float64 bytes).
 
 The encoder, adapter, and CRF modules each own their math; this module wires
 them into one forward and backward pass over a chunk (a single sequence is a
@@ -11,11 +11,11 @@ texts, tensors).
 
 from __future__ import annotations
 
-import base64
 import json
+import os
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,12 @@ from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan, Tokens, decode_bio, encode_bio, normalize_post, tokenize
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 UNK = "<unk>"
 
 
 class CheckpointError(ValueError):
-    """A checkpoint document is malformed or inconsistent."""
+    """A checkpoint file is malformed or inconsistent."""
 
 
 @dataclass
@@ -255,73 +255,68 @@ def predict_tags(params: ModelParams, config: ModelConfig, id_lists: list[list[i
 # ---------------------------------------------------------------------------
 # Checkpoint serialization
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
 def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary,
                     bank_texts: list[str] | None, params: ModelParams) -> None:
-    doc = {
+    """One ASCII line of JSON, then the bytes of ``params.vector``."""
+    header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(config),
+        "config": asdict(config),
         "vocab": vocab.words,
         "bank_texts": bank_texts,
-        "params": {
-            name: {"shape": list(arr.shape),
-                   "values": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
-            for name, arr in named_arrays(params)
-        },
+        "tensors": [[name, list(arr.shape)] for name, arr in named_arrays(params)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        fh.write(params.vector.astype("<f8", copy=False).tobytes())
+
+
+def _tensor_mismatch(stored, expected: list) -> str:
+    """The first missing, reshaped or unknown tensor of a header's list."""
+    try:
+        shapes, known = dict(stored), dict(expected)
+    except (TypeError, ValueError):
+        return "checkpoint tensors must be a list of [name, shape] pairs"
+    for name, shape in expected:
+        if name not in shapes:
+            return f"checkpoint missing tensor {name!r}"
+        if shapes[name] != shape:
+            return f"tensor {name!r} has shape {shapes[name]}, expected {shape}"
+    unknown = [name for name in shapes if name not in known]
+    return (f"checkpoint holds unknown tensor {unknown[0]!r}" if unknown
+            else "checkpoint tensors are not in the model's order")
 
 
 def load_checkpoint(path):
-    """Returns (config, vocab, bank_texts, params); validates names, shapes
-    and each tensor's byte count."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise CheckpointError("checkpoint is not a JSON object")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    try:
-        config = ModelConfig(**doc["config"])
-        vocab = Vocabulary(list(doc["vocab"]))
-        bank_texts = doc["bank_texts"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from exc
-    if bank_texts is not None and not (isinstance(bank_texts, list)
-                                       and all(isinstance(t, str) for t in bank_texts)):
-        raise CheckpointError("bank_texts must be null or a list of strings")
-    bank_size = len(bank_texts) if bank_texts else 1
-    layout = _param_tree(config, len(vocab), bank_size, None)
-    if layout.descnet is not None and not bank_texts:
-        raise CheckpointError("checkpoint has adapter weights but no bank_texts")
-    stored = doc.get("params")
-    if not isinstance(stored, dict):
-        raise CheckpointError("checkpoint has no params")
-    raws, seen = [], set()
-    for name, arr in named_arrays(layout):
-        if name not in stored:
-            raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        entry = stored[name]
+    """Returns (config, vocab, bank_texts, params), the tensors viewing one
+    writable vector over the payload; checks the header and the byte count."""
+    with open(path, "rb") as fh:
         try:
-            shape = tuple(entry["shape"])
-            raw = base64.b64decode(entry["values"], validate=True)
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint header is not JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {header.get('format_version')!r}")
+        try:
+            config = ModelConfig(**header["config"])
+            vocab = Vocabulary(list(header["vocab"]))
+            bank_texts = header["bank_texts"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad tensor {name!r}: {exc!r}") from exc
-        if shape != arr.shape:
-            raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {arr.shape}")
-        if len(raw) != arr.nbytes:
-            raise CheckpointError(f"tensor {name!r} holds {len(raw)} bytes, "
-                                  f"shape {shape} needs {arr.nbytes}")
-        raws.append(raw)
-        seen.add(name)
-    extra = set(stored) - seen
-    if extra:
-        raise CheckpointError(f"checkpoint holds unknown tensors: {sorted(extra)}")
-    # the tensors' bytes in named_arrays order are the vector's bytes
-    vector = np.frombuffer(bytearray().join(raws), dtype="<f8").astype(np.float64, copy=False)
+            raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+        if bank_texts is not None and not (isinstance(bank_texts, list)
+                                           and all(isinstance(t, str) for t in bank_texts)):
+            raise CheckpointError("bank_texts must be null or a list of strings")
+        layout = _param_tree(config, len(vocab), len(bank_texts) if bank_texts else 1, None)
+        if layout.descnet is not None and not bank_texts:
+            raise CheckpointError("checkpoint has adapter weights but no bank_texts")
+        expected = [[name, list(arr.shape)] for name, arr in named_arrays(layout)]
+        if header.get("tensors") != expected:
+            raise CheckpointError(_tensor_mismatch(header.get("tensors"), expected))
+        need = 8 * sum(arr.size for _name, arr in named_arrays(layout))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        payload = bytearray(need)
+        if size != need or fh.readinto(payload) != need:
+            raise CheckpointError(f"checkpoint payload holds {size} bytes, its tensors need {need}")
+    vector = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
     return config, vocab, bank_texts, flat_views(layout, vector)

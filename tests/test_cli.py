@@ -1,4 +1,3 @@
-import base64
 import json
 
 import pytest
@@ -23,6 +22,8 @@ from claimspan.packing import make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan, CorpusFormatError, decode_bio, load_corpus, save_corpus
 from claimspan.retrieval import load_judgments
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture
+
+from checkpoint_files import edit_checkpoint, read_header, save_checkpoint_v2, tensors_edit
 
 TINY_CONFIG = """
 d = 16
@@ -222,8 +223,20 @@ def test_train_reads_the_bank_file(tmp_path, corpus_file, capsys):
     ckpt = tmp_path / "model.json"
     assert main(["train", "--config", str(_one_epoch_config(tmp_path)), "--input",
                  str(corpus_file), "--bank", str(bank), "--output", str(ckpt)]) == 0
-    assert json.loads(ckpt.read_text())["bank_texts"] == [
+    assert read_header(ckpt)["bank_texts"] == [
         "claims that a remedy cures a disease", "claims that a disease was made in a lab"]
+
+
+def test_train_rejects_bank_with_the_adapter_off(tmp_path, corpus_file, capsys):
+    # the flag would be dropped in silence; the missing file is never opened
+    config = tmp_path / "bare.cfg"
+    config.write_text(_one_epoch_config(tmp_path).read_text() + "use_descnet = false\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", str(config), "--input", str(corpus_file),
+                 "--bank", str(tmp_path / "missing.txt"), "--output", str(ckpt)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --bank given, but the config has use_descnet = false\n")
+    assert not ckpt.exists()
 
 
 def test_train_rejects_a_description_longer_than_max_len(tmp_path, corpus_file, capsys):
@@ -339,52 +352,89 @@ def test_eval_pretty_table(tmp_path, corpus_file, config_file, capsys):
     assert "overall" in table and "tag B" in table and "span count ratio" in table
 
 
+def _tiny_checkpoint(path):
+    """A small checkpoint without the adapter, and its payload's byte count."""
+    config = ModelConfig(d=8, h=2, d_ff=16, layers=1, adapter_layer=1, use_descnet=False)
+    params = init_model_params(config, 1, 1, np.random.default_rng(0))
+    save_checkpoint(path, config, Vocabulary(["<unk>"]), None, params)
+    return params.vector.nbytes
+
+
 def test_eval_bad_checkpoint(tmp_path, corpus_file, capsys):
-    bad = tmp_path / "ckpt.json"
-    bad.write_text('{"format_version": 99}')
+    bad = tmp_path / "model.ckpt"
+    _tiny_checkpoint(bad)
+    edit_checkpoint(bad, lambda h, p: ({**h, "format_version": 99}, p))
     assert main(["eval", "--checkpoint", str(bad), "--input", str(corpus_file)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unsupported checkpoint version 99\n"
+
+
+def _config(**changes):
+    return lambda h, p: ({**h, "config": {**h["config"], **changes}}, p)
 
 
 @pytest.mark.parametrize("breakage,match", [
-    (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "no params"),
-    (lambda doc: {**doc, "params": {**doc["params"], "crf.b_emit": {"shape": [3]}}},
+    pytest.param(lambda h, p: ({k: v for k, v in h.items() if k != "tensors"}, p),
+                 "checkpoint tensors must be a list of [name, shape] pairs", id="no-tensor-list"),
+    (tensors_edit(lambda ts: [[n, None] if n == "crf.b_emit" else [n, s] for n, s in ts]),
      "crf.b_emit"),
-    (lambda doc: [doc], "not a JSON object"),
-    (lambda doc: {**doc, "bank_texts": [1, 2, 3]}, "bank_texts"),
-    (lambda doc: {**doc, "bank_texts": "abc"}, "bank_texts"),
+    (lambda h, p: ([h], p), "not a JSON object"),
+    (lambda h, p: ({**h, "bank_texts": [1, 2, 3]}, p), "bank_texts"),
+    (lambda h, p: ({**h, "bank_texts": "abc"}, p), "bank_texts"),
     # the adapter switched on with bank_texts null
-    (lambda doc: {**doc, "config": {**doc["config"], "use_descnet": True}},
-     "checkpoint has adapter weights but no bank_texts"),
-    (lambda doc: {**doc, "params": {**doc["params"],
-                                    "crf.w_emit": {"shape": [8, 3], "values": "not base64!"}}},
-     "bad tensor 'crf.w_emit'"),
-    (lambda doc: {**doc, "params": {**doc["params"], "crf.b_emit": {
-        "shape": [3], "values": base64.b64encode(np.zeros(2).tobytes()).decode("ascii")}}},
-     "'crf.b_emit' holds 16 bytes"),
-    (lambda doc: {**doc, "format_version": 1, "params": {
-        name: {"shape": entry["shape"], "values": [0.0] * int(np.prod(entry["shape"]))}
-        for name, entry in doc["params"].items()}},
-     "version 1"),
+    (_config(use_descnet=True), "checkpoint has adapter weights but no bank_texts"),
+    pytest.param(tensors_edit(lambda ts: [[n] if n == "crf.w_emit" else [n, s] for n, s in ts]),
+                 "checkpoint tensors must be a list of [name, shape] pairs",
+                 id="tensor-without-shape"),
+    (lambda h, p: ({**h, "format_version": 1}, p), "version 1"),
     # config values of the wrong type: "false" is truthy, 8.0 cannot size a tensor
-    (lambda doc: {**doc, "config": {**doc["config"], "use_igm": "false"}},
-     "use_igm must be of type bool, got 'false'"),
-    (lambda doc: {**doc, "config": {**doc["config"], "adapter_residual": 1}},
-     "adapter_residual must be of type bool, got 1"),
-    (lambda doc: {**doc, "config": {**doc["config"], "seed": "x"}},
-     "seed must be of type int, got 'x'"),
-    (lambda doc: {**doc, "config": {**doc["config"], "max_len": 8.0}},
-     "max_len must be of type int, got 8.0"),
+    (_config(use_igm="false"), "use_igm must be of type bool, got 'false'"),
+    (_config(adapter_residual=1), "adapter_residual must be of type bool, got 1"),
+    (_config(seed="x"), "seed must be of type int, got 'x'"),
+    (_config(max_len=8.0), "max_len must be of type int, got 8.0"),
+    # the payload must hold exactly the tensors' bytes
+    pytest.param(lambda h, p: (h, p[:-8]),
+                 "checkpoint payload holds {short} bytes, its tensors need {need}",
+                 id="payload-8-bytes-short"),
+    pytest.param(lambda h, p: (h, p + bytes(8)),
+                 "checkpoint payload holds {long} bytes, its tensors need {need}",
+                 id="payload-8-bytes-long"),
+    pytest.param(lambda h, p: (h, p[:1]),
+                 "checkpoint payload holds 1 bytes, its tensors need {need}", id="payload-1-byte"),
 ])
 def test_eval_malformed_checkpoint(tmp_path, corpus_file, capsys, breakage, match):
-    path = tmp_path / "ckpt.json"
-    config = ModelConfig(d=8, h=2, d_ff=16, layers=1, adapter_layer=1, use_descnet=False)
-    save_checkpoint(path, config, Vocabulary(["<unk>"]), None,
-                    init_model_params(config, 1, 1, np.random.default_rng(0)))
-    path.write_text(json.dumps(breakage(json.loads(path.read_text()))))
+    path = tmp_path / "model.ckpt"
+    need = _tiny_checkpoint(path)
+    edit_checkpoint(path, breakage)
     assert main(["eval", "--checkpoint", str(path), "--input", str(corpus_file)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and match in err
+    assert err.startswith("error:")
+    assert match.format(need=need, short=need - 8, long=need + 8) in err
+
+
+@pytest.mark.parametrize("content", [b"", b"format_version = 3\n" + bytes(64),
+                                     b"\xff\xfe\x00\x01\n"],
+                         ids=["empty-file", "text-header", "binary-header"])
+def test_eval_unreadable_checkpoint(tmp_path, corpus_file, capsys, content):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(content)
+    assert main(["eval", "--checkpoint", str(path), "--input", str(corpus_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint header is not JSON: ")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_format_2_checkpoint_is_refused(tmp_path, corpus_file, capsys, command):
+    # a model saved by the previous writer must be retrained, not misread
+    config = ModelConfig(d=8, h=2, d_ff=16, layers=1, adapter_layer=1)
+    vocab = Vocabulary(["<unk>", "garlic"])
+    bank = ["claims with numbers"]
+    path = tmp_path / "model.json"
+    save_checkpoint_v2(path, config, vocab, bank,
+                       init_model_params(config, len(vocab), len(bank), np.random.default_rng(0)))
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--checkpoint", str(path), "--input", str(corpus_file),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
+    assert not out.exists()
 
 
 def test_train_seed_flag_matches_seed_in_config(tmp_path, capsys):
@@ -402,7 +452,7 @@ def test_train_seed_flag_matches_seed_in_config(tmp_path, capsys):
         assert main(["train", *flags, "--input", str(corpus), "--output", str(ckpt)]) == 0
         outputs.append((ckpt.read_bytes(), (tmp_path / f"{name}.json.log").read_bytes()))
     capsys.readouterr()
-    assert json.loads(outputs[0][0])["config"]["seed"] == 5
+    assert read_header(tmp_path / "flag.json")["config"]["seed"] == 5
     assert outputs[0] == outputs[1]
 
 
@@ -429,23 +479,29 @@ def test_train_rejects_non_finite_learning_rate(tmp_path, corpus_file, capsys, r
 # ---------------------------------------------------------------------------
 # gradcheck / layer sweep
 
-def test_gradcheck_passes(capsys):
+@pytest.fixture
+def shared_grad_check(monkeypatch, default_grad_check):
+    """``cli.grad_check`` served from the session's default check, which the
+    CLI must ask for with the default config; returns that report."""
+    def shared(config):
+        assert config == ModelConfig()
+        return default_grad_check.report
+
+    monkeypatch.setattr(cli, "grad_check", shared)
+    return default_grad_check.report
+
+
+def test_gradcheck_passes(shared_grad_check, capsys):
     assert main(["gradcheck"]) == 0
     doc = read_stdout_json(capsys)
     assert doc["passed"] is True
     assert doc["max_rel_err"] < doc["tolerance"] == 1e-4
 
 
-def test_gradcheck_pretty_prints_per_tensor(monkeypatch, default_grad_check, capsys):
-    # the default config's check, shared with the other tests of its report
-    def shared(config):
-        assert config == ModelConfig()
-        return default_grad_check.report
-
-    monkeypatch.setattr(cli, "grad_check", shared)
+def test_gradcheck_pretty_prints_per_tensor(shared_grad_check, capsys):
     assert main(["gradcheck", "--pretty"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["per_tensor"] == default_grad_check.report.per_tensor
+    assert doc["per_tensor"] == shared_grad_check.per_tensor
     assert doc["parameter"] in doc["per_tensor"]
 
 

@@ -1,6 +1,5 @@
-import base64
 import dataclasses
-import json
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from claimspan.model import (
 from claimspan.numerics import named_arrays
 from claimspan.packing import _CHUNK_TOKENS, Packing, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
+
+from checkpoint_files import edit_checkpoint, read_header, save_checkpoint_v2, tensors_edit
 
 
 # ---------------------------------------------------------------------------
@@ -116,70 +117,77 @@ def test_backbone_init_shared_across_adapter_variants(tiny_config, tiny_vocab):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _tensor_entry(values) -> dict:
-    """A checkpoint tensor entry, encoded as ``save_checkpoint`` writes it."""
-    arr = np.asarray(values, dtype="<f8")
-    return {"shape": list(arr.shape), "values": base64.b64encode(arr.tobytes()).decode("ascii")}
+BANK = ["claims with numbers", "a quote from someone"]
 
 
 def _roundtrip(tmp_path, config, vocab, bank_texts, params):
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.ckpt"
     save_checkpoint(path, config, vocab, bank_texts, params)
     return path, load_checkpoint(path)
 
 
+def _saved(tmp_path, config, vocab, params):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, config, vocab, BANK, params)
+    return path
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path, tiny_config, tiny_vocab, tiny_params):
-    bank_texts = ["claims with numbers", "a quote from someone"]
     path, (config, vocab, texts, params) = _roundtrip(
-        tmp_path, tiny_config, tiny_vocab, bank_texts, tiny_params)
+        tmp_path, tiny_config, tiny_vocab, BANK, tiny_params)
     assert config == tiny_config
     assert vocab.words == tiny_vocab.words
-    assert texts == bank_texts
+    assert texts == BANK
     for (na, ta), (nb, tb) in zip(named_arrays(tiny_params), named_arrays(params)):
         assert na == nb
         assert np.array_equal(ta, tb), f"tensor {na} changed in round trip"
+    assert params.vector.flags.writeable
+    # one header line listing the tensors, then the vector's bytes
+    header = read_header(path)
+    assert header["tensors"] == [[n, list(a.shape)] for n, a in named_arrays(tiny_params)]
+    assert path.read_bytes().partition(b"\n")[2] == tiny_params.vector.astype("<f8").tobytes()
     # saving the loaded model reproduces the file byte for byte
-    again = tmp_path / "again.json"
+    again = tmp_path / "again.ckpt"
     save_checkpoint(again, config, vocab, texts, params)
     assert path.read_bytes() == again.read_bytes()
 
 
 def test_checkpoint_predictions_survive_roundtrip(tmp_path, tiny_config, tiny_vocab, tiny_params):
-    bank_texts = ["claims with numbers", "a quote from someone"]
-    bank = build_bank(bank_texts, tiny_vocab, tiny_params, tiny_config)
+    bank = build_bank(BANK, tiny_vocab, tiny_params, tiny_config)
     ids = [1, 2, 3, 4]
     before = predict_tags(tiny_params, tiny_config, [ids], bank)
     _path, (config, vocab, texts, params) = _roundtrip(
-        tmp_path, tiny_config, tiny_vocab, bank_texts, tiny_params)
+        tmp_path, tiny_config, tiny_vocab, BANK, tiny_params)
     bank2 = build_bank(texts, vocab, params, config)
     assert predict_tags(params, config, [ids], bank2) == before
 
 
 def test_checkpoint_rejects_bad_version(tmp_path, tiny_config, tiny_vocab, tiny_params):
-    path = tmp_path / "model.json"
-    save_checkpoint(path, tiny_config, tiny_vocab, None if tiny_params.descnet is None
-                    else ["a", "b"], tiny_params)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="version"):
+    path = _saved(tmp_path, tiny_config, tiny_vocab, tiny_params)
+    edit_checkpoint(path, lambda h, p: ({**h, "format_version": 99}, p))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 99"):
+        load_checkpoint(path)
+    # the previous format, one JSON document with base64 tensors
+    save_checkpoint_v2(path, tiny_config, tiny_vocab, BANK, tiny_params)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_missing_and_unknown_tensors(tmp_path, tiny_config, tiny_vocab, tiny_params):
-    path = tmp_path / "model.json"
-    save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
-    doc = json.loads(path.read_text())
-    del doc["params"]["crf.w_emit"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="missing"):
+    path = _saved(tmp_path, tiny_config, tiny_vocab, tiny_params)
+    edit_checkpoint(path, tensors_edit(lambda ts: [t for t in ts if t[0] != "crf.w_emit"]))
+    with pytest.raises(CheckpointError, match="checkpoint missing tensor 'crf.w_emit'"):
         load_checkpoint(path)
 
-    save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
-    doc = json.loads(path.read_text())
-    doc["params"]["bogus.tensor"] = _tensor_entry([0.0])
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="unknown"):
+    path = _saved(tmp_path, tiny_config, tiny_vocab, tiny_params)
+    edit_checkpoint(path, tensors_edit(lambda ts: ts + [["bogus.tensor", [1]]]))
+    with pytest.raises(CheckpointError, match="checkpoint holds unknown tensor 'bogus.tensor'"):
+        load_checkpoint(path)
+
+    # the right names and shapes in another order would misplace the bytes
+    path = _saved(tmp_path, tiny_config, tiny_vocab, tiny_params)
+    edit_checkpoint(path, tensors_edit(lambda ts: ts[1:] + ts[:1]))
+    with pytest.raises(CheckpointError, match="not in the model's order"):
         load_checkpoint(path)
 
 
@@ -192,28 +200,28 @@ def test_checkpoint_rejects_bad_vocab_entries(tmp_path, tiny_config, tiny_vocab,
                                               entry, match):
     # a vocabulary the model could not have been trained with: a word that is
     # not a string, repeated, or upper case (never found by ids)
-    path = tmp_path / "model.json"
-    save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
-    doc = json.loads(path.read_text())
-    vocab = doc["vocab"]
-    if entry == "repeat":
-        vocab[2] = vocab[1]
-    elif entry == "upper":
-        vocab[1] = vocab[1].upper()
-    else:
-        vocab[1] = entry
-    path.write_text(json.dumps(doc))
+    def edit(header, payload):
+        vocab = list(header["vocab"])
+        if entry == "repeat":
+            vocab[2] = vocab[1]
+        elif entry == "upper":
+            vocab[1] = vocab[1].upper()
+        else:
+            vocab[1] = entry
+        return {**header, "vocab": vocab}, payload
+
+    path = _saved(tmp_path, tiny_config, tiny_vocab, tiny_params)
+    edit_checkpoint(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path, tiny_config, tiny_vocab, tiny_params):
-    path = tmp_path / "model.json"
-    save_checkpoint(path, tiny_config, tiny_vocab, ["a", "b"], tiny_params)
-    doc = json.loads(path.read_text())
-    doc["params"]["crf.b_emit"] = _tensor_entry([0.0] * 5)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="shape"):
+    path = _saved(tmp_path, tiny_config, tiny_vocab, tiny_params)
+    edit_checkpoint(path, tensors_edit(lambda ts: [[n, [5] if n == "crf.b_emit" else s]
+                                               for n, s in ts]))
+    with pytest.raises(CheckpointError,
+                       match=re.escape("tensor 'crf.b_emit' has shape [5], expected [3]")):
         load_checkpoint(path)
 
 
