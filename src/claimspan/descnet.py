@@ -9,9 +9,14 @@ so a chunk computes one (rows, bank rows) CoDA matrix, its L1 term found
 from per-feature maxima (sum |q - k| = 2 sum max(q, k) - sum q - sum k),
 summed one feature column at a time so that no (rows, bank rows, d)
 temporary is ever built, and one product with the bank's block-diagonal
-values gives the m interaction outputs side by side for fusion. Each
-sequence's rows of Z are then gated with a d-vector pooled from that
-sequence, built from a conflict gate and a refine gate.
+values gives the m interaction outputs side by side for fusion.
+
+The interactive gating mechanism then rescales each sequence's rows of Z by
+a d-vector pooled from that sequence. With z and z' the max-pooled rows of Z
+and of the projected fusion output, a gate is tanh((z * mu) W3 + (z' * mu')
+W4 + b2), mu = sigmoid(z W1 + z' W2 + b1), where mu' is 1 - mu for the
+conflict gate and mu for the refine gate; refine + (1 - mu_refine) * conflict
+then goes through one more tanh projection.
 """
 
 from __future__ import annotations
@@ -35,23 +40,25 @@ from .packing import Packing
 
 
 @dataclass
+class GateParams:
+    """One IGM gate's tensors, in the order they are drawn and stored."""
+
+    w1: np.ndarray   # d x d, pooled post vector into mu
+    w2: np.ndarray   # d x d, pooled description vector into mu
+    w3: np.ndarray   # d x d, weighted post vector into the gate output
+    w4: np.ndarray   # d x d, weighted description vector into the gate output
+    b1: np.ndarray
+    b2: np.ndarray
+
+
+@dataclass
 class DescNetParams:
     description_encoder: EncoderBlockParams
     w_fuse: np.ndarray   # (m*d) x d, fuses the concatenated interactions
     b_fuse: np.ndarray
     w_proj: np.ndarray   # d x d, applied to the fused output before gating
-    w_c1: np.ndarray
-    w_c2: np.ndarray
-    w_c3: np.ndarray
-    w_c4: np.ndarray
-    b_c1: np.ndarray
-    b_c2: np.ndarray
-    w_r1: np.ndarray
-    w_r2: np.ndarray
-    w_r3: np.ndarray
-    w_r4: np.ndarray
-    b_r1: np.ndarray
-    b_r2: np.ndarray
+    conflict: GateParams
+    refine: GateParams
     w_a: np.ndarray
     b_a: np.ndarray
 
@@ -83,6 +90,11 @@ class DescriptionBank:
         return x.reshape(rows, self.size, -1)[np.arange(rows), self.packing.seg]
 
 
+def init_gate_params(rng: np.random.Generator | None, d: int) -> GateParams:
+    w1, w2, w3, w4 = (init_normal(rng, d, d) for _ in range(4))
+    return GateParams(w1, w2, w3, w4, b1=np.zeros(d), b2=np.zeros(d))
+
+
 def init_descnet_params(rng: np.random.Generator, config: ModelConfig, bank_size: int) -> DescNetParams:
     if bank_size < 1:
         raise ValueError("description bank must hold at least one description")
@@ -92,18 +104,8 @@ def init_descnet_params(rng: np.random.Generator, config: ModelConfig, bank_size
         w_fuse=init_normal(rng, bank_size * d, d),
         b_fuse=np.zeros(d),
         w_proj=init_normal(rng, d, d),
-        w_c1=init_normal(rng, d, d),
-        w_c2=init_normal(rng, d, d),
-        w_c3=init_normal(rng, d, d),
-        w_c4=init_normal(rng, d, d),
-        b_c1=np.zeros(d),
-        b_c2=np.zeros(d),
-        w_r1=init_normal(rng, d, d),
-        w_r2=init_normal(rng, d, d),
-        w_r3=init_normal(rng, d, d),
-        w_r4=init_normal(rng, d, d),
-        b_r1=np.zeros(d),
-        b_r2=np.zeros(d),
+        conflict=init_gate_params(rng, d),
+        refine=init_gate_params(rng, d),
         w_a=init_normal(rng, d, d),
         b_a=np.zeros(d),
     )
@@ -255,6 +257,37 @@ def fuse_backward(d_fused: np.ndarray, cache, params: DescNetParams, g: DescNetP
     return dropout_backward(d_pre @ params.w_fuse.T, cache["mask"], dropout_p)
 
 
+def _gate_forward(z_vec: np.ndarray, zp_vec: np.ndarray, p: GateParams, complement: bool):
+    """One gate of the module docstring, its description side weighted by
+    1 - mu if ``complement`` else by mu; returns (mu, out)."""
+    mu = sigmoid(z_vec @ p.w1 + zp_vec @ p.w2 + p.b1)
+    mu_p = 1.0 - mu if complement else mu
+    return mu, np.tanh((z_vec * mu) @ p.w3 + (zp_vec * mu_p) @ p.w4 + p.b2)
+
+
+def _gate_backward(d_out, d_mu, mu, out, z_vec, zp_vec, p: GateParams, g: GateParams,
+                   d_z_vec, d_zp_vec, complement: bool) -> None:
+    """Mirror of ``_gate_forward``: adds the weights' gradients into ``g`` and
+    the pooled vectors' into ``d_z_vec`` and ``d_zp_vec``; ``d_mu`` is the
+    gradient mu already takes from outside the gate."""
+    mu_p = 1.0 - mu if complement else mu
+    d_pre = d_out * (1.0 - out**2)
+    g.w3 += (z_vec * mu).T @ d_pre
+    g.w4 += (zp_vec * mu_p).T @ d_pre
+    g.b2 += d_pre.sum(axis=0)
+    s3 = d_pre @ p.w3.T
+    s4 = d_pre @ p.w4.T
+    d_z_vec += s3 * mu
+    d_zp_vec += s4 * mu_p
+    d_mu = d_mu + (s3 * z_vec - s4 * zp_vec if complement else s3 * z_vec + s4 * zp_vec)
+    d_u = d_mu * mu * (1.0 - mu)
+    g.w1 += z_vec.T @ d_u
+    g.w2 += zp_vec.T @ d_u
+    g.b1 += d_u.sum(axis=0)
+    d_z_vec += d_u @ p.w1.T
+    d_zp_vec += d_u @ p.w2.T
+
+
 def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams, packing: Packing):
     """Interactive gating: conflict/refine gates pooled from each sequence of
     the chunk rescale every row of that sequence in z; returns (out, cache).
@@ -263,22 +296,18 @@ def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams, packing: P
     """
     if zp.shape != z.shape:
         raise ValueError(f"shape mismatch {zp.shape} vs {z.shape}")
-    p = params
     z_vec, idx_z = packing.seg_argmax(z)
     zp_vec, idx_zp = packing.seg_argmax(zp)
-    mu_c = sigmoid(z_vec @ p.w_c1 + zp_vec @ p.w_c2 + p.b_c1)
-    conflict = np.tanh((z_vec * mu_c) @ p.w_c3 + (zp_vec * (1.0 - mu_c)) @ p.w_c4 + p.b_c2)
-    mu_r = sigmoid(z_vec @ p.w_r1 + zp_vec @ p.w_r2 + p.b_r1)
-    refine = np.tanh((z_vec * mu_r) @ p.w_r3 + (zp_vec * mu_r) @ p.w_r4 + p.b_r2)
+    mu_c, conflict = _gate_forward(z_vec, zp_vec, params.conflict, complement=True)
+    mu_r, refine = _gate_forward(z_vec, zp_vec, params.refine, complement=False)
     adaptive = refine + (1.0 - mu_r) * conflict
-    gate = np.tanh(adaptive @ p.w_a + p.b_a)
+    gate = np.tanh(adaptive @ params.w_a + params.b_a)
     out = z * gate[packing.seg]
-    cache = {
+    return out, {
         "z": z, "zp": zp, "z_vec": z_vec, "zp_vec": zp_vec, "idx_z": idx_z, "idx_zp": idx_zp,
         "mu_c": mu_c, "conflict": conflict, "mu_r": mu_r, "refine": refine,
         "adaptive": adaptive, "gate": gate, "packing": packing,
     }
-    return out, cache
 
 
 def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
@@ -286,52 +315,20 @@ def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
     argmax rows, the gate itself carries gradient to every row of z."""
     z, zp, packing = cache["z"], cache["zp"], cache["packing"]
     z_vec, zp_vec = cache["z_vec"], cache["zp_vec"]
-    mu_c, conflict = cache["mu_c"], cache["conflict"]
-    mu_r, refine = cache["mu_r"], cache["refine"]
-    adaptive, gate = cache["adaptive"], cache["gate"]
+    mu_r, conflict, gate = cache["mu_r"], cache["conflict"], cache["gate"]
 
     d_z = d_out * gate[packing.seg]
     d_gate = packing.seg_sum(d_out * z)
     d_pre_gate = d_gate * (1.0 - gate**2)
-    g.w_a += adaptive.T @ d_pre_gate
+    g.w_a += cache["adaptive"].T @ d_pre_gate
     g.b_a += d_pre_gate.sum(axis=0)
     d_adaptive = d_pre_gate @ p.w_a.T
 
-    d_refine = d_adaptive
-    d_conflict = d_adaptive * (1.0 - mu_r)
-    d_mu_r = -d_adaptive * conflict
-
-    d_pre_r = d_refine * (1.0 - refine**2)
-    g.w_r3 += (z_vec * mu_r).T @ d_pre_r
-    g.w_r4 += (zp_vec * mu_r).T @ d_pre_r
-    g.b_r2 += d_pre_r.sum(axis=0)
-    t3 = d_pre_r @ p.w_r3.T
-    t4 = d_pre_r @ p.w_r4.T
-    d_z_vec = t3 * mu_r
-    d_zp_vec = t4 * mu_r
-    d_mu_r += t3 * z_vec + t4 * zp_vec
-    d_u_r = d_mu_r * mu_r * (1.0 - mu_r)
-    g.w_r1 += z_vec.T @ d_u_r
-    g.w_r2 += zp_vec.T @ d_u_r
-    g.b_r1 += d_u_r.sum(axis=0)
-    d_z_vec += d_u_r @ p.w_r1.T
-    d_zp_vec += d_u_r @ p.w_r2.T
-
-    d_pre_c = d_conflict * (1.0 - conflict**2)
-    g.w_c3 += (z_vec * mu_c).T @ d_pre_c
-    g.w_c4 += (zp_vec * (1.0 - mu_c)).T @ d_pre_c
-    g.b_c2 += d_pre_c.sum(axis=0)
-    s3 = d_pre_c @ p.w_c3.T
-    s4 = d_pre_c @ p.w_c4.T
-    d_z_vec += s3 * mu_c
-    d_zp_vec += s4 * (1.0 - mu_c)
-    d_mu_c = s3 * z_vec - s4 * zp_vec
-    d_u_c = d_mu_c * mu_c * (1.0 - mu_c)
-    g.w_c1 += z_vec.T @ d_u_c
-    g.w_c2 += zp_vec.T @ d_u_c
-    g.b_c1 += d_u_c.sum(axis=0)
-    d_z_vec += d_u_c @ p.w_c1.T
-    d_zp_vec += d_u_c @ p.w_c2.T
+    d_z_vec, d_zp_vec = np.zeros_like(z_vec), np.zeros_like(zp_vec)
+    _gate_backward(d_adaptive, -d_adaptive * conflict, mu_r, cache["refine"], z_vec, zp_vec,
+                   p.refine, g.refine, d_z_vec, d_zp_vec, complement=False)
+    _gate_backward(d_adaptive * (1.0 - mu_r), 0.0, cache["mu_c"], conflict, z_vec, zp_vec,
+                   p.conflict, g.conflict, d_z_vec, d_zp_vec, complement=True)
 
     # each (row, column) pair is the maximum of one sequence only
     cols = np.arange(z.shape[1])
@@ -351,12 +348,8 @@ def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,
     concat, interact_cache = interact_fwd(z, bank)
     fused, fuse_cache = fuse_forward(concat, params, rng, config.dropout_p)
     zp = fused @ params.w_proj
-    if config.use_igm:
-        z_hat, igm_cache = igm_forward(zp, z, params, packing)
-    else:
-        z_hat, igm_cache = zp, None
-    cache = {"interact": interact_cache, "fuse": fuse_cache, "fused": fused, "igm": igm_cache}
-    return z_hat, cache
+    z_hat, igm_cache = igm_forward(zp, z, params, packing) if config.use_igm else (zp, None)
+    return z_hat, {"interact": interact_cache, "fuse": fuse_cache, "igm": igm_cache}
 
 
 def descnet_backward(d_out: np.ndarray, cache, params: DescNetParams, config: ModelConfig,
@@ -368,14 +361,10 @@ def descnet_backward(d_out: np.ndarray, cache, params: DescNetParams, config: Mo
     bank.
     """
     interact_bwd = coda_interact_backward if config.attention_variant == "coda" else dpa_interact_backward
-    if config.use_igm:
-        d_zp, d_z = igm_backward(d_out, cache["igm"], params, g_desc)
-    else:
-        d_zp = d_out
-        d_z = 0.0
-    g_desc.w_proj += cache["fused"].T @ d_zp
+    d_zp, d_z = igm_backward(d_out, cache["igm"], params, g_desc) if config.use_igm else (d_out, None)
+    g_desc.w_proj += cache["fuse"]["fused"].T @ d_zp
     d_fused = d_zp @ params.w_proj.T
     d_concat = fuse_backward(d_fused, cache["fuse"], params, g_desc, config.dropout_p)
-    d_z_bank, d_keys = interact_bwd(d_concat, cache["interact"])
+    d_z_interact, d_keys = interact_bwd(d_concat, cache["interact"])
     d_bank += d_keys
-    return d_z + d_z_bank
+    return d_z_interact if d_z is None else d_z + d_z_interact

@@ -42,7 +42,7 @@ from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan, Tokens, decode_bio, encode_bio, normalize_post, tokenize
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 UNK = "<unk>"
 
 

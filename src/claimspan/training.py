@@ -277,6 +277,8 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     tc = train_config
     if mc.use_descnet and not bank_texts:
         raise ValueError("adapter enabled but no description bank given")
+    if bank_texts and not mc.use_descnet:
+        raise ValueError("description bank given, but the model has no adapter (use_descnet = false)")
 
     rng = np.random.default_rng(tc.seed)
     # Each post is tokenized once and its ids looked up once: the training
@@ -440,6 +442,8 @@ def layer_sweep(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPos
     """Train one model per insertion layer; same seed and data throughout."""
     if not layers:
         raise ValueError("no layers to sweep")
+    if not model_config.use_descnet:
+        raise ValueError("layer sweep needs the adapter, but the config has use_descnet = false")
     rows = []
     for layer in layers:
         if not 1 <= layer <= model_config.layers:

@@ -136,15 +136,15 @@ def igm_scalar(zp, z, p) -> np.ndarray:
                 + sum(v[i] * wv[i, j] for i in range(d)) + b[j]
                 for j in range(d)]
 
-    mu_c = [sig(x) for x in affine(z_vec, zp_vec, p.w_c1, p.w_c2, p.b_c1)]
+    mu_c = [sig(x) for x in affine(z_vec, zp_vec, p.conflict.w1, p.conflict.w2, p.conflict.b1)]
     zc = [z_vec[i] * mu_c[i] for i in range(d)]
     zpc = [zp_vec[i] * (1.0 - mu_c[i]) for i in range(d)]
-    conflict = [math.tanh(x) for x in affine(zc, zpc, p.w_c3, p.w_c4, p.b_c2)]
+    conflict = [math.tanh(x) for x in affine(zc, zpc, p.conflict.w3, p.conflict.w4, p.conflict.b2)]
 
-    mu_r = [sig(x) for x in affine(z_vec, zp_vec, p.w_r1, p.w_r2, p.b_r1)]
+    mu_r = [sig(x) for x in affine(z_vec, zp_vec, p.refine.w1, p.refine.w2, p.refine.b1)]
     zr = [z_vec[i] * mu_r[i] for i in range(d)]
     zpr = [zp_vec[i] * mu_r[i] for i in range(d)]
-    refine = [math.tanh(x) for x in affine(zr, zpr, p.w_r3, p.w_r4, p.b_r2)]
+    refine = [math.tanh(x) for x in affine(zr, zpr, p.refine.w3, p.refine.w4, p.refine.b2)]
 
     adaptive = [refine[j] + (1.0 - mu_r[j]) * conflict[j] for j in range(d)]
     gate = [math.tanh(sum(adaptive[i] * p.w_a[i, j] for i in range(d)) + p.b_a[j])

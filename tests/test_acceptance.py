@@ -6,6 +6,7 @@ with the measured values so a log scrape shows the whole scorecard.
 
 import dataclasses
 import math
+import operator
 import time
 from collections import namedtuple
 
@@ -123,9 +124,10 @@ def test_criterion_3_coda_igm_match_scalar_reference():
         config = ModelConfig(d=d, h=1, d_ff=2 * d, layers=1, max_len=8,
                              vocab_size=16, dropout_p=0.0, adapter_layer=1)
         params = init_descnet_params(rng, config, bank_size=1)
-        for name in ("w_c1", "w_c2", "w_c3", "w_c4", "b_c1", "b_c2",
-                     "w_r1", "w_r2", "w_r3", "w_r4", "b_r1", "b_r2", "w_a", "b_a"):
-            arr = getattr(params, name)
+        for name in ("conflict.w1", "conflict.w2", "conflict.w3", "conflict.w4",
+                     "conflict.b1", "conflict.b2", "refine.w1", "refine.w2", "refine.w3",
+                     "refine.w4", "refine.b1", "refine.b2", "w_a", "b_a"):
+            arr = operator.attrgetter(name)(params)
             arr[...] = 0.4 * rng.normal(size=arr.shape)
         z = rng.normal(size=(n, d))
         zp = rng.normal(size=(n, d))

@@ -23,7 +23,7 @@ from claimspan.preprocess import AnnotatedPost, CharSpan, CorpusFormatError, dec
 from claimspan.retrieval import load_judgments
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture
 
-from checkpoint_files import edit_checkpoint, read_header, save_checkpoint_v2, tensors_edit
+from checkpoint_files import as_format_3, edit_checkpoint, read_header, save_checkpoint_v2, tensors_edit
 
 TINY_CONFIG = """
 d = 16
@@ -421,20 +421,38 @@ def test_eval_unreadable_checkpoint(tmp_path, corpus_file, capsys, content):
     assert capsys.readouterr().err.startswith("error: checkpoint header is not JSON: ")
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
-def test_format_2_checkpoint_is_refused(tmp_path, corpus_file, capsys, command):
-    # a model saved by the previous writer must be retrained, not misread
-    config = ModelConfig(d=8, h=2, d_ff=16, layers=1, adapter_layer=1)
-    vocab = Vocabulary(["<unk>", "garlic"])
-    bank = ["claims with numbers"]
-    path = tmp_path / "model.json"
-    save_checkpoint_v2(path, config, vocab, bank,
-                       init_model_params(config, len(vocab), len(bank), np.random.default_rng(0)))
+def _refused_by(command, path, version, corpus_file, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main([command, "--checkpoint", str(path), "--input", str(corpus_file),
                  "--output", str(out)]) == 1
-    assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
+    assert capsys.readouterr().err == f"error: unsupported checkpoint version {version}\n"
     assert not out.exists()
+
+
+def _adapter_model():
+    config = ModelConfig(d=8, h=2, d_ff=16, layers=1, adapter_layer=1)
+    vocab = Vocabulary(["<unk>", "garlic"])
+    bank = ["claims with numbers"]
+    params = init_model_params(config, len(vocab), len(bank), np.random.default_rng(0))
+    return config, vocab, bank, params
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_format_2_checkpoint_is_refused(tmp_path, corpus_file, capsys, command):
+    # a model saved by an earlier writer must be retrained, not misread
+    path = tmp_path / "model.json"
+    save_checkpoint_v2(path, *_adapter_model())
+    _refused_by(command, path, 2, corpus_file, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_format_3_checkpoint_is_refused(tmp_path, corpus_file, capsys, command):
+    # format 3 named each gate tensor on its own; its bytes are today's layout
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, *_adapter_model())
+    edit_checkpoint(path, as_format_3)
+    assert "descnet.w_c1" in {name for name, _shape in read_header(path)["tensors"]}
+    _refused_by(command, path, 3, corpus_file, tmp_path, capsys)
 
 
 def test_train_seed_flag_matches_seed_in_config(tmp_path, capsys):
@@ -513,6 +531,18 @@ def test_layer_sweep_rows(tmp_path, corpus_file, config_file, capsys):
     doc = json.loads(out.read_text())
     assert [r["layer"] for r in doc["rows"]] == [1, 2]
     assert all(0.0 <= r["f1"] <= 1.0 for r in doc["rows"])
+
+
+def test_layer_sweep_without_the_adapter_exits_one(tmp_path, corpus_file, config_file, capsys):
+    # every layer would train the same model
+    config = tmp_path / "bare.cfg"
+    config.write_text(config_file.read_text() + "use_descnet = false\n")
+    out = tmp_path / "sweep.json"
+    assert main(["layer-sweep", "--config", str(config), "--input", str(corpus_file),
+                 "--layers", "1,2", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: layer sweep needs the adapter, but the config has use_descnet = false\n")
+    assert not out.exists()
 
 
 def test_layer_sweep_bad_layers_flag(corpus_file, capsys):

@@ -283,7 +283,8 @@ def test_igm_ragged_backward_matches_fd():
     d_zp, d_z = igm_backward(c, cache, p, g)
     assert np.allclose(d_zp, fd_grad(loss, zp), atol=1e-6)
     assert np.allclose(d_z, fd_grad(loss, z), atol=1e-6)
-    for arr, grad in [(p.w_c2, g.w_c2), (p.w_r1, g.w_r1), (p.w_a, g.w_a), (p.b_r2, g.b_r2)]:
+    for arr, grad in [(p.conflict.w2, g.conflict.w2), (p.refine.w1, g.refine.w1),
+                      (p.w_a, g.w_a), (p.refine.b2, g.refine.b2)]:
         assert np.allclose(grad, fd_grad(loss, arr), atol=1e-6)
 
 
@@ -312,17 +313,23 @@ def test_igm_backward_matches_fd():
     zp = rng.normal(size=(4, d))
     c = rng.normal(size=(4, d))
     one = Packing([4])
+
+    def loss():
+        return float((igm_forward(zp, z, p, one)[0] * c).sum())
+
     _out, cache = igm_forward(zp, z, p, one)
     g = flat_views(p)
     d_zp, d_z = igm_backward(c, cache, p, g)
-    fd_zp = fd_grad(lambda: float((igm_forward(zp, z, p, one)[0] * c).sum()), zp)
-    fd_z = fd_grad(lambda: float((igm_forward(zp, z, p, one)[0] * c).sum()), z)
-    assert np.allclose(d_zp, fd_zp, atol=1e-6)
-    assert np.allclose(d_z, fd_z, atol=1e-6)
-    for arr, grad in [(p.w_c1, g.w_c1), (p.w_c4, g.w_c4), (p.w_r3, g.w_r3),
-                      (p.w_a, g.w_a), (p.b_c2, g.b_c2), (p.b_a, g.b_a)]:
-        fd = fd_grad(lambda: float((igm_forward(zp, z, p, one)[0] * c).sum()), arr)
-        assert np.allclose(grad, fd, atol=1e-6)
+    assert np.allclose(d_zp, fd_grad(loss, zp), atol=1e-6)
+    assert np.allclose(d_z, fd_grad(loss, z), atol=1e-6)
+    # every tensor of both gates, so both weightings of the description side
+    tensors = [("w_a", p.w_a, g.w_a), ("b_a", p.b_a, g.b_a)]
+    for group in ("conflict", "refine"):
+        tensors += [(f"{group}.{name}", arr, grad) for (name, arr), (_name, grad)
+                    in zip(named_arrays(getattr(p, group)), named_arrays(getattr(g, group)))]
+    assert len(tensors) == 14
+    for name, arr, grad in tensors:
+        assert np.allclose(grad, fd_grad(loss, arr), atol=1e-6), name
 
 
 # ---------------------------------------------------------------------------

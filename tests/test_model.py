@@ -22,7 +22,7 @@ from claimspan.numerics import named_arrays
 from claimspan.packing import _CHUNK_TOKENS, Packing, make_chunks
 from claimspan.preprocess import AnnotatedPost, CharSpan
 
-from checkpoint_files import edit_checkpoint, read_header, save_checkpoint_v2, tensors_edit
+from checkpoint_files import as_format_3, edit_checkpoint, read_header, save_checkpoint_v2, tensors_edit
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, tiny_config, tiny_vocab, tiny_pa
     # one header line listing the tensors, then the vector's bytes
     header = read_header(path)
     assert header["tensors"] == [[n, list(a.shape)] for n, a in named_arrays(tiny_params)]
+    gates = [n for n, _shape in header["tensors"] if re.match(r"descnet\.(conflict|refine)\.", n)]
+    assert gates == [f"descnet.{group}.{field}" for group in ("conflict", "refine")
+                     for field in ("w1", "w2", "w3", "w4", "b1", "b2")]
     assert path.read_bytes().partition(b"\n")[2] == tiny_params.vector.astype("<f8").tobytes()
     # saving the loaded model reproduces the file byte for byte
     again = tmp_path / "again.ckpt"
@@ -170,6 +173,11 @@ def test_checkpoint_rejects_bad_version(tmp_path, tiny_config, tiny_vocab, tiny_
     # the previous format, one JSON document with base64 tensors
     save_checkpoint_v2(path, tiny_config, tiny_vocab, BANK, tiny_params)
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+    # format 3, the same bytes with each gate tensor named on its own
+    save_checkpoint(path, tiny_config, tiny_vocab, BANK, tiny_params)
+    edit_checkpoint(path, as_format_3)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
         load_checkpoint(path)
 
 

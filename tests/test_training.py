@@ -721,6 +721,14 @@ def test_train_validates_inputs():
         train(posts, posts, None, TINY_MC, TINY_TC)  # adapter on, no bank
 
 
+def test_train_rejects_a_bank_without_the_adapter():
+    # the texts would be returned, and saved, with no adapter weights to use them
+    posts = _mini_corpus()
+    with pytest.raises(ValueError, match="description bank given, but the model has no adapter"):
+        train(posts, posts, synthetic_bank(), dataclasses.replace(TINY_MC, use_descnet=False),
+              TINY_TC)
+
+
 # ---------------------------------------------------------------------------
 # gradient checker
 
@@ -774,3 +782,12 @@ def test_layer_sweep_rows():
                        "dsc": res.best_val_dsc}
     with pytest.raises(ValueError):
         layer_sweep(tr, va, synthetic_bank(), TINY_MC, tc, [99])
+
+
+def test_layer_sweep_rejects_a_model_without_the_adapter(monkeypatch):
+    # without the adapter every layer trains the same model
+    monkeypatch.setattr(training_mod, "train", lambda *args: pytest.fail("trained"))
+    posts = generate_corpus(n_posts=20, seed=6)
+    with pytest.raises(ValueError, match="layer sweep needs the adapter"):
+        layer_sweep(posts, posts, synthetic_bank(), dataclasses.replace(TINY_MC, use_descnet=False),
+                    TINY_TC, [1, 2])
