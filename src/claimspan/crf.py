@@ -1,11 +1,12 @@
 """Linear-chain CRF head over BIO tags.
 
 All recursions run in log space, with one time loop over a whole packed
-chunk of sequences. Structurally forbidden moves (starting on I, O followed
-by I) are pinned to a large negative score, so Viterbi never emits an
-undecodable tag sequence; their gradient here is the plain one, and the
-optimizer alone (``training.AdamState``) keeps them frozen. Tags are ordered
-as ``preprocess.TAGS``; argmax ties take the lowest index.
+chunk of sequences. The BIO rule (no start on I, no O followed by I) is a
+fixed additive mask of -inf on those two moves, which every score, recursion
+and Viterbi adds to the stored scores, so no tag path that breaks it has any
+mass and Viterbi never emits one. The two stored entries it covers are inert:
+whatever they hold changes nothing, and their gradient is exactly 0. Tags are
+ordered as ``preprocess.TAGS``; argmax ties take the lowest index.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from .preprocess import TAG_I, TAG_O, TAGS
 
 TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 N_TAGS = len(TAGS)
-FORBIDDEN_SCORE = -1.0e4
+# the BIO rule: -inf on O -> I and on start -> I, 0 on every other move
+TRANSITION_MASK = np.zeros((N_TAGS, N_TAGS))
+TRANSITION_MASK[TAG_INDEX[TAG_O], TAG_INDEX[TAG_I]] = -np.inf
+START_MASK = np.zeros(N_TAGS)
+START_MASK[TAG_INDEX[TAG_I]] = -np.inf
+TRANSITION_MASK.flags.writeable = START_MASK.flags.writeable = False
 
 
 @dataclass
@@ -32,31 +38,14 @@ class CrfParams:
     end_scores: np.ndarray    # 3
 
 
-def forbidden_masks() -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the pinned (non-trainable) transition/start entries."""
-    trans = np.zeros((N_TAGS, N_TAGS), dtype=bool)
-    trans[TAG_INDEX[TAG_O], TAG_INDEX[TAG_I]] = True
-    start = np.zeros(N_TAGS, dtype=bool)
-    start[TAG_INDEX[TAG_I]] = True
-    return trans, start
-
-
-def pin_forbidden(crf: CrfParams) -> None:
-    trans_mask, start_mask = forbidden_masks()
-    crf.transitions[trans_mask] = FORBIDDEN_SCORE
-    crf.start_scores[start_mask] = FORBIDDEN_SCORE
-
-
 def init_crf_params(rng: np.random.Generator, d: int) -> CrfParams:
-    crf = CrfParams(
+    return CrfParams(
         w_emit=init_normal(rng, d, N_TAGS),
         b_emit=np.zeros(N_TAGS),
         transitions=np.zeros((N_TAGS, N_TAGS)),
         start_scores=np.zeros(N_TAGS),
         end_scores=np.zeros(N_TAGS),
     )
-    pin_forbidden(crf)
-    return crf
 
 
 def emissions_from(z: np.ndarray, crf: CrfParams) -> np.ndarray:
@@ -84,10 +73,11 @@ def score_sequence(e: np.ndarray, crf: CrfParams, tag_ids: np.ndarray,
     if len(tag_ids) != len(e):
         raise ValueError(f"{len(tag_ids)} tags for {len(e)} emission rows")
     seg, pairs = packing.seg, packing.pair_rows
+    transitions = crf.transitions + TRANSITION_MASK
     emit = np.bincount(seg, weights=e[np.arange(len(e)), tag_ids], minlength=packing.size)
-    trans = np.bincount(seg[pairs], weights=crf.transitions[tag_ids[pairs], tag_ids[pairs + 1]],
+    trans = np.bincount(seg[pairs], weights=transitions[tag_ids[pairs], tag_ids[pairs + 1]],
                         minlength=packing.size)
-    return (crf.start_scores[tag_ids[packing.starts]] + emit + trans
+    return ((crf.start_scores + START_MASK)[tag_ids[packing.starts]] + emit + trans
             + crf.end_scores[tag_ids[packing.ends]])
 
 
@@ -99,10 +89,11 @@ def _forward_messages(e: np.ndarray, crf: CrfParams,
     One time loop serves the whole chunk; past a sequence's end its row runs
     on with zero emissions, and nothing reads those values."""
     em = packing.pad(e, 0.0)
+    transitions = crf.transitions + TRANSITION_MASK
     alpha = np.empty(em.shape)
-    step = alpha[:, 0] = crf.start_scores + em[:, 0]
+    step = alpha[:, 0] = crf.start_scores + START_MASK + em[:, 0]
     for t in range(1, packing.n_max):
-        step = alpha[:, t] = log_sum_exp(step[:, :, None] + crf.transitions, axis=1) + em[:, t]
+        step = alpha[:, t] = log_sum_exp(step[:, :, None] + transitions, axis=1) + em[:, t]
     last = alpha[np.arange(packing.size), packing.lengths - 1]
     return alpha, log_sum_exp(last + crf.end_scores, axis=1)
 
@@ -129,15 +120,16 @@ def nll_backward(crf: CrfParams, cache: dict, g: CrfParams) -> np.ndarray:
     ``cache`` is what ``nll_loss`` returned for the same parameters. Uses the
     exact identity: the emission gradient is marginals minus the gold
     one-hot; transition/start/end gradients are expected counts minus
-    observed counts. Every entry gets its plain gradient, the pinned ones
-    too; only the optimizer freezes those.
+    observed counts. The masked moves have no mass and a valid BIO gold path
+    never takes them, so the two inert entries' gradient is exactly 0.
     """
     e, tag_ids, packing = cache["e"], cache["tag_ids"], cache["packing"]
+    transitions = crf.transitions + TRANSITION_MASK
     em = packing.pad(e, 0.0)
     beta = np.empty(em.shape)
     step = beta[:, -1] = crf.end_scores
     for t in range(packing.n_max - 2, -1, -1):
-        step = log_sum_exp(crf.transitions + (em[:, t + 1] + step)[:, None, :], axis=2)
+        step = log_sum_exp(transitions + (em[:, t + 1] + step)[:, None, :], axis=2)
         ending = packing.ending.get(t)
         if ending is not None:  # these sequences' beta starts here
             step[ending] = crf.end_scores
@@ -151,7 +143,7 @@ def nll_backward(crf: CrfParams, cache: dict, g: CrfParams) -> np.ndarray:
     d_e = np.exp(alpha + beta - log_z[:, None])
     d_e[np.arange(len(e)), tag_ids] -= 1.0
     pairs = packing.pair_rows
-    log_pair = (alpha[pairs, :, None] + crf.transitions
+    log_pair = (alpha[pairs, :, None] + transitions
                 + (e[pairs + 1] + beta[pairs + 1])[:, None, :] - log_z[pairs, None, None])
     d_trans = np.exp(log_pair).sum(axis=0)
     d_trans -= np.bincount(tag_ids[pairs] * N_TAGS + tag_ids[pairs + 1],
@@ -169,12 +161,13 @@ def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing) -> list[str]
     """Highest-scoring valid tag path of each sequence in a chunk's packed
     emissions, as packed tags; ties break toward B < I < O."""
     em = packing.pad(e, 0.0)
-    v = crf.start_scores + em[:, 0]
+    transitions = crf.transitions + TRANSITION_MASK
+    v = crf.start_scores + START_MASK + em[:, 0]
     final = np.empty_like(v)
     backptr = np.empty(em.shape, dtype=np.intp)
     for t in range(packing.n_max):
         if t:
-            cand = v[:, :, None] + crf.transitions
+            cand = v[:, :, None] + transitions
             backptr[:, t] = cand.argmax(axis=1)
             v = cand.max(axis=1) + em[:, t]
         ending = packing.ending.get(t)

@@ -142,9 +142,9 @@ def post_to_example(post: AnnotatedPost, vocab: Vocabulary | None, config: Model
 
 def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:
     """Decode predicted tags to spans in the post's original raw text."""
-    spans, _repairs = decode_bio(example.tokens, tags)
     norm_to_raw = example.norm_to_raw
-    return [CharSpan(norm_to_raw[sp.start], norm_to_raw[sp.end - 1] + 1) for sp in spans]
+    return [CharSpan(norm_to_raw[sp.start], norm_to_raw[sp.end - 1] + 1)
+            for sp in decode_bio(example.tokens, tags)]
 
 
 def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> list[list[int]]:

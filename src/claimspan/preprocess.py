@@ -258,17 +258,17 @@ def encode_bio(tokens: Tokens, spans: list[CharSpan]) -> list[str]:
     return tags
 
 
-def decode_bio(tokens: Tokens, tags: list[str]) -> tuple[list[CharSpan], int]:
+def decode_bio(tokens: Tokens, tags: list[str]) -> list[CharSpan]:
     """Turn a BIO tag sequence back into character spans.
 
     Each maximal B I* run becomes one span from the first token's start to the
-    last token's end. A stray I (at position 0 or after O) is repaired by
-    treating it as B; the repair count is returned for diagnostics.
+    last token's end. A stray I (at position 0 or after O), which neither
+    ``encode_bio`` nor the CRF's Viterbi emits, opens a run as B does.
     """
     if len(tags) != len(tokens):
         raise ValueError(f"{len(tags)} tags for {len(tokens)} tokens")
     starts, ends = tokens.starts, tokens.ends
-    spans, repairs = [], 0
+    spans = []
     first = last = None  # the open run's first and last token
     for i, tag in enumerate(tags):
         if tag not in TAGS:
@@ -278,11 +278,10 @@ def decode_bio(tokens: Tokens, tags: list[str]) -> tuple[list[CharSpan], int]:
             continue
         if first is not None:
             spans.append(CharSpan(starts[first], ends[last]))
-        repairs += tag == TAG_I  # a stray I opens a run, as B does
         first = last = None if tag == TAG_O else i
     if first is not None:
         spans.append(CharSpan(starts[first], ends[last]))
-    return spans, repairs
+    return spans
 
 
 def _parse_span_list(raw_spans, post_id: str, where: str) -> list[CharSpan]:

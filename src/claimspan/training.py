@@ -16,7 +16,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .crf import forbidden_masks, pin_forbidden
 from .descnet import DescriptionBank, bank_backward
 from .encoder import CONFIG_TYPES, ModelConfig, check_field_types
 from .metrics import EvalReport, build_report
@@ -135,28 +134,24 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam's step count and moment vectors over a model's parameter vector,
-    two scratch vectors for the update, and the pinned CRF entries' indices:
-    the optimizer alone freezes those forbidden moves (see ``adam_step``)."""
+    and two scratch vectors for the update."""
 
     def __init__(self, params: ModelParams):
         self.step = 0
         self.m, self.v, *self.scratch = (np.zeros(params.vector.size) for _ in range(4))
-        frozen = flat_views(params, np.zeros(params.vector.size, dtype=bool))
-        frozen.crf.transitions[...], frozen.crf.start_scores[...] = forbidden_masks()
-        self.pinned = np.flatnonzero(frozen.vector)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update of ``params.vector`` in place, with the
     floating-point operations of a per-tensor update; ``grads`` is left
-    unchanged. The pinned CRF entries take a zero gradient, so their
-    moments, and with them their updates, stay exactly 0."""
+    unchanged. Every entry is updated alike: the CRF's two inert entries,
+    under the BIO mask, have a gradient of exactly 0, so their moments and
+    updates stay 0."""
     state.step += 1
     g, (a, b), m, v = grads.vector, state.scratch, state.m, state.v
     np.multiply(g, 1.0 - BETA1, out=a)
     np.multiply(g, 1.0 - BETA2, out=b)
     b *= g
-    a[state.pinned] = b[state.pinned] = 0.0
     m *= BETA1
     m += a
     v *= BETA2
@@ -259,7 +254,7 @@ def evaluate_split(params: ModelParams, config: ModelConfig, examples: list[Exam
     tags = predict_tags(params, config, [ex.token_ids for ex in examples], bank)
     pred_spans = None
     if gold_spans is not None:
-        pred_spans = [decode_bio(ex.tokens, t)[0] for ex, t in zip(examples, tags)]
+        pred_spans = [decode_bio(ex.tokens, t) for ex, t in zip(examples, tags)]
     return build_report(tags, [ex.gold_tags for ex in examples], pred_spans, gold_spans)
 
 
@@ -398,7 +393,6 @@ def grad_check(model_config: ModelConfig | None = None) -> GradCheckReport:
             arr[...] = 1.0 + 0.2 * rng.normal(size=arr.shape)
         else:
             arr[...] = 0.5 * rng.normal(size=arr.shape)
-    pin_forbidden(params.crf)
 
     encode_bank = bank_encoder(_CHECK_BANK, vocab, params, mc)
     packing = Packing([len(probe.token_ids)])

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from claimspan.crf import forbidden_masks
+from claimspan.crf import START_MASK, TRANSITION_MASK
 from claimspan.metrics import Scores, _harmonic, _ratio
 from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import TAGS, split_hashtag
@@ -157,16 +157,18 @@ def igm_scalar(zp, z, p) -> np.ndarray:
 
 
 def crf_enumerate(e, crf):
-    """Brute force over all 3^N tag sequences with the same scoring rule.
+    """Brute force over all 3^N tag sequences with the same scoring rule,
+    the BIO mask included (a masked move scores -inf).
 
     Returns (log_partition, marginals (N,3), best tag-index sequence).
     """
     n = e.shape[0]
     scored = []
     for seq in itertools.product(range(3), repeat=n):
-        s = float(crf.start_scores[seq[0]]) + float(e[0, seq[0]])
+        s = float(crf.start_scores[seq[0]] + START_MASK[seq[0]]) + float(e[0, seq[0]])
         for t in range(1, n):
-            s += float(crf.transitions[seq[t - 1], seq[t]]) + float(e[t, seq[t]])
+            move = crf.transitions[seq[t - 1], seq[t]] + TRANSITION_MASK[seq[t - 1], seq[t]]
+            s += float(move) + float(e[t, seq[t]])
         s += float(crf.end_scores[seq[-1]])
         scored.append((seq, s))
     m = max(s for _seq, s in scored)
@@ -185,12 +187,12 @@ def viterbi_decode_per_sequence(e, crf, packing) -> list[str]:
     """Viterbi decoding with the chunk-wide forward pass and a backtrack run
     one sequence and one token at a time in Python, as first written."""
     em = packing.pad(e, 0.0)
-    v = crf.start_scores + em[:, 0]
+    v = crf.start_scores + START_MASK + em[:, 0]
     final = np.empty_like(v)
     backptr = np.empty(em.shape, dtype=np.intp)
     for t in range(packing.n_max):
         if t:
-            cand = v[:, :, None] + crf.transitions
+            cand = v[:, :, None] + crf.transitions + TRANSITION_MASK
             backptr[:, t] = cand.argmax(axis=1)
             v = cand.max(axis=1) + em[:, t]
         ending = packing.ending.get(t)
@@ -209,10 +211,7 @@ def viterbi_decode_per_sequence(e, crf, packing) -> list[str]:
 
 class AdamPerTensor:
     """Adam as first written: a walk over the parameter and gradient trees,
-    with moments kept per tensor name and the pinned CRF entries' gradient
-    zeroed by ``np.where``."""
-
-    FROZEN = dict(zip(("crf.transitions", "crf.start_scores"), forbidden_masks()))
+    with moments kept per tensor name."""
 
     def __init__(self):
         self.m, self.v, self.step_count = {}, {}, 0
@@ -221,8 +220,6 @@ class AdamPerTensor:
         self.step_count += 1
         t = self.step_count
         for (name, p), (_gname, g) in zip(named_arrays(params), named_arrays(grads)):
-            if name in self.FROZEN:
-                g = np.where(self.FROZEN[name], 0.0, g)
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)

@@ -6,7 +6,6 @@ import numpy as np
 
 from claimspan import cli
 from claimspan.cli import main
-from claimspan.crf import pin_forbidden
 from claimspan.encoder import ModelConfig
 from claimspan.metrics import build_report
 from claimspan.model import (
@@ -283,7 +282,6 @@ def _mixed_corpus_and_checkpoint(tmp_path):
     params = init_model_params(config, len(vocab), len(bank), rng)
     for _name, arr in named_arrays(params):
         arr[...] = 0.5 * rng.normal(size=arr.shape)
-    pin_forbidden(params.crf)
     ckpt = tmp_path / "mixed.ckpt.json"
     save_checkpoint(ckpt, config, vocab, bank, params)
     return posts, path, ckpt, config, vocab, bank, params
@@ -318,9 +316,26 @@ def test_eval_and_predict_keep_each_post_prediction(tmp_path, capsys):
     encoded = build_bank(bank, vocab, params, config)
     tags = [predict_tags(params, config, [ex.token_ids], encoded)[0] for ex in examples]
     expected = build_report(tags, [ex.gold_tags for ex in examples],
-                            [decode_bio(ex.tokens, t)[0] for ex, t in zip(examples, tags)],
+                            [decode_bio(ex.tokens, t) for ex, t in zip(examples, tags)],
                             [p.spans for p in posts])
     assert json.loads(report_path.read_text()) == json.loads(json.dumps(expected.to_dict()))
+
+
+def test_eval_ignores_stored_inert_crf_entries(tmp_path):
+    # every format-4 checkpoint written while the BIO rule was stored as
+    # -1e4 in the O -> I and start-I entries gives bitwise the eval report
+    # of the same checkpoint holding 0.0 there
+    posts, path, _ckpt, config, vocab, bank, params = _mixed_corpus_and_checkpoint(tmp_path)
+    reports = []
+    for value in (-1.0e4, 0.0):
+        params.crf.transitions[2, 1] = params.crf.start_scores[1] = value
+        ckpt, report = tmp_path / f"inert{value}.ckpt", tmp_path / f"inert{value}.json"
+        save_checkpoint(ckpt, config, vocab, bank, params)
+        assert main(["eval", "--checkpoint", str(ckpt), "--input", str(path),
+                     "--output", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["overall"]["f1"] > 0.0
 
 
 def test_eval_without_gold_spans_exits_one(tmp_path, capsys):

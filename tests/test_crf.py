@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimspan.crf import (
-    FORBIDDEN_SCORE,
     CrfParams,
     emissions_backward,
     emissions_from,
-    forbidden_masks,
     init_crf_params,
     nll_backward,
     nll_loss,
-    pin_forbidden,
     score_sequence,
     tags_to_indices,
     viterbi_decode,
@@ -30,7 +27,6 @@ def rand_crf(rng, scale=1.0) -> CrfParams:
     crf.transitions[...] = scale * rng.normal(size=(3, 3))
     crf.start_scores[...] = scale * rng.normal(size=3)
     crf.end_scores[...] = scale * rng.normal(size=3)
-    pin_forbidden(crf)
     return crf
 
 
@@ -49,15 +45,6 @@ def test_tags_to_indices_and_validation():
     assert list(tags_to_indices(["B", "I", "O"])) == [0, 1, 2]
     with pytest.raises(ValueError):
         tags_to_indices(["B", "X"])
-
-
-def test_pinned_entries_set():
-    rng = np.random.default_rng(0)
-    crf = rand_crf(rng)
-    assert crf.transitions[2, 1] == FORBIDDEN_SCORE  # O -> I
-    assert crf.start_scores[1] == FORBIDDEN_SCORE    # start -> I
-    trans_mask, start_mask = forbidden_masks()
-    assert trans_mask.sum() == 1 and start_mask.sum() == 1
 
 
 def test_partition_and_marginals_match_enumeration():
@@ -133,7 +120,6 @@ def test_viterbi_tie_break_prefers_earlier_tag():
     crf = CrfParams(w_emit=np.zeros((4, 3)), b_emit=np.zeros(3),
                     transitions=np.zeros((3, 3)), start_scores=np.zeros(3),
                     end_scores=np.zeros(3))
-    pin_forbidden(crf)
     assert viterbi_decode(np.zeros((4, 3)), crf, Packing([4])) == ["B", "B", "B", "B"]
 
 
@@ -153,11 +139,11 @@ def test_viterbi_backtrack_matches_per_sequence_backtrack(lengths, ties, seed):
 
 @pytest.mark.parametrize("axis", [0, 1, 2, -1])
 def test_log_sum_exp_matches_max_shift(axis):
-    # the recursions' inputs: pinned forbidden scores next to entries of
-    # about +-1e3 and ordinary ones
+    # the recursions' inputs: masked moves (-inf) next to entries of about
+    # +-1e3 and ordinary ones
     rng = np.random.default_rng(23)
     a = rng.normal(size=(6, 3, 3))
-    a[rng.random(a.shape) < 0.2] = FORBIDDEN_SCORE
+    a[rng.random(a.shape) < 0.2] = -np.inf
     a[rng.random(a.shape) < 0.2] = 1e3
     a[rng.random(a.shape) < 0.2] = -1e3
     got, ref = log_sum_exp(a, axis=axis), log_sum_exp_max_shift(a, axis=axis)
@@ -167,7 +153,7 @@ def test_log_sum_exp_matches_max_shift(axis):
 
 def test_log_sum_exp_of_nothing_is_minus_inf():
     # a slice with no finite entry has no mass: -inf, with no NaN or warning
-    a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, FORBIDDEN_SCORE]])
+    a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, -np.inf]])
     assert log_sum_exp(a, axis=1).tolist() == [-np.inf, 0.0]
 
 
@@ -182,7 +168,6 @@ def test_long_ragged_chunk_numerics_hold(scale):
     crf = init_crf_params(rng, d=4)
     for arr in (crf.transitions, crf.start_scores, crf.end_scores):
         arr[...] = rng.uniform(-50.0, 50.0, size=arr.shape)
-    pin_forbidden(crf)
     e = scale * rng.normal(size=(packing.n_rows, 3))
     tags = viterbi_decode(e, crf, packing)
     for seq in packing.split(tags):
@@ -243,24 +228,23 @@ def test_nll_backward_matches_fd_on_all_params():
     assert np.allclose(g.transitions, fd_trans, atol=1e-6)
     assert np.allclose(g.start_scores, fd_start, atol=1e-6)
     assert np.allclose(g.end_scores, fd_end, atol=1e-6)
-    # at the pinned score the plain gradient of a forbidden move underflows
-    # to exactly zero, so the optimizer's freeze changes nothing else
+    # the BIO mask leaves the inert O -> I and start-I entries no mass, so
+    # their gradient is exactly zero
     assert g.transitions[2, 1] == 0.0
     assert g.start_scores[1] == 0.0
 
 
 def test_nll_backward_is_the_plain_gradient_at_every_entry():
-    # with the forbidden entries left unpinned, O -> I and start-I are
-    # ordinary parameters, and their gradient is not masked: every CRF entry
-    # matches central differences, on a ragged chunk whose gold paths take
-    # those moves
+    # every CRF entry, the two inert ones included, matches central
+    # differences on a ragged chunk of valid BIO gold paths; the inert ones
+    # read exactly 0 both ways, whatever they hold
     rng = np.random.default_rng(12)
     crf = init_crf_params(rng, d=4)
     for arr in (crf.transitions, crf.start_scores, crf.end_scores):
         arr[...] = rng.normal(size=arr.shape)
     packing = Packing([3, 1, 4])
     e = rng.normal(size=(packing.n_rows, 3))
-    tags = ["I", "O", "I", "B", "O", "O", "I", "I"]
+    tags = ["B", "O", "B", "B", "O", "B", "I", "I"]
     g = flat_views(crf)
     d_e = nll_backward(crf, nll_loss(e, crf, tags, packing)[1], g)
 
@@ -268,10 +252,12 @@ def test_nll_backward_is_the_plain_gradient_at_every_entry():
         return nll_loss(e, crf, tags, packing)[0].sum()
 
     assert np.allclose(d_e, fd_grad(loss, e), atol=1e-6)
-    for name in ("transitions", "start_scores", "end_scores"):
-        fd = fd_grad(loss, getattr(crf, name))
+    fds = {name: fd_grad(loss, getattr(crf, name))
+           for name in ("transitions", "start_scores", "end_scores")}
+    for name, fd in fds.items():
         assert np.allclose(getattr(g, name), fd, atol=1e-6), name
-    assert abs(g.transitions[2, 1]) > 1e-2 and abs(g.start_scores[1]) > 1e-2
+    assert g.transitions[2, 1] == fds["transitions"][2, 1] == 0.0  # O -> I
+    assert g.start_scores[1] == fds["start_scores"][1] == 0.0      # start -> I
 
 
 def test_single_token_sequence():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from claimspan.crf import viterbi_decode
 from claimspan.model import (
     CheckpointError,
     Vocabulary,
@@ -163,6 +164,25 @@ def test_checkpoint_predictions_survive_roundtrip(tmp_path, tiny_config, tiny_vo
         tmp_path, tiny_config, tiny_vocab, BANK, tiny_params)
     bank2 = build_bank(texts, vocab, params, config)
     assert predict_tags(params, config, [ids], bank2) == before
+
+
+def test_edited_inert_crf_entries_decode_valid_bio(tmp_path, tiny_config, tiny_vocab, tiny_params):
+    # a checkpoint whose O -> I and start-I entries were edited to +5.0
+    # loads, and still decodes no start on I and no O -> I on emissions that
+    # favour I where those moves would win: the BIO mask, not the stored
+    # values, keeps the rule
+    tiny_params.crf.transitions[2, 1] = tiny_params.crf.start_scores[1] = 5.0
+    _path, (_config, _vocab, _texts, params) = _roundtrip(
+        tmp_path, tiny_config, tiny_vocab, BANK, tiny_params)
+    assert params.crf.transitions[2, 1] == params.crf.start_scores[1] == 5.0
+    favour_i, favour_o = [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]
+    e = np.array([favour_i, favour_o, favour_i, favour_o, favour_i, favour_i, favour_o, favour_i])
+    packing = Packing([5, 1, 2])
+    tags = viterbi_decode(e, params.crf, packing)
+    assert tags == ["B", "O", "B", "O", "B", "B", "O", "B"]
+    for seq in packing.split(tags):
+        assert seq[0] != "I"
+        assert ("O", "I") not in set(zip(seq, seq[1:]))
 
 
 def test_checkpoint_rejects_bad_version(tmp_path, tiny_config, tiny_vocab, tiny_params):

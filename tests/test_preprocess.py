@@ -323,12 +323,9 @@ def test_encode_bio_rejects_overlapping_spans():
 
 def test_decode_bio_roundtrip_and_repair():
     tokens = toks(("a", 0, 1), ("b", 2, 3), ("c", 4, 5), ("d", 6, 7))
-    spans, repairs = decode_bio(tokens, ["O", "B", "I", "O"])
-    assert spans == [CharSpan(2, 5)]
-    assert repairs == 0
-    spans, repairs = decode_bio(tokens, ["I", "O", "I", "I"])
-    assert spans == [CharSpan(0, 1), CharSpan(4, 7)]
-    assert repairs == 2
+    assert decode_bio(tokens, ["O", "B", "I", "O"]) == [CharSpan(2, 5)]
+    # a stray I, at position 0 or after O, opens a run as B does
+    assert decode_bio(tokens, ["I", "O", "I", "I"]) == [CharSpan(0, 1), CharSpan(4, 7)]
 
 
 def test_decode_bio_length_mismatch():
@@ -379,10 +376,9 @@ def token_aligned_spans(draw):
 def test_bio_roundtrip_property(case):
     tokens, spans = case
     tags = encode_bio(tokens, spans)
-    decoded, repairs = decode_bio(tokens, tags)
-    assert repairs == 0
-    assert decoded == spans
-    # encoder output is always transition-valid
+    assert decode_bio(tokens, tags) == spans
+    # encoder output is always transition-valid: no I at position 0 and no
+    # O -> I, the only places decode_bio has a stray I to open as B
     prev = "O"
     for t in tags:
         assert not (t == "I" and prev == "O")
