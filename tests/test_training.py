@@ -113,6 +113,28 @@ def test_adam_constant_gradient_update_approaches_lr():
     assert np.allclose(last_delta, lr, rtol=1e-3)
 
 
+def test_pinned_entries_survive_many_steps():
+    # random gradients, the inert entries' too, move the stored O -> I and
+    # start -> I scores far from 0; the BIO rule still holds in decoding,
+    # since the fixed mask, not the stored value, forbids those moves
+    params = _scalar_params()
+    rng = np.random.default_rng(1)
+    grads = flat_views(params)
+    state = AdamState(params)
+    for _ in range(20):
+        grads.vector[...] = rng.normal(size=grads.vector.shape)
+        grads.crf.transitions[2, 1] = grads.crf.start_scores[1] = -1.0
+        adam_step(params, grads, state, 0.05)
+    assert params.crf.transitions[2, 1] > 0.5 and params.crf.start_scores[1] > 0.5
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        e = rng.normal(scale=2.0, size=(n, len(TAGS)))
+        e[:, 1] += 3.0  # emissions that favour I everywhere
+        tags = crf_mod.viterbi_decode(e, params.crf, Packing([n]))
+        assert tags[0] != "I"
+        assert all(not (a == "O" and b == "I") for a, b in zip(tags, tags[1:]))
+
+
 def test_adam_in_place_matches_per_tensor_update():
     # bitwise the update of the per-tensor walk, step after step, with
     # gradients on the CRF's inert entries too; the gradient passed in is not
