@@ -105,11 +105,18 @@ def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str],
     the emissions, the gold tag ids, the forward messages alpha, log Z and
     the packing.
 
-    ``e`` and ``tags`` are the chunk's packed emission rows and gold tags.
+    ``e`` and ``tags`` are the chunk's packed emission rows and gold tags; a
+    tag that is unknown or breaks BIO is a ValueError.
     """
     tag_ids = tags_to_indices(tags)
+    gold = score_sequence(e, crf, tag_ids, packing)
+    prev = np.roll(tag_ids, 1)
+    prev[packing.starts] = TAG_INDEX[TAG_O]  # a start is held to O's rule
+    broken = np.flatnonzero((tag_ids == TAG_INDEX[TAG_I]) & (prev == TAG_INDEX[TAG_O]))
+    if broken.size:
+        raise ValueError(f"gold tags break BIO at row {broken[0]}: an I starts a sequence or follows O")
     alpha, log_z = _forward_messages(e, crf, packing)
-    return log_z - score_sequence(e, crf, tag_ids, packing), {
+    return log_z - gold, {
         "e": e, "tag_ids": tag_ids, "alpha": alpha, "log_z": log_z, "packing": packing}
 
 

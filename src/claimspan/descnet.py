@@ -53,14 +53,17 @@ class GateParams:
 
 @dataclass
 class DescNetParams:
+    """The adapter's tensors; with ``use_igm`` off the four IGM fields are
+    None, so none of them is drawn or stored."""
+
     description_encoder: EncoderBlockParams
     w_fuse: np.ndarray   # (m*d) x d, fuses the concatenated interactions
     b_fuse: np.ndarray
     w_proj: np.ndarray   # d x d, applied to the fused output before gating
-    conflict: GateParams
-    refine: GateParams
-    w_a: np.ndarray
-    b_a: np.ndarray
+    conflict: GateParams | None = None
+    refine: GateParams | None = None
+    w_a: np.ndarray | None = None
+    b_a: np.ndarray | None = None
 
 
 @dataclass
@@ -99,16 +102,16 @@ def init_descnet_params(rng: np.random.Generator, config: ModelConfig, bank_size
     if bank_size < 1:
         raise ValueError("description bank must hold at least one description")
     d = config.d
-    return DescNetParams(
+    params = DescNetParams(
         description_encoder=init_block_params(rng, d, config.d_ff),
         w_fuse=init_normal(rng, bank_size * d, d),
         b_fuse=np.zeros(d),
         w_proj=init_normal(rng, d, d),
-        conflict=init_gate_params(rng, d),
-        refine=init_gate_params(rng, d),
-        w_a=init_normal(rng, d, d),
-        b_a=np.zeros(d),
     )
+    if config.use_igm:
+        params.conflict, params.refine = init_gate_params(rng, d), init_gate_params(rng, d)
+        params.w_a, params.b_a = init_normal(rng, d, d), np.zeros(d)
+    return params
 
 
 def load_bank_texts(path) -> list[str]:

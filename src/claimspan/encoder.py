@@ -61,7 +61,6 @@ class ModelConfig:
     vocab_size: int = 2000
     dropout_p: float = 0.1
     adapter_layer: int = 4
-    adapter_residual: bool = False
     use_descnet: bool = True
     attention_variant: str = "coda"
     use_igm: bool = True
@@ -88,7 +87,6 @@ class EncoderBlockParams:
     w_q: np.ndarray
     b_q: np.ndarray
     w_k: np.ndarray
-    b_k: np.ndarray
     w_v: np.ndarray
     b_v: np.ndarray
     w_o: np.ndarray
@@ -115,7 +113,6 @@ def init_block_params(rng: np.random.Generator, d: int, d_ff: int) -> EncoderBlo
         w_q=init_normal(rng, d, d),
         b_q=np.zeros(d),
         w_k=init_normal(rng, d, d),
-        b_k=np.zeros(d),
         w_v=init_normal(rng, d, d),
         b_v=np.zeros(d),
         w_o=init_normal(rng, d, d),
@@ -162,7 +159,8 @@ def embed_backward(d_z: np.ndarray, token_ids, grads: EncoderParams, packing: Pa
 
 def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int, packing: Packing):
     """Scaled dot-product self-attention over h heads within each sequence
-    of the chunk; returns (out, cache)."""
+    of the chunk; returns (out, cache). Keys have no bias: softmax cancels
+    the constant it would add to each row of logits."""
     dh = z.shape[1] // n_heads
     shape = (packing.size, packing.n_max, n_heads, dh)
 
@@ -170,7 +168,7 @@ def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int, packing: 
         return packing.pad(x, 0.0).reshape(shape).transpose(0, 2, 1, 3)
 
     qh = heads(z @ blk.w_q + blk.b_q)
-    kh = heads(z @ blk.w_k + blk.b_k)
+    kh = heads(z @ blk.w_k)
     vh = heads(z @ blk.w_v + blk.b_v)
     scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh)
     if not packing.uniform:
@@ -207,7 +205,6 @@ def mhsa_backward(d_out: np.ndarray, cache, blk: EncoderBlockParams, g: EncoderB
     g.w_q += z.T @ d_q
     g.b_q += d_q.sum(axis=0)
     g.w_k += z.T @ d_k
-    g.b_k += d_k.sum(axis=0)
     g.w_v += z.T @ d_v
     g.b_v += d_v.sum(axis=0)
     return d_q @ blk.w_q.T + d_k @ blk.w_k.T + d_v @ blk.w_v.T

@@ -42,7 +42,7 @@ from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
 from .preprocess import AnnotatedPost, CharSpan, Tokens, decode_bio, encode_bio, normalize_post, tokenize
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 UNK = "<unk>"
 
 
@@ -192,8 +192,7 @@ def sequence_forward(params: ModelParams, config: ModelConfig, token_ids,
         z, bc = encoder_block_forward(z, blk, config, packing, rng)
         block_caches.append(bc)
         if params.descnet is not None and i == config.adapter_layer:
-            z_hat, adapter_cache = descnet_forward(z, bank, params.descnet, config, packing, rng)
-            z = z_hat + z if config.adapter_residual else z_hat
+            z, adapter_cache = descnet_forward(z, bank, params.descnet, config, packing, rng)
     e = emissions_from(z, params.crf)
     return e, {"token_ids": token_ids, "packing": packing, "blocks": block_caches,
                "adapter": adapter_cache, "z": z}
@@ -220,9 +219,8 @@ def sequence_backward(params: ModelParams, config: ModelConfig, cache, grads: Mo
     blocks, g_blocks = params.encoder.blocks, grads.encoder.blocks
     for i in range(len(blocks), 0, -1):
         if params.descnet is not None and i == config.adapter_layer:
-            d_in = descnet_backward(d_z, cache["adapter"], params.descnet, config,
-                                    grads.descnet, d_bank)
-            d_z = d_in + d_z if config.adapter_residual else d_in
+            d_z = descnet_backward(d_z, cache["adapter"], params.descnet, config,
+                                   grads.descnet, d_bank)
         d_z = encoder_block_backward(d_z, cache["blocks"][i - 1], blocks[i - 1], config,
                                      g_blocks[i - 1])
     embed_backward(d_z, cache["token_ids"], grads.encoder, cache["packing"])

@@ -403,7 +403,7 @@ def _config(**changes):
     (lambda h, p: ({**h, "format_version": 1}, p), "version 1"),
     # config values of the wrong type: "false" is truthy, 8.0 cannot size a tensor
     (_config(use_igm="false"), "use_igm must be of type bool, got 'false'"),
-    (_config(adapter_residual=1), "adapter_residual must be of type bool, got 1"),
+    (_config(use_descnet=1), "use_descnet must be of type bool, got 1"),
     (_config(seed="x"), "seed must be of type int, got 'x'"),
     (_config(max_len=8.0), "max_len must be of type int, got 8.0"),
     # the payload must hold exactly the tensors' bytes

@@ -47,6 +47,20 @@ def test_tags_to_indices_and_validation():
         tags_to_indices(["B", "X"])
 
 
+def test_nll_loss_rejects_gold_tags_that_break_bio():
+    # a chunk of two sequences of three rows: an O -> I move or a start on I
+    # inside the second is caught and its row named; O | B across the
+    # sequence boundary is no move at all
+    crf = rand_crf(np.random.default_rng(13))
+    e, packing = np.zeros((6, 3)), Packing([3, 3])
+    with pytest.raises(ValueError, match="gold tags break BIO at row 5"):
+        nll_loss(e, crf, ["B", "I", "O", "B", "O", "I"], packing)
+    with pytest.raises(ValueError, match="gold tags break BIO at row 3"):
+        nll_loss(e, crf, ["B", "I", "I", "I", "O", "B"], packing)
+    losses, _cache = nll_loss(e, crf, ["B", "I", "O", "B", "I", "O"], packing)
+    assert np.all(np.isfinite(losses))
+
+
 def test_partition_and_marginals_match_enumeration():
     rng = np.random.default_rng(1)
     for _ in range(25):

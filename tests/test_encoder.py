@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -299,16 +297,6 @@ def test_adapter_rewrites_representation(monkeypatch, tiny_config, tiny_params, 
     assert calls == [(3, tiny_config.d)]
     # adapter at layer 2 of 2: zeroed output goes through no further blocks
     assert np.array_equal(e, np.broadcast_to(tiny_params.crf.b_emit, e.shape))
-
-
-def test_adapter_residual_variant(monkeypatch, tiny_config, tiny_params, tiny_bank):
-    cfg = dataclasses.replace(tiny_config, adapter_residual=True)
-    ids = [3, 1, 4]
-    plain = sequence_forward(dataclasses.replace(tiny_params, descnet=None), cfg, ids, None,
-                             Packing([3]))[0]
-    zero_adapter(monkeypatch)
-    e, _ = sequence_forward(tiny_params, cfg, ids, tiny_bank, Packing([3]))
-    assert np.allclose(e, plain)
 
 
 def test_dropout_zero_train_equals_eval(tiny_config, tiny_params, tiny_bank):

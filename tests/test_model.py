@@ -199,6 +199,11 @@ def test_checkpoint_rejects_bad_version(tmp_path, tiny_config, tiny_vocab, tiny_
     edit_checkpoint(path, as_format_3)
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
         load_checkpoint(path)
+    # format 4, whose tensors also held the key biases, is refused by its version
+    save_checkpoint(path, tiny_config, tiny_vocab, BANK, tiny_params)
+    edit_checkpoint(path, lambda h, p: ({**h, "format_version": 4}, p))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 4"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_missing_and_unknown_tensors(tmp_path, tiny_config, tiny_vocab, tiny_params):

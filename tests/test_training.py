@@ -519,11 +519,11 @@ def test_batch_gradients_converts_each_chunks_tags_once(monkeypatch):
     assert converted == [chunk.packing.n_rows for chunk in chunks]
 
 
-def _probe_params(vocab, seed):
-    """Weights at O(1) scale, as in grad_check, so no backward formula hides
-    behind a small gradient."""
+def _probe_params(vocab, seed, mc):
+    """Weights of a model of config ``mc`` at O(1) scale, as in grad_check,
+    so no backward formula hides behind a small gradient."""
     rng = np.random.default_rng(seed)
-    params = init_model_params(TINY_MC, len(vocab), len(synthetic_bank()), rng)
+    params = init_model_params(mc, len(vocab), len(synthetic_bank()), rng)
     for name, arr in named_arrays(params):
         if name.endswith("_gain"):
             arr[...] = 1.0 + 0.2 * rng.normal(size=arr.shape)
@@ -532,17 +532,30 @@ def _probe_params(vocab, seed):
     return params
 
 
-@pytest.mark.parametrize("variant", ["coda", "dpa"])
+# Without IGM every row's CoDA output reaches the loss, so a difference step
+# on this batch crosses some of CoDA's L1 kinks at any usable step size; the
+# no-IGM variant uses smooth dpa attention, and
+# test_grad_check_passes_without_igm checks CoDA without IGM on grad_check's
+# small probe.
+@pytest.mark.parametrize("variant", [
+    {"attention_variant": "coda"}, {"attention_variant": "dpa"},
+    {"use_igm": False, "attention_variant": "dpa"}, {"use_descnet": False}],
+    ids=["coda", "dpa", "no_igm", "no_descnet"])
 def test_batch_gradients_match_fd_on_ragged_batch(variant):
     # the packed batch step's gradient is the gradient of the batch's mean
     # loss, each example's loss taken alone. The loss is only piecewise
     # smooth (CoDA's L1 distance, IGM's max-pool); as in grad_check, the
     # probe point is fixed, and no difference step from it crosses a kink.
-    mc = dataclasses.replace(TINY_MC, attention_variant=variant)
+    mc = dataclasses.replace(TINY_MC, **variant)
     vocab, batch = _ragged_batch()
-    params = _probe_params(vocab, seed=1)
+    params = _probe_params(vocab, seed=1, mc=mc)
     grads, losses = training_mod.batch_gradients(
         params, mc, batch, build_bank(synthetic_bank(), vocab, params, mc))
+    # every stored tensor can change the loss: none has a gradient that is 0,
+    # or roundoff beside the largest tensor's
+    peaks = {name: np.max(np.abs(g)) for name, g in named_arrays(grads)}
+    top = max(peaks.values())
+    assert not [name for name, peak in peaks.items() if peak <= 1e-8 * top]
 
     def mean_loss() -> float:
         bank = build_bank(synthetic_bank(), vocab, params, mc)
@@ -589,7 +602,7 @@ def _ragged_sequences(draw):
 def test_batch_invariance_of_loss_gradient_and_tags(case):
     seqs, pick = case
     vocab = Vocabulary.build([[f"w{i}" for i in range(19)] + synthetic_bank()], 64)
-    params = _probe_params(vocab, seed=len(seqs))
+    params = _probe_params(vocab, seed=len(seqs), mc=TINY_MC)
     bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
     batch = [Example(f"s{i}", [], ids, tags, None) for i, (ids, tags) in enumerate(seqs)]
     assert len(make_chunks([ex.token_ids for ex in batch])) >= 2
@@ -737,6 +750,16 @@ def test_grad_check_passes_default_instance(default_grad_check):
     assert report.max_rel_err < 1e-4
     assert report.tolerance == 1e-4
     assert len(calls) <= 1 + len(training_mod._CHECK_BANK)
+
+
+def test_grad_check_passes_without_igm():
+    # CoDA without the gating mechanism, which the ragged-batch check runs
+    # with dpa only; the model stores no gate tensors, and each it stores
+    # has a gradient
+    report = grad_check(dataclasses.replace(TINY_MC, use_igm=False))
+    assert report.passed, f"max_rel_err {report.max_rel_err} at {report.parameter}"
+    assert not [name for name in report.per_tensor
+                if name.split(".")[1] in ("conflict", "refine", "w_a", "b_a")]
 
 
 def test_grad_check_catches_sabotage(monkeypatch):
