@@ -1,5 +1,8 @@
 """Evaluation: token-level P/R/F1 (overall and per tag), dice similarity,
-span-count ratio, and a paired t-test over per-post F1 scores.
+span-count ratio, and a paired t-test over paired scores (per post or per
+seed), whose p-value is exact for its integer df = n - 1 (the finite series of
+Abramowitz & Stegun 26.7.3-26.7.4); differences within a few ulps of the
+largest score are a constant difference, for which the test is undefined.
 
 Averaging rules, pinned by tests:
   * overall P/R are computed per post over in-span token sets and
@@ -163,85 +166,51 @@ def build_report(pred: list[list[str]], gold: list[list[str]],
 
 
 # ---------------------------------------------------------------------------
-# Paired t-test with a self-contained t-distribution CDF
+# Paired t-test with a self-contained t-distribution tail
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for 0 <= x <= 1."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return x
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_sf_two_sided(t: float, df: float) -> float:
-    """P(|T| >= t) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    a = df / 2.0
-    x = df / (df + t * t)
-    if x < (a + 1.0) / (a + 2.5):
-        return reg_inc_beta(a, 0.5, x)
-    # Near t = 0, 1 - x cancels to 0; take the small tail t^2 / (df + t^2)
-    # directly and use I_x(a, b) = 1 - I_{1-x}(b, a).
-    return 1.0 - reg_inc_beta(0.5, a, t * t / (df + t * t))
+def student_t_sf_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with a positive integer df (else a
+    ValueError): the finite series of Abramowitz & Stegun 26.7.3 (odd df)
+    and 26.7.4 (even df) in theta = atan(|t| / sqrt(df)). The absolute error
+    is near 1e-16, so a smaller p may read 0; t = 0 gives exactly 1."""
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
+    if math.isnan(t):
+        raise ValueError("t is NaN")
+    df = int(df)
+    # theta and phi = pi/2 - theta, each from atan2 so the small one keeps its digits
+    theta = math.atan2(abs(t), math.sqrt(df))
+    phi = math.atan2(math.sqrt(df), abs(t))
+    s, c, odd = math.sin(theta), math.sin(phi), df % 2
+    term, total = 1.0, 0.0
+    for k in range(1, df // 2 + 1):
+        total += term
+        term *= c * c * (2 * k - 1 + odd) / (2 * k + odd)
+    if odd:  # 1 - A with 1 - 2 theta / pi taken as 2 phi / pi
+        p = (phi - s * c * total) / (math.pi / 2)
+    else:  # 1 - A with 1 - sin theta taken as cos^2 theta / (1 + sin theta)
+        p = c * c / (1.0 + s) - s * (total - 1.0)
+    return max(p, 0.0)
 
 
 def paired_f1_ttest(f1_a: list[float], f1_b: list[float]) -> dict[str, float]:
-    """Two-sided paired t-test over per-post score pairs.
-
-    Returns {"t", "p_two_sided", "df"}. Zero difference variance (including
-    identical lists) is an error: the statistic is undefined there.
-    """
+    """Two-sided paired t-test over paired scores (per post or per seed);
+    returns {"t", "p_two_sided", "df"}. A NaN or infinite score, or a
+    constant difference (where t is undefined), is a ValueError; differences
+    within 4 ulps of the largest score magnitude count as constant."""
     if len(f1_a) != len(f1_b):
         raise ValueError(f"paired lists differ in length: {len(f1_a)} vs {len(f1_b)}")
     n = len(f1_a)
     if n < 2:
         raise ValueError("need at least 2 pairs")
+    for i, pair in enumerate(zip(f1_a, f1_b)):
+        if not all(map(math.isfinite, pair)):
+            raise ValueError(f"pair {i} is not finite: {pair}")
     diffs = [a - b for a, b in zip(f1_a, f1_b)]
     mean = sum(diffs) / n
     ss = sum((d - mean) ** 2 for d in diffs)
-    if ss == 0.0:
+    scale = max(map(abs, [*f1_a, *f1_b]))
+    if ss == 0.0 or max(diffs) - min(diffs) <= 4 * math.ulp(scale):
         raise ValueError("zero variance in paired differences; t-test undefined")
     sd = math.sqrt(ss / (n - 1))
     t = mean / (sd / math.sqrt(n))

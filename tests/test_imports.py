@@ -9,7 +9,8 @@ import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*ROOT.glob("src/claimspan/*.py"), *ROOT.glob("tests/*.py")])
+SOURCES = sorted([*ROOT.glob("src/claimspan/*.py"), *ROOT.glob("tests/*.py"),
+                  *ROOT.glob("bench/*.py")])
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

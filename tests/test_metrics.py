@@ -15,14 +15,12 @@ from claimspan.metrics import (
     mean_dice,
     micro_overall_prf,
     paired_f1_ttest,
-    reg_inc_beta,
     span_count_ratio,
     student_t_sf_two_sided,
 )
 
 from oracles import per_tag_prf_scan
 
-scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 
@@ -194,30 +192,37 @@ def test_span_count_ratio():
 
 
 # ---------------------------------------------------------------------------
-# incomplete beta / t-test
+# t distribution / t-test
 
 @settings(max_examples=300)
-@given(st.floats(0.5, 20), st.floats(0.5, 20), st.floats(0.001, 0.999))
-def test_reg_inc_beta_matches_scipy(a, b, x):
-    ours = reg_inc_beta(a, b, x)
-    ref = scipy_special.betainc(a, b, x)
-    assert ours == pytest.approx(ref, abs=1e-10)
-
-
-def test_reg_inc_beta_edges():
-    assert reg_inc_beta(2.0, 3.0, 0.0) == 0.0
-    assert reg_inc_beta(2.0, 3.0, 1.0) == 1.0
-
-
-@settings(max_examples=150)
-@given(st.floats(-8, 8), st.integers(1, 40))
+@given(st.floats(-40, 40), st.integers(1, 40) | st.sampled_from([99, 500, 1000]))
 @example(5.96e-8, 32)  # 1 - x cancelled to 0 here and the p-value read exactly 1.0
+@example(0.0, 1)
+@example(0.0, 2)
+@example(1000.0, 30)  # the series written naively as 1 - A reads -2.2e-16 here
 def test_student_t_matches_scipy(t, df):
     ours = student_t_sf_two_sided(t, df)
     ref = 2 * scipy_stats.t.sf(abs(t), df)
     # the worst observed disagreement, ~5e-9 at df=1 and t~7e-9, is scipy's
     # own rounding: there ours equals the closed form 1 - 2*atan(t)/pi
     assert ours == pytest.approx(ref, abs=1e-8)
+    assert 0.0 <= ours <= 1.0
+    if t == 0.0:
+        assert ours == 1.0
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.floats(allow_nan=False), st.integers(1, 1000))
+def test_student_t_is_a_probability(t, df):
+    assert 0.0 <= student_t_sf_two_sided(t, df) <= 1.0
+
+
+def test_student_t_rejects_bad_arguments():
+    for df in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            student_t_sf_two_sided(1.0, df)
+    with pytest.raises(ValueError):
+        student_t_sf_two_sided(math.nan, 3)
 
 
 def test_paired_ttest_fixed_vector():
@@ -240,6 +245,27 @@ def test_paired_ttest_errors():
         paired_f1_ttest([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         paired_f1_ttest([0.5, 0.6], [0.4, 0.5])  # constant difference
+
+
+def test_paired_ttest_roundoff_constant_difference():
+    # differences 0.1 - 1 ulp, 0.1 + 1 ulp, 0.1 - 1 ulp are the scores' own
+    # roundoff, not a spread: the same error as an exactly constant difference
+    for a, b in [([0.9, 0.8, 0.7], [0.8, 0.7, 0.6]), ([0.7, 0.3], [0.6, 0.2])]:
+        with pytest.raises(ValueError, match="zero variance"):
+            paired_f1_ttest(a, b)
+    # a real spread of 1e-9 still gives a finite p, with df = 2 to full precision
+    a, b = [0.2, 0.2 + 1e-9, 0.2], [0.1, 0.1, 0.1]
+    res = paired_f1_ttest(a, b)
+    assert 0.0 < res["p_two_sided"] < 1.0
+    assert res["p_two_sided"] == pytest.approx(scipy_stats.ttest_rel(a, b).pvalue, rel=1e-7)
+
+
+def test_paired_ttest_rejects_non_finite_scores():
+    # the error names the first bad pair, a NaN or an infinity on either side
+    with pytest.raises(ValueError, match=r"pair 1 is not finite"):
+        paired_f1_ttest([0.9, math.nan, 0.7, 0.8], [0.8, 0.7, math.inf, 0.6])
+    with pytest.raises(ValueError, match=r"pair 2 is not finite"):
+        paired_f1_ttest([0.9, 0.8, 0.7, 0.5], [0.8, 0.7, -math.inf, math.nan])
 
 
 @settings(max_examples=100)
