@@ -10,8 +10,10 @@ failure. No subcommand modifies its input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 
@@ -62,10 +64,7 @@ def _emit(doc, args) -> None:
 
 
 def _load_configs(args):
-    if args.config:
-        mc, tc = load_config(args.config)
-    else:
-        mc, tc = ModelConfig(), TrainConfig()
+    mc, tc = load_config(args.config) if args.config else (ModelConfig(), TrainConfig())
     if getattr(args, "seed", None) is not None:
         mc = replace(mc, seed=args.seed)
         tc = replace(tc, seed=args.seed)
@@ -93,10 +92,8 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 def cmd_preprocess(args) -> int:
     posts = load_corpus(args.input)
-    n_spans = 0
-    token_total = 0
-    span_token_total = 0
-    single = multi = empty = 0
+    n_spans = token_total = span_token_total = 0
+    posts_by_spans = Counter()  # posts with 0, 1 and 2 or more spans
     out_records = []
     for post in posts:
         text, spans, _norm_to_raw = normalize_post(post)
@@ -106,12 +103,7 @@ def cmd_preprocess(args) -> int:
         n_spans += spans_here
         token_total += len(tokens)
         span_token_total += len(tags) - tags.count(TAG_O)
-        if spans_here == 0:
-            empty += 1
-        elif spans_here == 1:
-            single += 1
-        else:
-            multi += 1
+        posts_by_spans[min(spans_here, 2)] += 1
         out_records.append({
             "id": post.id,
             "text": text,
@@ -127,9 +119,9 @@ def cmd_preprocess(args) -> int:
         "avg_tokens_per_post": token_total / n if n else 0.0,
         "avg_tokens_per_span": span_token_total / n_spans if n_spans else 0.0,
         "spans_per_post": n_spans / n if n else 0.0,
-        "single_span_posts": single,
-        "multi_span_posts": multi,
-        "no_span_posts": empty,
+        "single_span_posts": posts_by_spans[1],
+        "multi_span_posts": posts_by_spans[2],
+        "no_span_posts": posts_by_spans[0],
     }
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -243,12 +235,14 @@ def cmd_retrieve_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and kept; ``main`` looks up ``cmd_<subcommand>``."""
     parser = argparse.ArgumentParser(prog="claimspan",
                                      description="Claim span tagging pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, **flags):
+    def add(name, help_text, **flags):
         p = sub.add_parser(name, help=help_text)
         for flag, (required, help_flag) in flags.items():
             if flag == "seed":
@@ -256,30 +250,28 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(f"--{flag}", required=required, help=help_flag)
         p.add_argument("--pretty", action="store_true", help="indented/tabular output")
-        p.set_defaults(func=func)
-        return p
 
-    add("preprocess", cmd_preprocess, "tokenize and BIO-encode a corpus, print stats",
+    add("preprocess", "tokenize and BIO-encode a corpus, print stats",
         input=(True, "corpus JSONL"), output=(False, "tokenized corpus JSONL"))
-    add("train", cmd_train, "train a tagger",
+    add("train", "train a tagger",
         config=(False, "key=value config file"), seed=(False, "seed override"),
         input=(True, "corpus JSONL (split 80/10/10 internally)"),
         bank=(False, "description bank file (default: packaged bank)"),
         output=(True, "checkpoint path (log written alongside as <path>.log)"))
-    add("eval", cmd_eval, "evaluate a checkpoint on annotated data",
+    add("eval", "evaluate a checkpoint on annotated data",
         checkpoint=(True, "model checkpoint"), input=(True, "corpus JSONL"),
         output=(False, "report JSON path (default stdout)"))
-    add("predict", cmd_predict, "write predicted spans for a corpus",
+    add("predict", "write predicted spans for a corpus",
         checkpoint=(True, "model checkpoint"), input=(True, "corpus JSONL"),
         output=(True, "corpus JSONL with predicted_spans"))
-    add("gradcheck", cmd_gradcheck, "finite-difference check of all gradients",
+    add("gradcheck", "finite-difference check of all gradients",
         config=(False, "key=value config file"), seed=(False, "seed override"))
-    add("layer-sweep", cmd_layer_sweep, "train once per adapter insertion layer",
+    add("layer-sweep", "train once per adapter insertion layer",
         config=(False, "key=value config file"), seed=(False, "seed override"),
         input=(True, "corpus JSONL"), bank=(False, "description bank file"),
         layers=(False, "comma-separated layers (default: all)"),
         output=(False, "table JSON path (default stdout)"))
-    add("retrieve-eval", cmd_retrieve_eval, "BM25 tweet-vs-span retrieval comparison",
+    add("retrieve-eval", "BM25 tweet-vs-span retrieval comparison",
         input=(True, "query posts JSONL with gold spans"),
         docs=(True, "document corpus JSONL"),
         judgments=(True, "relevance judgments JSONL"),
@@ -289,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, CorpusFormatError, CheckpointError, FileNotFoundError,
             IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ descriptions can add, ignore, or subtract). The bank is packed like a chunk,
 so a chunk computes one (rows, bank rows) CoDA matrix, its L1 term found
 from per-feature maxima (sum |q - k| = 2 sum max(q, k) - sum q - sum k),
 summed one feature column at a time so that no (rows, bank rows, d)
-temporary is ever built, and one product with the bank's block-diagonal
-values gives the m interaction outputs side by side for fusion.
+temporary is ever built; description j's columns of it times j's own key
+rows give column block j of the (rows, m*d) fusion input.
 
 The interactive gating mechanism then rescales each sequence's rows of Z by
 a d-vector pooled from that sequence. With z and z' the max-pooled rows of Z
@@ -69,10 +69,9 @@ class DescNetParams:
 @dataclass
 class DescriptionBank:
     """Encoded claim descriptions, packed as one chunk: ``keys`` holds every
-    description's tokens as (bank rows, d), ``packing`` where each one sits,
-    and ``values`` the block-diagonal (bank rows, m*d) matrix with description
-    j's rows in column block j. ``cache`` holds the packed token ids and
-    encoder intermediates so gradients can flow back into the shared
+    description's tokens as (bank rows, d), both keys and values, and
+    ``packing`` where each description sits. ``cache`` holds the packed token
+    ids and encoder intermediates so gradients can flow back into the shared
     embeddings and the dedicated encoder block. A chunk's CoDA interaction
     with the bank allocates (rows, bank rows) arrays, never one of
     (rows, bank rows, d).
@@ -80,17 +79,18 @@ class DescriptionBank:
 
     keys: np.ndarray
     packing: Packing
-    values: np.ndarray
     cache: dict
 
     @property
     def size(self) -> int:
         return self.packing.size
 
-    def diagonal_blocks(self, x: np.ndarray) -> np.ndarray:
-        """Each row's own description block of a (bank rows, m*d) array."""
-        rows = self.packing.n_rows
-        return x.reshape(rows, self.size, -1)[np.arange(rows), self.packing.seg]
+    @property
+    def blocks(self) -> list[tuple[slice, slice]]:
+        """Description j's bank rows and column block of a (rows, m*d) output."""
+        d, starts = self.keys.shape[1], self.packing.starts.tolist()
+        return [(slice(lo, lo + n), slice(j * d, (j + 1) * d))
+                for j, (lo, n) in enumerate(zip(starts, self.packing.lengths.tolist()))]
 
 
 def init_gate_params(rng: np.random.Generator | None, d: int) -> GateParams:
@@ -116,12 +116,8 @@ def init_descnet_params(rng: np.random.Generator, config: ModelConfig, bank_size
 
 def load_bank_texts(path) -> list[str]:
     """One description per line; '#' comments and blank lines ignored."""
-    texts = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                texts.append(line)
+        texts = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
     if not texts:
         raise ValueError(f"description bank {path} holds no descriptions")
     return texts
@@ -141,10 +137,7 @@ def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
     flat = np.array([t for ids in token_id_lists for t in ids], dtype=np.intp)
     z0 = embed(flat, enc_params, config, packing)
     out, block_cache = encoder_block_forward(z0, desc_block, config, packing)
-    values = np.zeros((packing.n_rows, packing.size, out.shape[1]))
-    values[np.arange(packing.n_rows), packing.seg] = out
-    return DescriptionBank(out, packing, values.reshape(packing.n_rows, -1),
-                           {"ids": flat, "block": block_cache})
+    return DescriptionBank(out, packing, {"ids": flat, "block": block_cache})
 
 
 def bank_backward(d_keys: np.ndarray, bank: DescriptionBank,
@@ -209,20 +202,35 @@ def coda_backward(d_a: np.ndarray, cache):
     return d_q, d_k
 
 
+def _apply_per_description(w: np.ndarray, bank: DescriptionBank) -> np.ndarray:
+    """(rows, bank rows) weights to (rows, m*d): ``w_j @ keys_j`` in block j."""
+    out = np.empty((len(w), bank.size * bank.keys.shape[1]))
+    for rows, cols in bank.blocks:
+        np.matmul(w[:, rows], bank.keys[rows], out=out[:, cols])
+    return out
+
+
+def _per_description_backward(d_out: np.ndarray, w: np.ndarray, bank: DescriptionBank):
+    """(d_w, d_keys) of ``_apply_per_description`` from j's products alone."""
+    d_w, d_keys = np.empty(w.shape), np.empty(bank.keys.shape)
+    for rows, cols in bank.blocks:
+        np.matmul(d_out[:, cols], bank.keys[rows].T, out=d_w[:, rows])
+        np.matmul(w[:, rows].T, d_out[:, cols], out=d_keys[rows])
+    return d_w, d_keys
+
+
 def coda_interact_forward(z: np.ndarray, bank: DescriptionBank):
     """Tokens-to-descriptions interaction: one CoDA matrix of z against every
-    token of the bank, applied to the block-diagonal values, so column block
-    j of the (rows, m*d) output is description j's CoDA matrix times its
-    token matrix."""
+    token of the bank, each description's columns applied to its tokens."""
     a, a_cache = coda_forward(z, bank.keys)
-    return a @ bank.values, {"a": a, "a_cache": a_cache, "bank": bank}
+    return _apply_per_description(a, bank), {"a": a, "a_cache": a_cache, "bank": bank}
 
 
 def coda_interact_backward(d_out: np.ndarray, cache):
     """Returns (d_z, d_keys) for a (rows, m*d) upstream gradient."""
-    a, bank = cache["a"], cache["bank"]
-    d_z, d_k = coda_backward(d_out @ bank.values.T, cache["a_cache"])
-    return d_z, bank.diagonal_blocks(a.T @ d_out) + d_k
+    d_a, d_values = _per_description_backward(d_out, cache["a"], cache["bank"])
+    d_z, d_k = coda_backward(d_a, cache["a_cache"])
+    return d_z, d_values + d_k
 
 
 def dpa_interact_forward(z: np.ndarray, bank: DescriptionBank):
@@ -233,16 +241,16 @@ def dpa_interact_forward(z: np.ndarray, bank: DescriptionBank):
     s = z @ bank.keys.T / scale
     e = np.exp(s - np.maximum.reduceat(s, starts, axis=1)[:, seg])
     p = e / np.add.reduceat(e, starts, axis=1)[:, seg]
-    return p @ bank.values, {"p": p, "z": z, "bank": bank, "scale": scale}
+    return _apply_per_description(p, bank), {"p": p, "z": z, "bank": bank, "scale": scale}
 
 
 def dpa_interact_backward(d_out: np.ndarray, cache):
     """Returns (d_z, d_keys) for a (rows, m*d) upstream gradient."""
     p, z, bank, scale = cache["p"], cache["z"], cache["bank"], cache["scale"]
-    d_p = d_out @ bank.values.T
+    d_p, d_values = _per_description_backward(d_out, p, bank)
     inner = np.add.reduceat(d_p * p, bank.packing.starts, axis=1)[:, bank.packing.seg]
     d_s = p * (d_p - inner) / scale
-    return d_s @ bank.keys, bank.diagonal_blocks(p.T @ d_out) + d_s.T @ z
+    return d_s @ bank.keys, d_values + d_s.T @ z
 
 
 def fuse_forward(concat: np.ndarray, params: DescNetParams, rng, dropout_p):
@@ -299,23 +307,23 @@ def igm_forward(zp: np.ndarray, z: np.ndarray, params: DescNetParams, packing: P
     """
     if zp.shape != z.shape:
         raise ValueError(f"shape mismatch {zp.shape} vs {z.shape}")
-    z_vec, idx_z = packing.seg_argmax(z)
-    zp_vec, idx_zp = packing.seg_argmax(zp)
+    z_vec = np.maximum.reduceat(z, packing.starts, axis=0)
+    zp_vec = np.maximum.reduceat(zp, packing.starts, axis=0)
     mu_c, conflict = _gate_forward(z_vec, zp_vec, params.conflict, complement=True)
     mu_r, refine = _gate_forward(z_vec, zp_vec, params.refine, complement=False)
     adaptive = refine + (1.0 - mu_r) * conflict
     gate = np.tanh(adaptive @ params.w_a + params.b_a)
     out = z * gate[packing.seg]
     return out, {
-        "z": z, "zp": zp, "z_vec": z_vec, "zp_vec": zp_vec, "idx_z": idx_z, "idx_zp": idx_zp,
+        "z": z, "zp": zp, "z_vec": z_vec, "zp_vec": zp_vec,
         "mu_c": mu_c, "conflict": conflict, "mu_r": mu_r, "refine": refine,
         "adaptive": adaptive, "gate": gate, "packing": packing,
     }
 
 
 def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
-    """Returns (d_zp, d_z); the max-pool routes pooled gradients back to the
-    argmax rows, the gate itself carries gradient to every row of z."""
+    """Returns (d_zp, d_z); the max-pool routes each pooled gradient to the
+    first row holding the maximum, the gate carries gradient to every row."""
     z, zp, packing = cache["z"], cache["zp"], cache["packing"]
     z_vec, zp_vec = cache["z_vec"], cache["zp_vec"]
     mu_r, conflict, gate = cache["mu_r"], cache["conflict"], cache["gate"]
@@ -336,8 +344,8 @@ def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
     # each (row, column) pair is the maximum of one sequence only
     cols = np.arange(z.shape[1])
     d_zp = np.zeros_like(zp)
-    d_zp[cache["idx_zp"], cols] += d_zp_vec
-    d_z[cache["idx_z"], cols] += d_z_vec
+    d_zp[packing.seg_argmax(zp)[1], cols] += d_zp_vec
+    d_z[packing.seg_argmax(z)[1], cols] += d_z_vec
     return d_zp, d_z
 
 

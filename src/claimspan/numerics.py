@@ -32,9 +32,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # x.max and e.sum as ufunc reductions, bit for bit, into one array in place
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def softmax_rows_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -61,11 +62,11 @@ def gelu_backward(dy: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Rowwise layer norm; returns (out, cache) with cache = (u, inv_std)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    u = xc * inv
+    # a ufunc sum over the count is x.mean bit for bit; x - mu becomes u in place
+    n = x.shape[-1]
+    u = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True) / n + LN_EPS)
+    u *= inv
     return u * gain + bias, (u, inv)
 
 

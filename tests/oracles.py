@@ -15,7 +15,7 @@ import numpy as np
 
 from claimspan.crf import START_MASK, TRANSITION_MASK
 from claimspan.metrics import Scores, _harmonic, _ratio
-from claimspan.numerics import named_arrays, sigmoid, softmax_rows, softmax_rows_backward
+from claimspan.numerics import LN_EPS, named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import TAGS, split_hashtag
 from claimspan.retrieval import B, K1, Bm25Index, idf, index_terms
 from claimspan.training import ADAM_EPS, BETA1, BETA2
@@ -44,6 +44,41 @@ def log_sum_exp_max_shift(a: np.ndarray, axis: int = -1) -> np.ndarray:
     maximum, exponentiate, sum, take the log and shift back."""
     m = a.max(axis=axis, keepdims=True)
     return np.squeeze(m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), axis=axis)
+
+
+def softmax_rows_methods(x: np.ndarray) -> np.ndarray:
+    """Row softmax as first written, through array methods and a new array
+    at each step."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_methods(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Rowwise layer norm as first written, through ``mean`` and a new array
+    at each step; returns (out, (u, inv_std))."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    u = xc * inv
+    return u * gain + bias, (u, inv)
+
+
+def first_max_rows(x: np.ndarray, lengths) -> np.ndarray:
+    """For each sequence of packed rows and each column, the first row that
+    holds the column's maximum, by a scan over the rows; (sequences, width)."""
+    out = np.zeros((len(lengths), x.shape[1]), dtype=np.intp)
+    start = 0
+    for b, n in enumerate(lengths):
+        for f in range(x.shape[1]):
+            best = start
+            for r in range(start + 1, start + n):
+                if x[r, f] > x[best, f]:
+                    best = r
+            out[b, f] = best
+        start += n
+    return out
 
 
 def coda_scalar(q, k) -> np.ndarray:

@@ -624,6 +624,42 @@ def test_help_lists_subcommands(capsys):
         assert name in text
 
 
+def test_main_reuses_one_parser_and_keeps_each_namespace_its_own(tmp_path, corpus_file,
+                                                                 config_file, monkeypatch,
+                                                                 capsys):
+    # main parses every call with the parser built once for the process, and
+    # no option of one subcommand's call reaches the next call's namespace
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--config", str(config_file), "--input", str(corpus_file),
+                 "--output", str(ckpt)]) == 0
+    parser = cli.build_parser()
+    seen = []
+
+    def recording(argv):
+        seen.append(real(argv))
+        return seen[-1]
+
+    real = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", recording)
+    calls = {
+        "eval": ["--checkpoint", str(ckpt), "--input", str(corpus_file),
+                 "--output", str(tmp_path / "report.json")],
+        "predict": ["--checkpoint", str(ckpt), "--input", str(corpus_file),
+                    "--output", str(tmp_path / "pred.jsonl")],
+        "preprocess": ["--input", str(corpus_file), "--pretty"],
+    }
+    for command, flags in calls.items():
+        assert main([command, *flags]) == 0
+    capsys.readouterr()
+    assert [vars(ns) for ns in seen] == [
+        {"command": "eval", "checkpoint": str(ckpt), "input": str(corpus_file),
+         "output": str(tmp_path / "report.json"), "pretty": False},
+        {"command": "predict", "checkpoint": str(ckpt), "input": str(corpus_file),
+         "output": str(tmp_path / "pred.jsonl"), "pretty": False},
+        {"command": "preprocess", "input": str(corpus_file), "output": None, "pretty": True},
+    ]
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["preprocess", "--input", "x", "--bogus"])

@@ -30,6 +30,7 @@ from oracles import (
     coda_backward_3d,
     coda_forward_3d,
     coda_scalar,
+    first_max_rows,
     igm_scalar,
     interact_per_description,
 )
@@ -46,14 +47,8 @@ def rand_descnet(rng, d, bank_size=2, scale=0.4) -> DescNetParams:
 
 
 def bank_of(keys, lengths) -> DescriptionBank:
-    """A bank over given keys: description j is the next ``lengths[j]`` rows,
-    its values in column block j of an otherwise zero matrix."""
-    packing = Packing(lengths)
-    d = keys.shape[1]
-    values = np.zeros((len(keys), len(lengths) * d))
-    for j, (lo, n) in enumerate(zip(packing.starts, lengths)):
-        values[lo:lo + n, j * d:(j + 1) * d] = keys[lo:lo + n]
-    return DescriptionBank(keys, packing, values, {})
+    """A bank over given keys: description j is the next ``lengths[j]`` rows."""
+    return DescriptionBank(keys, Packing(lengths), {})
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +283,33 @@ def test_igm_ragged_backward_matches_fd():
         assert np.allclose(grad, fd_grad(loss, arr), atol=1e-6)
 
 
+@settings(max_examples=60)
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4), d=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+@example(lengths=[4, 1, 5], d=3, seed=0)
+def test_igm_pooling_ties_go_to_the_first_maximum(lengths, d, seed):
+    # entries from a 3-value grid, so columns often hold their maximum in
+    # several rows: the pooled maxima are the segment maxima, and each pooled
+    # column's gradient goes to the first row holding its maximum, whole
+    rng = np.random.default_rng(seed)
+    packing = Packing(lengths)
+    z = rng.integers(-1, 2, size=(packing.n_rows, d)).astype(float)
+    zp = rng.integers(-1, 2, size=(packing.n_rows, d)).astype(float)
+    p = rand_descnet(rng, d)
+    d_out = rng.normal(size=z.shape)
+    _out, cache = igm_forward(zp, z, p, packing)
+    d_zp, d_z = igm_backward(d_out, cache, p, flat_views(p))
+    cols = np.arange(d)
+    pooled = {"z": d_z - d_out * cache["gate"][packing.seg], "zp": d_zp}
+    for name, x in (("z", z), ("zp", zp)):
+        assert np.array_equal(cache[f"{name}_vec"], packing.seg_argmax(x)[0])
+        first = first_max_rows(x, lengths)
+        routed = np.zeros(x.shape, dtype=bool)
+        routed[first, cols] = True
+        assert not pooled[name][~routed].any()
+    assert np.array_equal(d_zp[first_max_rows(zp, lengths), cols], packing.seg_sum(d_zp))
+
+
 def test_igm_never_amplifies():
     rng = np.random.default_rng(6)
     for _ in range(50):
@@ -369,7 +391,10 @@ def test_bank_identical_texts_identical_matrices(tiny_config, tiny_params, tiny_
     assert bank.size == 2
     first, second = np.split(bank.keys, bank.packing.starts[1:])
     assert np.array_equal(first, second)
-    assert np.array_equal(bank.values, bank_of(bank.keys, [3, 3]).values)
+    # each description's rows give its own column block, so the two blocks
+    # of any interaction output are equal too
+    out = coda_interact_forward(np.ones((2, tiny_config.d)), bank)[0]
+    assert np.array_equal(*np.split(out, 2, axis=1))
 
 
 def test_bank_single_description(tiny_config, tiny_params, tiny_vocab):
@@ -378,7 +403,11 @@ def test_bank_single_description(tiny_config, tiny_params, tiny_vocab):
                                    tiny_params.descnet.description_encoder, tiny_config)
     assert bank.size == 1
     assert bank.keys.shape == (3, tiny_config.d)
-    assert np.array_equal(bank.values, bank.keys)
+    # a single description's keys are all the rows, so the interaction is
+    # one product with them
+    z = np.ones((2, tiny_config.d))
+    out, cache = coda_interact_forward(z, bank)
+    assert np.array_equal(out, cache["a"] @ bank.keys)
 
 
 def test_bank_rejects_empty(tiny_config, tiny_params):

@@ -30,7 +30,7 @@ from claimspan.numerics import (
 from claimspan.model import build_bank, sequence_forward
 from claimspan.packing import Packing
 
-from oracles import sigmoid_masked
+from oracles import layer_norm_methods, sigmoid_masked, softmax_rows_methods
 
 
 def fd_grad(f, x, step=1e-6):
@@ -106,6 +106,28 @@ def test_layer_norm_backward_matches_fd():
     assert np.allclose(dx, fd_x, atol=1e-7)
     assert np.allclose(dgain, fd_gain, atol=1e-7)
     assert np.allclose(dbias, fd_bias, atol=1e-7)
+
+
+def test_softmax_rows_and_layer_norm_bitwise_equal_to_method_versions():
+    # attention-shaped (sequences, heads, longest, longest) scores, some keys
+    # masked to -inf as padding leaves them, token- and FFN-shaped rows, and
+    # constant rows, whose layer-norm variance is 0
+    rng = np.random.default_rng(11)
+    scores = rng.normal(scale=3.0, size=(5, 4, 9, 9))
+    scores[1, ..., 6:] = -np.inf
+    scores[3, ..., 1:] = -np.inf
+    rows = [rng.normal(scale=s, size=(r, w)) * 10.0 ** rng.uniform(-3, 3, size=(r, 1))
+            for r, w, s in [(103, 32, 1.0), (103, 64, 4.0), (7, 16, 1e-3)]]
+    constant = np.repeat(rng.normal(size=(6, 1)), 32, axis=1)
+    constant[0] = 0.0
+    for x in (scores, *rows, constant):
+        assert np.array_equal(softmax_rows(x), softmax_rows_methods(x))
+    for x in (*rows, constant):
+        gain, bias = rng.normal(size=x.shape[1]), rng.normal(size=x.shape[1])
+        out, (u, inv) = layer_norm(x, gain, bias)
+        ref_out, (ref_u, ref_inv) = layer_norm_methods(x, gain, bias)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(u, ref_u) and np.array_equal(inv, ref_inv)
 
 
 def test_sigmoid_bitwise_equal_to_masked_version():
