@@ -344,9 +344,17 @@ def igm_backward(d_out: np.ndarray, cache, p: DescNetParams, g: DescNetParams):
     # each (row, column) pair is the maximum of one sequence only
     cols = np.arange(z.shape[1])
     d_zp = np.zeros_like(zp)
-    d_zp[packing.seg_argmax(zp)[1], cols] += d_zp_vec
-    d_z[packing.seg_argmax(z)[1], cols] += d_z_vec
+    d_zp[_first_max_rows(zp, zp_vec, packing), cols] += d_zp_vec
+    d_z[_first_max_rows(z, z_vec, packing), cols] += d_z_vec
     return d_zp, d_z
+
+
+def _first_max_rows(x: np.ndarray, x_vec: np.ndarray, packing: Packing) -> np.ndarray:
+    """For each sequence and column, the first row equal to the column's
+    maximum in ``x_vec``, as a (sequences, width) array: a row that is not
+    equal counts as ``n_rows``, and each sequence takes its least row."""
+    rows = np.where(x == x_vec[packing.seg], np.arange(packing.n_rows)[:, None], packing.n_rows)
+    return np.minimum.reduceat(rows, packing.starts, axis=0)
 
 
 def descnet_forward(z: np.ndarray, bank: DescriptionBank, params: DescNetParams,

@@ -109,12 +109,6 @@ class Packing:
         """Sum of each sequence's rows: (rows, ...) to (sequences, ...)."""
         return np.add.reduceat(x, self.starts, axis=0)
 
-    def seg_argmax(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Column maxima of each sequence's rows and the first row holding
-        each, as (sequences, width) arrays."""
-        padded = self.pad(x, -np.inf)
-        return padded.max(axis=1), padded.argmax(axis=1) + self.starts[:, None]
-
     def split(self, flat: list) -> list:
         """A packed per-row list cut into one list per sequence."""
         bounds = np.append(self.starts, self.n_rows).tolist()

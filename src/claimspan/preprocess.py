@@ -30,6 +30,11 @@ _TOKEN_RE = re.compile(r"#[A-Za-z0-9_]+|n't|[A-Za-z0-9]+(?=n't)|[A-Za-z0-9]+|[^\
 # A token and the whitespace run before it (see ``tokenize``).
 _SPACED_TOKEN_RE = re.compile(rf"\s*(?:{_TOKEN_RE.pattern})")
 _HASHTAG_BOUNDARY_RE = re.compile(r"(?<=[^A-Z])(?=[A-Z])")
+# A character that no plain text holds: a plain text holds only ASCII letters,
+# digits and whitespace (see ``normalize_text`` and ``tokenize``).
+_NOT_PLAIN_RE = re.compile(r"[^\sA-Za-z0-9]")
+# A word of a plain text and the whitespace run before it.
+_SPACED_WORD_RE = re.compile(r"\s*\S+")
 
 
 class CorpusFormatError(ValueError):
@@ -57,10 +62,13 @@ class _Offsets:
     def __get__(self, tokens, owner=None):
         if tokens is None:  # read on the class, as ``dataclass`` does: no default
             raise AttributeError(self.name)
-        # Each match is a token and the whitespace run before it, so a token
-        # ends at the summed match lengths up to its own.
+        # Each chunk is a token and the whitespace run before it, so a token
+        # ends at the summed chunk lengths up to its own.
         columns = tokens.__dict__
-        ends = columns["ends"] = list(accumulate(map(len, columns.pop("_chunks"))))
+        chunks = columns.pop("_chunks")
+        if isinstance(chunks, str):  # a plain text, left whole by ``tokenize``
+            chunks = _SPACED_WORD_RE.findall(chunks, 0, len(chunks.rstrip()))
+        ends = columns["ends"] = list(accumulate(map(len, chunks)))
         starts = columns["starts"] = list(map(sub, ends, map(len, tokens.surfaces)))
         return starts if self.name == "starts" else ends
 
@@ -74,7 +82,10 @@ class Tokens:
 
     ``tokenize`` computes the offsets on first read, from the matches it
     leaves as ``_chunks``, so surface-only readers such as BM25 indexing do
-    not pay for them."""
+    not pay for them. For a plain text (ASCII letters, digits and whitespace
+    only) it leaves the text itself: that first read cuts it into its words,
+    each with the whitespace before it, by one ``_SPACED_WORD_RE`` scan, which
+    costs about half the grammar's."""
 
     surfaces: list[str]
     starts: list[int] = _Offsets()
@@ -138,7 +149,13 @@ def normalize_text(raw: str) -> tuple[str, Sequence[int]]:
     A removed token swallows the whitespace run after it (or before it when
     it ends the text) so the remaining tokens stay singly spaced. Idempotent:
     a clean text maps through unchanged, with a ``range`` as its offsets.
+
+    A plain text (ASCII letters, digits and whitespace only) is clean with
+    no search for junk: a URL needs its ``:`` and a junk chunk a character
+    that is not an ASCII alphanumeric, and neither can occur in it.
     """
+    if not _NOT_PLAIN_RE.search(raw):
+        return raw, range(len(raw))
     kept = []  # [start, end) raw ranges that survive, in order
     lo = 0
     for m in _JUNK_RE.finditer(raw):
@@ -204,12 +221,20 @@ def tokenize(text: str) -> Tokens:
     would rescan the rest of the run. The columns are built whole, with no
     object per token, and the offsets only when first read (see ``Tokens``);
     a hashtag text reads them at once, to place its pieces.
+
+    A plain text (ASCII letters, digits and whitespace only) skips the
+    grammar: no alternative but the alphanumeric run can match in it, and
+    that run stops only at whitespace, so its tokens are ``text.split()``.
+    ``str.isspace``, which ``split`` and ``lstrip`` use, and the regex
+    whitespace class accept the same characters.
     """
-    chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
-    # str.isspace and the regex's \s accept the same characters.
-    surfaces = list(map(str.lstrip, chunks))
     tokens = object.__new__(Tokens)
     columns = tokens.__dict__
+    if not _NOT_PLAIN_RE.search(text):
+        columns["surfaces"], columns["_chunks"] = text.split(), text
+        return tokens
+    chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    surfaces = list(map(str.lstrip, chunks))
     columns["surfaces"], columns["_chunks"] = surfaces, chunks
     if "#" in text:
         # Replace each hashtag by its pieces, last first, so the indices of

@@ -302,12 +302,27 @@ def test_igm_pooling_ties_go_to_the_first_maximum(lengths, d, seed):
     cols = np.arange(d)
     pooled = {"z": d_z - d_out * cache["gate"][packing.seg], "zp": d_zp}
     for name, x in (("z", z), ("zp", zp)):
-        assert np.array_equal(cache[f"{name}_vec"], packing.seg_argmax(x)[0])
         first = first_max_rows(x, lengths)
+        assert np.array_equal(cache[f"{name}_vec"], x[first, cols])
         routed = np.zeros(x.shape, dtype=bool)
         routed[first, cols] = True
         assert not pooled[name][~routed].any()
     assert np.array_equal(d_zp[first_max_rows(zp, lengths), cols], packing.seg_sum(d_zp))
+
+
+def test_igm_tied_maximum_routes_to_the_first_row():
+    # column 0's maximum sits in two rows of each sequence, and column 1's in
+    # two rows of the second: each pooled gradient goes to the first of them
+    rng = np.random.default_rng(8)
+    packing = Packing([2, 3])
+    z = np.array([[1.0, 0.0], [1.0, 2.0], [3.0, 5.0], [3.0, 5.0], [0.0, 1.0]])
+    p = rand_descnet(rng, 2)
+    d_out = rng.normal(size=z.shape)
+    _out, cache = igm_forward(0.5 * z, z, p, packing)
+    d_zp, d_z = igm_backward(d_out, cache, p, flat_views(p))
+    routed = np.array([[1, 0], [0, 1], [1, 1], [0, 0], [0, 0]], dtype=bool)
+    assert np.array_equal(d_zp != 0, routed)
+    assert np.array_equal(d_z - d_out * cache["gate"][packing.seg] != 0, routed)
 
 
 def test_igm_never_amplifies():

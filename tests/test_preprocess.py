@@ -174,10 +174,19 @@ _FRONT_END_ALPHABET = [
     "#covid_19", "#WuhanLab", "#", "n't", "N'T", "don't", "é", "İ", "²", "_",
     "a", "Z", "5", "word", "Cures", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c",
 ]
+# Plain texts (ASCII letters, digits and whitespace only), which normalize_text
+# and tokenize handle by a branch of their own; Unicode whitespace included.
+_PLAIN_ALPHABET = ["a", "Z", "5", "word", "Cures", "n", "t", " ", "  ", "\t", "\n",
+                   "\x1c", "\u00a0", "\u2003", "\u2028"]
+_FRONT_END_TEXTS = st.one_of(*(st.lists(st.sampled_from(alphabet), max_size=16).map("".join)
+                               for alphabet in (_FRONT_END_ALPHABET, _PLAIN_ALPHABET)))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from(_FRONT_END_ALPHABET), max_size=16).map("".join))
+@given(_FRONT_END_TEXTS)
+@example("")
+@example(" \t")
+@example("Word 5\u2028x ")
 @example("!!!word 🙂")
 @example("a ²")
 @example("x https://t.co/x1")
@@ -204,10 +213,13 @@ def test_front_end_matches_scalar_oracle(raw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from(_FRONT_END_ALPHABET), max_size=16).map("".join),
-       st.integers(0, 40), st.integers(0, 40), st.integers(1, 3))
+@given(_FRONT_END_TEXTS, st.integers(0, 40), st.integers(0, 40), st.integers(1, 3))
 @example("garlic don't cure https://t.co/x1 \u2003 flu!", 2, 5, 2)
 @example("go #WuhanLab now", 1, 3, 2)
+@example("", 0, 1, 1)
+@example(" \t", 0, 1, 1)
+@example(" a\x1cb ", 0, 1, 2)
+@example("Word 5\u2028x ", 1, 3, 2)
 def test_unread_offsets_match_read_ones(text, a, b, k):
     # tokenize leaves a #-free text's offsets for their first read; slices,
     # == and the columns of a Tokens not read yet agree with one read first
@@ -231,6 +243,23 @@ def test_unread_offsets_match_read_ones(text, a, b, k):
     starts = starts_first.starts
     assert list(zip(starts_first.surfaces, starts, starts_first.ends)) == oracle
     assert type(starts) is list and type(ends) is list
+
+
+def test_plain_text_skips_the_grammar(monkeypatch):
+    # a text of ASCII letters, digits and whitespace is cut by str.split and
+    # its offsets by the word scan: the junk and token regexes never run
+    class Unused:
+        def __getattr__(self, name):
+            raise AssertionError(f"a grammar regex ran its {name}")
+
+    monkeypatch.setattr(preprocess, "_JUNK_RE", Unused())
+    monkeypatch.setattr(preprocess, "_SPACED_TOKEN_RE", Unused())
+    text = " Garlic cures\u2003flu 5 times\n"
+    norm, norm_to_raw = normalize_text(text)
+    assert norm == text and norm_to_raw == range(len(text))
+    tokens = tokenize(text)
+    assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == tokenize_scalar(text)
+    assert index_terms(text) == ["garlic", "cures", "flu", "5", "times"]
 
 
 @pytest.fixture

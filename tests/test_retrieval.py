@@ -25,6 +25,8 @@ from claimspan.retrieval import (
     span_query_text,
 )
 
+from claimspan.synthetic import generate_retrieval_fixture
+
 from oracles import bm25_full_scan, bm25_score_scalar, build_index_by_counter
 
 DOCS3 = [
@@ -240,6 +242,20 @@ def test_posting_layout_equals_counter_build(case):
     assert index.posting_values.tobytes() == want.posting_values.tobytes()
     assert index.doc_rank.dtype == want.doc_rank.dtype
     assert index.doc_rank.tolist() == want.doc_rank.tolist()
+
+
+def test_plain_docs_index_as_their_comma_copies():
+    # The fixture's documents are plain (ASCII letters, digits and spaces), so
+    # the front end takes its plain branch on them; with ", " for each space
+    # it takes the token grammar, whose comma tokens are no terms.
+    _posts, docs, _relevant = generate_retrieval_fixture(40, seed=5)
+    assert all(re.fullmatch(r"[ A-Za-z0-9]+", d["text"]) for d in docs)
+    commas = [{"id": d["id"], "text": d["text"].replace(" ", ", ")} for d in docs]
+    plain, spaced = build_index(docs), build_index(commas)
+    assert list(plain.postings.items()) == list(spaced.postings.items())
+    assert plain.posting_docs.tolist() == spaced.posting_docs.tolist()
+    assert plain.posting_values.tobytes() == spaced.posting_values.tobytes()
+    assert plain.doc_rank.tolist() == spaced.doc_rank.tolist()
 
 
 @pytest.mark.parametrize("docs", [[], [{"id": "x", "text": "!! ..."},
