@@ -30,8 +30,7 @@ _TOKEN_RE = re.compile(r"#[A-Za-z0-9_]+|n't|[A-Za-z0-9]+(?=n't)|[A-Za-z0-9]+|[^\
 # A token and the whitespace run before it (see ``tokenize``).
 _SPACED_TOKEN_RE = re.compile(rf"\s*(?:{_TOKEN_RE.pattern})")
 _HASHTAG_BOUNDARY_RE = re.compile(r"(?<=[^A-Z])(?=[A-Z])")
-# A character that no plain text holds: a plain text holds only ASCII letters,
-# digits and whitespace (see ``normalize_text`` and ``tokenize``).
+# A character that no plain text holds (see ``is_plain``).
 _NOT_PLAIN_RE = re.compile(r"[^\sA-Za-z0-9]")
 # A word of a plain text and the whitespace run before it.
 _SPACED_WORD_RE = re.compile(r"\s*\S+")
@@ -81,10 +80,10 @@ class Tokens:
     ascend. ``len()`` is the token count, and a slice is a ``Tokens``.
 
     ``tokenize`` computes the offsets on first read, from the matches it
-    leaves as ``_chunks``, so surface-only readers such as BM25 indexing do
-    not pay for them. For a plain text (ASCII letters, digits and whitespace
-    only) it leaves the text itself: that first read cuts it into its words,
-    each with the whitespace before it, by one ``_SPACED_WORD_RE`` scan, which
+    leaves as ``_chunks``, so surface-only readers such as BM25 term
+    extraction do not pay for them. For a plain text (``is_plain``) it
+    leaves the text itself: that first read cuts it into its words, each
+    with the whitespace before it, by one ``_SPACED_WORD_RE`` scan, which
     costs about half the grammar's."""
 
     surfaces: list[str]
@@ -142,6 +141,19 @@ def remap_span(norm_to_raw: Sequence[int], start: int, end: int) -> tuple[int, i
     return None if lo == hi else (lo, hi)
 
 
+def is_plain(text: str) -> bool:
+    """Whether ``text`` holds only ASCII letters, digits and whitespace.
+
+    A plain text is its own normalization (``normalize_text``), and its
+    tokens are ``text.split()``, each one an ASCII alphanumeric run
+    (``tokenize``). So its BM25 index terms are ``text.lower().split()``,
+    which ``retrieval.build_index`` relies on. Test the raw text, not its
+    lowered copy: some non-ASCII letters lower to ASCII ones (the Kelvin sign
+    U+212A to ``k``).
+    """
+    return not _NOT_PLAIN_RE.search(text)
+
+
 def normalize_text(raw: str) -> tuple[str, Sequence[int]]:
     """Strip URL tokens and special-character-only tokens; returns the text
     and ``norm_to_raw``, the raw index of each kept character.
@@ -150,11 +162,11 @@ def normalize_text(raw: str) -> tuple[str, Sequence[int]]:
     it ends the text) so the remaining tokens stay singly spaced. Idempotent:
     a clean text maps through unchanged, with a ``range`` as its offsets.
 
-    A plain text (ASCII letters, digits and whitespace only) is clean with
-    no search for junk: a URL needs its ``:`` and a junk chunk a character
-    that is not an ASCII alphanumeric, and neither can occur in it.
+    A plain text (``is_plain``) is clean with no search for junk: a URL
+    needs its ``:`` and a junk chunk a character that is not an ASCII
+    alphanumeric, and neither can occur in it.
     """
-    if not _NOT_PLAIN_RE.search(raw):
+    if is_plain(raw):
         return raw, range(len(raw))
     kept = []  # [start, end) raw ranges that survive, in order
     lo = 0
@@ -222,15 +234,15 @@ def tokenize(text: str) -> Tokens:
     object per token, and the offsets only when first read (see ``Tokens``);
     a hashtag text reads them at once, to place its pieces.
 
-    A plain text (ASCII letters, digits and whitespace only) skips the
-    grammar: no alternative but the alphanumeric run can match in it, and
-    that run stops only at whitespace, so its tokens are ``text.split()``.
+    A plain text (``is_plain``) skips the grammar: no alternative but the
+    alphanumeric run can match in it, and that run stops only at whitespace,
+    so its tokens are ``text.split()``.
     ``str.isspace``, which ``split`` and ``lstrip`` use, and the regex
     whitespace class accept the same characters.
     """
     tokens = object.__new__(Tokens)
     columns = tokens.__dict__
-    if not _NOT_PLAIN_RE.search(text):
+    if is_plain(text):
         columns["surfaces"], columns["_chunks"] = text.split(), text
         return tokens
     chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))

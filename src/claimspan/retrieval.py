@@ -14,7 +14,15 @@ from operator import sub
 
 import numpy as np
 
-from .preprocess import AnnotatedPost, CorpusFormatError, json_id, normalize_text, read_jsonl, tokenize
+from .preprocess import (
+    AnnotatedPost,
+    CorpusFormatError,
+    is_plain,
+    json_id,
+    normalize_text,
+    read_jsonl,
+    tokenize,
+)
 
 # Standard Okapi BM25 (Robertson & Zaragoza, 2009): term-frequency
 # saturation K1 and length normalization B.
@@ -42,7 +50,9 @@ class Bm25Index:
     once at build from the document's term count ``len`` and the mean count
     ``avgdl``; a term's df is the length of its slice. Terms are keyed, and
     their slices laid out, in the order of their first occurrence in the
-    documents. Every value is > 0:
+    documents. A document's terms are its ``index_terms``, taken as
+    ``str.lower().split()`` when its raw text is plain
+    (``preprocess.is_plain``; see ``build_index``). Every value is > 0:
     idf > 0 since df <= n_docs, tf >= 1 and the length normalization is at
     least K1 * (1 - B) > 0.
     ``doc_rank[d]`` is document d's position in doc-id order, which breaks
@@ -69,6 +79,12 @@ def build_index(docs: list[dict]) -> Bm25Index:
     occurrence count. Sorted, the keys run term by term and, within a term,
     document by document: each run of equal keys is one posting, its length
     the tf, and a term's df is its number of runs.
+
+    A document whose raw text is plain (``preprocess.is_plain``, the one
+    home of that rule) is indexed by ``text.lower().split()``, which equals
+    its ``index_terms``; any other goes through ``index_terms``. Test the
+    raw text: the Kelvin sign U+212A is junk to ``index_terms`` but lowers
+    to a plain ``k``.
     """
     ids, lengths = [], []
     first: dict[str, int] = {}
@@ -80,7 +96,8 @@ def build_index(docs: list[dict]) -> Bm25Index:
         if doc_id in seen:
             raise ValueError(f"duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        terms = index_terms(doc["text"])
+        text = doc["text"]
+        terms = text.lower().split() if is_plain(text) else index_terms(text)
         occurrences.extend(map(first.setdefault, terms, position))
         ids.append(doc_id)
         lengths.append(len(terms))
@@ -108,7 +125,8 @@ def build_index(docs: list[dict]) -> Bm25Index:
     # One pass over all postings: idf * tf * (K1 + 1) / (tf + norm), in place.
     # avgdl is 0 only when no document has a term, and then there are no postings.
     doc_norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.float64) / (avgdl or 1.0))
-    values = np.repeat([idf(n_docs, df) for df in dfs], dfs)
+    idfs = {df: idf(n_docs, df) for df in set(dfs)}  # terms share few distinct dfs
+    values = np.repeat(list(map(idfs.__getitem__, dfs)), dfs)
     values *= tf
     values *= K1 + 1.0
     tf += doc_norm[posting_docs]

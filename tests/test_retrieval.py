@@ -51,7 +51,9 @@ def test_index_terms_keeps_numbers():
 def test_index_and_query_run_the_text_front_end(monkeypatch):
     # The benchmark's tracer fails a retrieve pass in which
     # preprocess.tokenize or preprocess.normalize_text records no call. Each
-    # is counted in both modules a retrieve pass runs through.
+    # is counted in both modules a retrieve pass runs through. Plain
+    # documents are indexed by str.lower().split() with no call, so the
+    # calls come from the query.
     calls = Counter()
     for name in ("tokenize", "normalize_text"):
         real = getattr(preprocess, name)
@@ -63,9 +65,11 @@ def test_index_and_query_run_the_text_front_end(monkeypatch):
         for module in (preprocess, retrieval):
             if getattr(module, name) is real:
                 monkeypatch.setattr(module, name, counted)
-    query(build_index(DOCS3), "garlic soup", 2)
-    assert calls["tokenize"] >= 1
-    assert calls["normalize_text"] >= 1
+    assert all(preprocess.is_plain(d["text"]) for d in DOCS3)
+    index = build_index(DOCS3)
+    assert not calls
+    query(index, "garlic soup", 2)
+    assert calls == {"tokenize": 1, "normalize_text": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +219,25 @@ def test_posting_values_positive(doc_words, extra_len):
 
 
 # Words that make hashtags, URLs, junk-only chunks, repeated and mixed-case
-# terms and non-ASCII letters; a text of only "", "🙂", "→→", "!!!" or a URL
-# has no term.
+# terms and non-ASCII letters; a text of only "", "🙂", "→→", "!!!", the
+# Kelvin sign (which lowers to "k") or a URL has no term. Texts join their
+# words with ASCII or Unicode whitespace, so that plain documents, indexed
+# by str.lower().split(), mix with the others.
 _LAYOUT_WORDS = ["garlic", "Garlic", "GARLIC", "cures", "5G", "don't", "#WuhanLab",
                  "#covid_19", "#COVID19", "#", "https://t.co/x1", "🙂", "→→", "!!!",
-                 "naïve", "ÉCOLE", "x日本", "İstanbul", "a", "a", ""]
+                 "naïve", "ÉCOLE", "x日本", "İstanbul", "\u212a", "a", "a", ""]
+_LAYOUT_SPACES = [" ", "\u2003", "\x1c", "\t\n"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.lists(st.sampled_from(_LAYOUT_WORDS), max_size=9).map(" ".join),
+@given(st.lists(st.builds(str.join, st.sampled_from(_LAYOUT_SPACES),
+                          st.lists(st.sampled_from(_LAYOUT_WORDS), max_size=9)),
                 max_size=8).flatmap(
            lambda texts: st.tuples(st.just(texts), st.permutations(range(len(texts))))))
 @example(([], []))
 @example((["", "🙂 !!!", "https://t.co/x1"], [2, 0, 1]))
 @example((["a a A", "#WuhanLab wuhan LAB", "a"], [1, 2, 0]))
+@example((["\u212a cures flu", "k\u2003K\x1c5G\t\n"], [1, 0]))
 def test_posting_layout_equals_counter_build(case):
     texts, order = case
     # ids out of index order, so doc_rank is no identity

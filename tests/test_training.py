@@ -536,13 +536,15 @@ def _probe_params(vocab, seed, mc):
 # on this batch crosses some of CoDA's L1 kinks at any usable step size; the
 # no-IGM variant uses smooth dpa attention, and
 # test_grad_check_passes_without_igm checks CoDA without IGM on grad_check's
-# small probe. CoDA runs at four probe points.
+# small probe. CoDA runs at four probe points, and once with dropout on.
 @pytest.mark.parametrize("variant,seed", [
     ({"attention_variant": "coda"}, 1), ({"attention_variant": "coda"}, 2),
     ({"attention_variant": "coda"}, 3), ({"attention_variant": "coda"}, 4),
+    ({"attention_variant": "coda", "dropout_p": 0.1}, 1),
     ({"attention_variant": "dpa"}, 1),
     ({"use_igm": False, "attention_variant": "dpa"}, 1), ({"use_descnet": False}, 1)],
-    ids=["coda", "coda-seed2", "coda-seed3", "coda-seed4", "dpa", "no_igm", "no_descnet"])
+    ids=["coda", "coda-seed2", "coda-seed3", "coda-seed4", "coda-dropout", "dpa", "no_igm",
+         "no_descnet"])
 def test_batch_gradients_match_fd_on_ragged_batch(variant, seed):
     # the packed batch step's gradient is the gradient of the batch's mean
     # loss, each example's loss taken alone. The loss is only piecewise
@@ -552,8 +554,20 @@ def test_batch_gradients_match_fd_on_ragged_batch(variant, seed):
     mc = dataclasses.replace(TINY_MC, **variant)
     vocab, batch = _ragged_batch()
     params = _probe_params(vocab, seed=seed, mc=mc)
+    # With dropout on, the step draws its masks chunk by chunk from the
+    # generator. The step and every loss below start a generator from one
+    # saved state and run the same chunks, so all draw the same masks.
+    saved = np.random.default_rng(seed).bit_generator.state
+
+    def replay():
+        if not mc.dropout_p:
+            return None
+        rng = np.random.default_rng()
+        rng.bit_generator.state = saved
+        return rng
+
     grads, losses = training_mod.batch_gradients(
-        params, mc, batch, build_bank(synthetic_bank(), vocab, params, mc))
+        params, mc, batch, build_bank(synthetic_bank(), vocab, params, mc), replay())
     # every stored tensor can change the loss: none has a gradient that is 0,
     # or roundoff beside the largest tensor's
     peaks = {name: np.max(np.abs(g)) for name, g in named_arrays(grads)}
@@ -562,9 +576,16 @@ def test_batch_gradients_match_fd_on_ragged_batch(variant, seed):
 
     def mean_loss() -> float:
         bank = build_bank(synthetic_bank(), vocab, params, mc)
-        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank,
-                                            Packing([len(ex.token_ids)]))[0][0]
-                              for ex in batch]))
+        rng = replay()
+        if rng is None:
+            return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank,
+                                                Packing([len(ex.token_ids)]))[0][0]
+                                  for ex in batch]))
+        return float(np.mean(np.concatenate([
+            sequence_loss(params, mc, chunk.token_ids,
+                          [t for i in chunk.order for t in batch[i].gold_tags], bank,
+                          chunk.packing, rng)[0]
+            for chunk in make_chunks([ex.token_ids for ex in batch])])))
 
     assert np.mean(losses) == pytest.approx(mean_loss(), rel=1e-12)
 
