@@ -33,11 +33,9 @@ from .preprocess import (
     TAG_O,
     TAGS,
     CorpusFormatError,
-    encode_bio,
+    encode_post,
     load_corpus,
-    normalize_post,
     save_corpus,
-    tokenize,
 )
 from .retrieval import compare_conditions, load_documents, load_judgments
 from .synthetic import split_corpus
@@ -96,9 +94,7 @@ def cmd_preprocess(args) -> int:
     posts_by_spans = Counter()  # posts with 0, 1 and 2 or more spans
     out_records = []
     for post in posts:
-        text, spans, _norm_to_raw = normalize_post(post)
-        tokens = tokenize(text)
-        tags = encode_bio(tokens, spans)
+        text, spans, _norm_to_raw, tokens, tags = encode_post(post)
         spans_here = tags.count(TAG_B)
         n_spans += spans_here
         token_total += len(tokens)

@@ -123,16 +123,12 @@ def load_bank_texts(path) -> list[str]:
     return texts
 
 
-def encode_description_bank(texts: list[str], token_id_lists: list[list[int]],
-                            enc_params: EncoderParams, desc_block: EncoderBlockParams,
-                            config: ModelConfig) -> DescriptionBank:
-    """Embed each description with the shared tables and run the dedicated
-    encoder block (no dropout on the description path)."""
-    if not texts:
+def encode_description_bank(token_id_lists: list[list[int]], enc_params: EncoderParams,
+                            desc_block: EncoderBlockParams, config: ModelConfig) -> DescriptionBank:
+    """Embed each description's token ids (none empty) with the shared tables
+    and run the dedicated encoder block (no dropout on the description path)."""
+    if not token_id_lists:
         raise ValueError("empty description bank")
-    for text, ids in zip(texts, token_id_lists):
-        if not ids:
-            raise ValueError(f"description tokenizes to nothing: {text!r}")
     packing = Packing([len(ids) for ids in token_id_lists])
     flat = np.array([t for ids in token_id_lists for t in ids], dtype=np.intp)
     z0 = embed(flat, enc_params, config, packing)

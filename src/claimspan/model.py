@@ -40,7 +40,7 @@ from .encoder import (
 )
 from .numerics import FLAT, flat_views, named_arrays
 from .packing import Packing, make_chunks
-from .preprocess import AnnotatedPost, CharSpan, Tokens, decode_bio, encode_bio, normalize_post, tokenize
+from .preprocess import AnnotatedPost, CharSpan, Tokens, decode_bio, encode_post, normalize_text, tokenize
 
 CHECKPOINT_VERSION = 5
 UNK = "<unk>"
@@ -128,14 +128,12 @@ class Example:
 
 
 def post_to_example(post: AnnotatedPost, vocab: Vocabulary | None, config: ModelConfig) -> Example:
-    """Normalize, tokenize, truncate to the model's max length, BIO-encode.
-    With ``vocab`` None the token ids are left empty, for ``train`` to look
-    up once it has built its vocabulary from the examples' tokens."""
-    text, spans, norm_to_raw = normalize_post(post)
-    tokens = tokenize(text)
+    """The post's tokens and tags (``encode_post``), both cut at the model's
+    max length. With ``vocab`` None the token ids are left empty, for ``train``
+    to look up once it has built its vocabulary from the examples' tokens."""
+    _text, spans, norm_to_raw, tokens, tags = encode_post(post)
     if len(tokens) > config.max_len:
-        tokens = tokens[: config.max_len]
-    tags = encode_bio(tokens, spans)
+        tokens, tags = tokens[: config.max_len], tags[: config.max_len]
     token_ids = [] if vocab is None else vocab.ids(tokens.surfaces)
     return Example(post.id, tokens, token_ids, tags, norm_to_raw, len(post.spans) - len(spans))
 
@@ -148,10 +146,12 @@ def spans_to_raw(example: Example, tags: list[str]) -> list[CharSpan]:
 
 
 def bank_token_ids(texts: list[str], vocab: Vocabulary, config: ModelConfig) -> list[list[int]]:
-    """Token ids of each description text."""
+    """Token ids of each description text, normalized as a post's is."""
     id_lists = []
     for text in texts:
-        surfaces = tokenize(text).surfaces
+        surfaces = tokenize(normalize_text(text)[0]).surfaces
+        if not surfaces:
+            raise ValueError(f"description tokenizes to nothing: {text!r}")
         if len(surfaces) > config.max_len:
             raise ValueError(f"description longer than max_len: {text!r}")
         id_lists.append(vocab.ids(surfaces))
@@ -166,7 +166,7 @@ def bank_encoder(texts: list[str] | None, vocab: Vocabulary, params: ModelParams
     if params.descnet is None:
         return lambda: None
     ids = bank_token_ids(texts, vocab, config)
-    return lambda: encode_description_bank(texts, ids, params.encoder,
+    return lambda: encode_description_bank(ids, params.encoder,
                                            params.descnet.description_encoder, config)
 
 

@@ -279,13 +279,12 @@ def encode_bio(tokens: Tokens, spans: list[CharSpan]) -> list[str]:
     its end, found by bisection; only the run's first token can belong to an
     earlier span.
     """
+    tags = [TAG_O] * len(tokens)
     prev_end = -1
     for sp in spans:
         if sp.start < prev_end:
             raise ValueError(f"spans overlap or are unsorted at [{sp.start}, {sp.end})")
         prev_end = sp.end
-    tags = [TAG_O] * len(tokens)
-    for sp in spans:
         lo = bisect_right(tokens.ends, sp.start)
         hi = bisect_left(tokens.starts, sp.end)
         if lo < hi and tags[lo] != TAG_O:
@@ -293,6 +292,15 @@ def encode_bio(tokens: Tokens, spans: list[CharSpan]) -> list[str]:
         if lo < hi:
             tags[lo:hi] = [TAG_B] + [TAG_I] * (hi - lo - 1)
     return tags
+
+
+def encode_post(post: AnnotatedPost) -> tuple[str, list[CharSpan], Sequence[int], Tokens, list[str]]:
+    """``normalize_post``'s result, then the text's tokens and BIO tags: the one
+    path from a post to tags. The first n tags are those of the first n tokens,
+    as bisecting a prefix of the offset lists gives ``min(i, n)``."""
+    text, spans, norm_to_raw = normalize_post(post)
+    tokens = tokenize(text)
+    return text, spans, norm_to_raw, tokens, encode_bio(tokens, spans)
 
 
 def decode_bio(tokens: Tokens, tags: list[str]) -> list[CharSpan]:

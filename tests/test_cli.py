@@ -238,14 +238,19 @@ def test_train_rejects_bank_with_the_adapter_off(tmp_path, corpus_file, capsys):
     assert not ckpt.exists()
 
 
-def test_train_rejects_a_description_longer_than_max_len(tmp_path, corpus_file, capsys):
+@pytest.mark.parametrize("text, message", [
+    (" ".join(["word"] * 33), "description longer than max_len"),
+    # a description is normalized as a post is, which leaves nothing of this
+    ("\U0001F642 https://t.co/x", "description tokenizes to nothing"),
+], ids=["too_long", "junk_only"])
+def test_train_rejects_a_description_longer_than_max_len(tmp_path, corpus_file, capsys,
+                                                         text, message):
     bank = tmp_path / "bank.txt"
-    long_text = " ".join(["word"] * 33)
-    bank.write_text(f"a short description\n{long_text}\n")
+    bank.write_text(f"a short description\n{text}\n", encoding="utf-8")
     ckpt = tmp_path / "model.json"
     assert main(["train", "--config", str(_one_epoch_config(tmp_path)), "--input",
                  str(corpus_file), "--bank", str(bank), "--output", str(ckpt)]) == 1
-    assert capsys.readouterr().err == f"error: description longer than max_len: {long_text!r}\n"
+    assert capsys.readouterr().err == f"error: {message}: {text!r}\n"
     assert not ckpt.exists()
 
 

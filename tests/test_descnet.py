@@ -401,7 +401,7 @@ def test_fuse_shapes_and_backward():
 def test_bank_identical_texts_identical_matrices(tiny_config, tiny_params, tiny_vocab):
     texts = ["garlic cures flu", "garlic cures flu"]
     ids = [tiny_vocab.ids(t.split()) for t in texts]
-    bank = encode_description_bank(texts, ids, tiny_params.encoder,
+    bank = encode_description_bank(ids, tiny_params.encoder,
                                    tiny_params.descnet.description_encoder, tiny_config)
     assert bank.size == 2
     first, second = np.split(bank.keys, bank.packing.starts[1:])
@@ -413,8 +413,7 @@ def test_bank_identical_texts_identical_matrices(tiny_config, tiny_params, tiny_
 
 
 def test_bank_single_description(tiny_config, tiny_params, tiny_vocab):
-    bank = encode_description_bank(["claims with numbers"], [[1, 2, 3]],
-                                   tiny_params.encoder,
+    bank = encode_description_bank([[1, 2, 3]], tiny_params.encoder,
                                    tiny_params.descnet.description_encoder, tiny_config)
     assert bank.size == 1
     assert bank.keys.shape == (3, tiny_config.d)
@@ -427,7 +426,7 @@ def test_bank_single_description(tiny_config, tiny_params, tiny_vocab):
 
 def test_bank_rejects_empty(tiny_config, tiny_params):
     with pytest.raises(ValueError):
-        encode_description_bank([], [], tiny_params.encoder,
+        encode_description_bank([], tiny_params.encoder,
                                 tiny_params.descnet.description_encoder, tiny_config)
 
 

@@ -1,8 +1,9 @@
 """Static scans: every imported name is used, every function the
 benchmark's tracer wraps exists, every chunk function takes its
 ``Packing`` without a default and no ``train`` flag, JSON lines are
-parsed in one place, training and the CLI score only through
-``build_report``, and only ``preprocess`` spells out a BIO tag."""
+parsed in one place, a post reaches its tags through one function,
+training and the CLI score only through ``build_report``, and only
+``preprocess`` spells out a BIO tag."""
 
 import ast
 import importlib
@@ -140,6 +141,50 @@ def test_json_lines_parsed_in_one_place():
     # every line-delimited file goes through read_jsonl; the one other parse
     # is a checkpoint's header, a single line ahead of binary bytes
     assert found == ["model.load_checkpoint", "preprocess.read_jsonl"]
+
+
+def reference_sites(tree: ast.Module, names: set[str]) -> list[tuple[str, str]]:
+    """``(name, owner)`` for each read of a function in ``names``, by its
+    bare name or as an attribute, ``owner`` being the innermost function
+    around it ("<module>" outside any function); imports are not reads."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name in names and isinstance(child.ctx, ast.Load):
+                sites.append((name, owner))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_posts_reach_tags_through_one_front_end():
+    # the scan itself: a call by name, a call as an attribute in a nested
+    # function, a function passed on uncalled and a top-level call are each
+    # found once; an import, a definition and an assigned name are not
+    tree = ast.parse("from .preprocess import encode_bio\n"
+                     "def f(p):\n    return normalize_post(p)\n"
+                     "def g(t, s):\n    def h():\n        return pre.encode_bio(t, s)\n"
+                     "    return map(normalize_post, t)\n"
+                     "def encode_bio(t, s):\n    normalize_post = 1\n"
+                     "encode_bio(t, s)\n")
+    assert reference_sites(tree, {"normalize_post", "encode_bio"}) == [
+        ("normalize_post", "f"), ("encode_bio", "h"), ("normalize_post", "g"),
+        ("encode_bio", "<module>")]
+    sources = sorted(ROOT.glob("src/claimspan/*.py"))
+    assert sources
+    found = [f"{name} in {path.stem}.{owner}" for path in sources
+             for name, owner in reference_sites(ast.parse(path.read_text(encoding="utf-8"),
+                                                          str(path)),
+                                                {"normalize_post", "encode_bio"})]
+    # normalization, tokenizing and tagging of a post happen in encode_post
+    # alone, which the CLI's preprocess and the model's examples both call
+    assert found == ["normalize_post in preprocess.encode_post",
+                     "encode_bio in preprocess.encode_post"]
 
 
 def metrics_imports(tree: ast.Module, functions: set[str]) -> list[str]:

@@ -23,6 +23,7 @@ from claimspan.preprocess import (
     split_hashtag,
     tokenize,
 )
+from claimspan.encoder import ModelConfig
 from claimspan.model import bank_token_ids, post_to_example, spans_to_raw
 from claimspan.retrieval import build_index, index_terms, load_documents, load_judgments, query
 from claimspan.synthetic import generate_corpus, generate_retrieval_fixture, synthetic_bank
@@ -305,6 +306,13 @@ def test_offsets_computed_only_for_offset_readers(offset_fills, tiny_config, tin
     assert len(offset_fills) == len(corpus) > 10
 
 
+def test_bank_descriptions_take_the_posts_normalization(tiny_config, tiny_vocab):
+    # a URL and an emoji in a description are removed as in a post
+    ids = bank_token_ids(["cures flu https://t.co/x \U0001F642"], tiny_vocab, tiny_config)
+    assert ids == bank_token_ids(["cures flu"], tiny_vocab, tiny_config)
+    assert ids == [tiny_vocab.ids(["cures", "flu"])] and 0 not in ids[0]
+
+
 def test_normalize_post_remaps_spans():
     post = AnnotatedPost(id="x", text="see https://t.co/q garlic cures flu ok",
                          spans=[CharSpan(19, 35)])
@@ -427,6 +435,16 @@ def test_encode_bio_matches_scan(case, cuts, keep):
     assert encode_bio(tokens, spans) == encode_bio_scan(tokens.starts, tokens.ends, spans)
     free = [CharSpan(a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k]
     assert encode_bio(tokens, free) == encode_bio_scan(tokens.starts, tokens.ends, free)
+    # tagging and then cutting equals tagging the cut tokens, so an example
+    # cuts both at max_len after encode_post; the post joining the tokens by
+    # single spaces tokenizes back to them
+    post = AnnotatedPost("p", " ".join(tokens.surfaces), spans)
+    tags, free_tags = encode_bio(tokens, spans), encode_bio(tokens, free)
+    for n in range(len(tokens) + 1):
+        assert encode_bio(tokens[:n], spans) == tags[:n]
+        assert encode_bio(tokens[:n], free) == free_tags[:n]
+        if n:
+            assert post_to_example(post, None, ModelConfig(max_len=n)).gold_tags == tags[:n]
 
 
 def test_encode_bio_token_cut_by_span_boundary():

@@ -690,7 +690,7 @@ def test_train_normalizes_each_post_once(monkeypatch):
     # normalize-and-tokenize pass over the training posts
     tr, va, _ = split_corpus(_mini_corpus())
     tc = dataclasses.replace(TINY_TC, max_epochs=1, patience=1)
-    real = model_mod.normalize_post
+    real = preprocess.normalize_post
     calls = []
 
     def counting(post):
@@ -699,7 +699,7 @@ def test_train_normalizes_each_post_once(monkeypatch):
 
     # patch every module that holds the function, so a second pass in
     # training would be counted too
-    for mod in (model_mod, training_mod):
+    for mod in (preprocess, model_mod, training_mod):
         if hasattr(mod, "normalize_post"):
             monkeypatch.setattr(mod, "normalize_post", counting)
     train(tr, va, synthetic_bank(), TINY_MC, tc)
