@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -50,6 +51,8 @@ from .training import (
 )
 
 DEFAULT_BANK_RESOURCE = ("claimspan.data", "claim_descriptions.txt")
+# The flags that name a file a subcommand reads.
+_INPUT_FLAGS = ("input", "checkpoint", "bank", "config", "docs", "judgments")
 
 
 def _emit(doc, args) -> None:
@@ -75,6 +78,27 @@ def _load_bank_texts(path) -> list[str]:
     ref = resources.files(DEFAULT_BANK_RESOURCE[0]).joinpath(DEFAULT_BANK_RESOURCE[1])
     with resources.as_file(ref) as p:
         return load_bank_texts(p)
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a new output, or a missing input the command reports
+        return False
+
+
+def _refuse_overwriting_inputs(args) -> None:
+    """Refuse an output path that names one of the command's input files;
+    ``train`` writes ``<output>.log`` too."""
+    output = getattr(args, "output", None)
+    writes = {"--output": output,
+              "--output's log": output + ".log" if args.command == "train" else None}
+    for out_flag, out_path in writes.items():
+        for flag in _INPUT_FLAGS:
+            in_path = getattr(args, flag, None)
+            if out_path and in_path and _same_file(out_path, in_path):
+                raise ConfigError(f"{out_flag} {out_path} is the --{flag} file; "
+                                  "no subcommand writes over its input")
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -279,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_overwriting_inputs(args)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, CorpusFormatError, CheckpointError, FileNotFoundError,
             IsADirectoryError, ValueError) as exc:

@@ -255,7 +255,10 @@ def predict_tags(params: ModelParams, config: ModelConfig, id_lists: list[list[i
 
 def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary,
                     bank_texts: list[str] | None, params: ModelParams) -> None:
-    """One ASCII line of JSON, then the bytes of ``params.vector``."""
+    """One ASCII line of JSON, then the bytes of ``params.vector``. A model
+    without the adapter stores no bank: ``bank_texts`` must be None."""
+    if params.descnet is None and bank_texts is not None:
+        raise ValueError("bank_texts given for a model without adapter weights")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),
@@ -308,6 +311,8 @@ def load_checkpoint(path):
         layout = _param_tree(config, len(vocab), len(bank_texts) if bank_texts else 1, None)
         if layout.descnet is not None and not bank_texts:
             raise CheckpointError("checkpoint has adapter weights but no bank_texts")
+        if layout.descnet is None and bank_texts is not None:
+            raise CheckpointError("checkpoint has bank_texts but no adapter weights")
         expected = [[name, list(arr.shape)] for name, arr in named_arrays(layout)]
         if header.get("tensors") != expected:
             raise CheckpointError(_tensor_mismatch(header.get("tensors"), expected))

@@ -50,45 +50,16 @@ class CharSpan:
             raise ValueError(f"empty or inverted span [{self.start}, {self.end})")
 
 
-class _Offsets:
-    """The ``starts`` or ``ends`` field of a ``Tokens`` from ``tokenize`` not
-    read yet: the first read computes both into the instance dict, which every
-    later read finds first, since this descriptor has no ``__set__``."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, tokens, owner=None):
-        if tokens is None:  # read on the class, as ``dataclass`` does: no default
-            raise AttributeError(self.name)
-        # Each chunk is a token and the whitespace run before it, so a token
-        # ends at the summed chunk lengths up to its own.
-        columns = tokens.__dict__
-        chunks = columns.pop("_chunks")
-        if isinstance(chunks, str):  # a plain text, left whole by ``tokenize``
-            chunks = _SPACED_WORD_RE.findall(chunks, 0, len(chunks.rstrip()))
-        ends = columns["ends"] = list(accumulate(map(len, chunks)))
-        starts = columns["starts"] = list(map(sub, ends, map(len, tokens.surfaces)))
-        return starts if self.name == "starts" else ends
-
-
 @dataclass(frozen=True)
 class Tokens:
     """A text's tokens as three parallel lists: ``surfaces[i]`` is token i's
     text and ``[starts[i], ends[i])`` its character range in the text it was
     cut from. Tokens are in text order and disjoint, so both offset lists
-    ascend. ``len()`` is the token count, and a slice is a ``Tokens``.
-
-    ``tokenize`` computes the offsets on first read, from the matches it
-    leaves as ``_chunks``, so surface-only readers such as BM25 term
-    extraction do not pay for them. For a plain text (``is_plain``) it
-    leaves the text itself: that first read cuts it into its words, each
-    with the whitespace before it, by one ``_SPACED_WORD_RE`` scan, which
-    costs about half the grammar's."""
+    ascend. ``len()`` is the token count, and a slice is a ``Tokens``."""
 
     surfaces: list[str]
-    starts: list[int] = _Offsets()
-    ends: list[int] = _Offsets()
+    starts: list[int]
+    ends: list[int]
 
     def __len__(self) -> int:
         return len(self.surfaces)
@@ -227,32 +198,28 @@ def tokenize(text: str) -> Tokens:
 
     Only whitespace lies between two tokens, since the last alternative of
     ``_TOKEN_RE`` takes any other character. So the matches of
-    ``_SPACED_TOKEN_RE`` tile the text up to its trailing whitespace, and a
-    token ends at the summed lengths of the matches up to its own. The
-    search ends before the trailing whitespace, where each failed match
-    would rescan the rest of the run. The columns are built whole, with no
-    object per token, and the offsets only when first read (see ``Tokens``);
-    a hashtag text reads them at once, to place its pieces.
+    ``_SPACED_TOKEN_RE``, each a token and the whitespace run before it, tile
+    the text up to its trailing whitespace: a token ends at the summed lengths
+    of the matches up to its own, and starts its own length before that. The
+    search ends before the trailing whitespace, where each failed match would
+    rescan the rest of the run. The three columns are built whole, with no
+    object per token.
 
     A plain text (``is_plain``) skips the grammar: no alternative but the
     alphanumeric run can match in it, and that run stops only at whitespace,
-    so its tokens are ``text.split()``.
-    ``str.isspace``, which ``split`` and ``lstrip`` use, and the regex
-    whitespace class accept the same characters.
+    so its tokens are its words, each matched with the whitespace before it by
+    ``_SPACED_WORD_RE``. ``str.isspace``, which ``lstrip`` and ``rstrip`` use,
+    and the regex whitespace class accept the same characters.
     """
-    tokens = object.__new__(Tokens)
-    columns = tokens.__dict__
-    if is_plain(text):
-        columns["surfaces"], columns["_chunks"] = text.split(), text
-        return tokens
-    chunks = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    spaced = _SPACED_WORD_RE if is_plain(text) else _SPACED_TOKEN_RE
+    chunks = spaced.findall(text, 0, len(text.rstrip()))
     surfaces = list(map(str.lstrip, chunks))
-    columns["surfaces"], columns["_chunks"] = surfaces, chunks
+    ends = list(accumulate(map(len, chunks)))
+    starts = list(map(sub, ends, map(len, surfaces)))
     if "#" in text:
         # Replace each hashtag by its pieces, last first, so the indices of
         # the hashtags still to do stay put.
         hashtags = [i for i, s in enumerate(surfaces) if s[0] == "#" and len(s) > 1]
-        starts, ends = tokens.starts, tokens.ends
         for i in reversed(hashtags):
             pieces = split_hashtag(surfaces[i])
             piece_starts, cursor = [], starts[i]
@@ -263,7 +230,7 @@ def tokenize(text: str) -> Tokens:
             surfaces[i:i + 1] = pieces
             starts[i:i + 1] = piece_starts
             ends[i:i + 1] = map(add, piece_starts, map(len, pieces))
-    return tokens
+    return Tokens(surfaces, starts, ends)
 
 
 def encode_bio(tokens: Tokens, spans: list[CharSpan]) -> list[str]:

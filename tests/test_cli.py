@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -402,6 +403,9 @@ def _config(**changes):
     (lambda h, p: ({**h, "bank_texts": "abc"}, p), "bank_texts"),
     # the adapter switched on with bank_texts null
     (_config(use_descnet=True), "checkpoint has adapter weights but no bank_texts"),
+    # a bank stored beside a model without the adapter, which it cannot reach
+    pytest.param(lambda h, p: ({**h, "bank_texts": ["claims with numbers"]}, p),
+                 "checkpoint has bank_texts but no adapter weights", id="bank-without-adapter"),
     pytest.param(tensors_edit(lambda ts: [[n] if n == "crf.w_emit" else [n, s] for n, s in ts]),
                  "checkpoint tensors must be a list of [name, shape] pairs",
                  id="tensor-without-shape"),
@@ -573,7 +577,9 @@ def test_layer_sweep_bad_layers_flag(corpus_file, capsys):
 # ---------------------------------------------------------------------------
 # retrieval
 
-def test_retrieve_eval(tmp_path, capsys):
+def _retrieval_files(tmp_path):
+    """The 12-query retrieval fixture written as queries, documents and
+    judgments files; returns their paths and the judgments."""
     posts, docs, relevant = generate_retrieval_fixture(n_posts=12, seed=5)
     posts_path = tmp_path / "queries.jsonl"
     docs_path = tmp_path / "docs.jsonl"
@@ -583,6 +589,11 @@ def test_retrieve_eval(tmp_path, capsys):
     judg_path.write_text("".join(
         json.dumps({"query_id": pid, "relevant": sorted(rel)}) + "\n"
         for pid, rel in relevant.items()))
+    return posts_path, docs_path, judg_path, relevant
+
+
+def test_retrieve_eval(tmp_path, capsys):
+    posts_path, docs_path, judg_path, relevant = _retrieval_files(tmp_path)
     assert load_judgments(judg_path) == relevant
     rc = main(["retrieve-eval", "--input", str(posts_path), "--docs", str(docs_path),
                "--judgments", str(judg_path), "--k", "3,5"])
@@ -614,6 +625,57 @@ def test_int_list_flag_rejects_empty_parts(tmp_path, corpus_file, capsys, flag, 
         argv = ["layer-sweep"]
     assert main(argv + ["--input", str(corpus_file), flag, raw]) == 1
     assert f"{flag}: expected comma-separated integers, got {raw!r}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# inputs and outputs
+
+@pytest.fixture
+def input_files(tmp_path, corpus_file, config_file):
+    """Valid inputs for every subcommand that writes a file, by name."""
+    files = {"corpus": corpus_file, "cfg": config_file, "bank": tmp_path / "bank.txt",
+             "ckpt": tmp_path / "model.ckpt", "run_log": tmp_path / "run.log",
+             "link": tmp_path / "link.jsonl"}
+    files["queries"], files["docs"], files["judgments"], _ = _retrieval_files(tmp_path)
+    files["bank"].write_text("claims with numbers\na quote from someone\n")
+    save_checkpoint(files["ckpt"], *_adapter_model())
+    files["run_log"].write_bytes(corpus_file.read_bytes())
+    os.link(corpus_file, files["link"])  # a second name for the corpus
+    return files
+
+
+@pytest.mark.parametrize("argv, out_flag, in_flag", [
+    ("preprocess --input {corpus} --output {corpus}", "--output", "--input"),
+    ("preprocess --input {corpus} --output {link}", "--output", "--input"),
+    ("train --config {cfg} --input {corpus} --bank {bank} --output {corpus}", "--output", "--input"),
+    ("train --config {cfg} --input {corpus} --bank {bank} --output {cfg}", "--output", "--config"),
+    ("train --config {cfg} --input {corpus} --bank {bank} --output {bank}", "--output", "--bank"),
+    ("train --config {cfg} --input {run_log} --output {run}", "--output's log", "--input"),
+    ("eval --checkpoint {ckpt} --input {corpus} --output {ckpt}", "--output", "--checkpoint"),
+    ("eval --checkpoint {ckpt} --input {corpus} --output {corpus}", "--output", "--input"),
+    ("predict --checkpoint {ckpt} --input {corpus} --output {ckpt}", "--output", "--checkpoint"),
+    ("predict --checkpoint {ckpt} --input {corpus} --output {corpus}", "--output", "--input"),
+    ("layer-sweep --config {cfg} --input {corpus} --bank {bank} --output {bank}",
+     "--output", "--bank"),
+    ("retrieve-eval --input {queries} --docs {docs} --judgments {judgments} --output {docs}",
+     "--output", "--docs"),
+    ("retrieve-eval --input {queries} --docs {docs} --judgments {judgments} --output {judgments}",
+     "--output", "--judgments"),
+], ids=["preprocess-input", "preprocess-hard-link", "train-input", "train-config", "train-bank",
+        "train-log", "eval-checkpoint", "eval-input", "predict-checkpoint", "predict-input",
+        "layer-sweep-bank", "retrieve-eval-docs", "retrieve-eval-judgments"])
+def test_no_subcommand_writes_over_its_input(input_files, tmp_path, capsys, argv, out_flag,
+                                             in_flag):
+    # an output that names an input file, by any path, is refused before
+    # anything is read or written, and the input keeps its bytes
+    before = {name: path.read_bytes() for name, path in input_files.items()}
+    paths = {**input_files, "run": tmp_path / "run"}
+    args = [str(paths[word[1:-1]]) if word.startswith("{") else word for word in argv.split()]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_flag} ") and f" is the {in_flag} file" in err
+    assert {name: path.read_bytes() for name, path in input_files.items()} == before
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

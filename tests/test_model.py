@@ -166,6 +166,19 @@ def test_checkpoint_predictions_survive_roundtrip(tmp_path, tiny_config, tiny_vo
     assert predict_tags(params, config, [ids], bank2) == before
 
 
+def test_save_checkpoint_refuses_a_bank_without_the_adapter(tmp_path, tiny_config, tiny_vocab):
+    # a bank stored beside a model without adapter weights would mean nothing
+    config = dataclasses.replace(tiny_config, use_descnet=False)
+    params = init_model_params(config, len(tiny_vocab), 1, np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    for bank_texts in (BANK, []):
+        with pytest.raises(ValueError, match="bank_texts given for a model without adapter"):
+            save_checkpoint(path, config, tiny_vocab, bank_texts, params)
+        assert not path.exists()
+    save_checkpoint(path, config, tiny_vocab, None, params)
+    assert load_checkpoint(path)[2] is None
+
+
 def test_edited_inert_crf_entries_decode_valid_bio(tmp_path, tiny_config, tiny_vocab, tiny_params):
     # a checkpoint whose O -> I and start-I entries were edited to +5.0
     # loads, and still decodes no start on I and no O -> I on emissions that

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimspan import preprocess, synthetic
+from claimspan import preprocess
 from claimspan.preprocess import (
     AnnotatedPost,
     CharSpan,
@@ -24,9 +24,8 @@ from claimspan.preprocess import (
     tokenize,
 )
 from claimspan.encoder import ModelConfig
-from claimspan.model import bank_token_ids, post_to_example, spans_to_raw
-from claimspan.retrieval import build_index, index_terms, load_documents, load_judgments, query
-from claimspan.synthetic import generate_corpus, generate_retrieval_fixture, synthetic_bank
+from claimspan.model import bank_token_ids, post_to_example
+from claimspan.retrieval import index_terms, load_documents, load_judgments
 
 from oracles import encode_bio_scan, index_terms_scalar, normalize_text_scalar, tokenize_scalar
 
@@ -84,6 +83,7 @@ def test_tokenize_hashtag_expansion_offsets():
     text = "go #WuhanLab now"
     toks = tokenize(text)
     assert toks.surfaces == ["go", "Wuhan", "Lab", "now"]
+    assert (toks.starts, toks.ends) == ([0, 4, 9, 13], [2, 9, 12, 16])
     assert text[toks.starts[1]:toks.ends[1]] == "Wuhan"
     assert text[toks.starts[2]:toks.ends[2]] == "Lab"
 
@@ -207,48 +207,21 @@ def test_front_end_matches_scalar_oracle(raw):
     assert_remap_matches_per_character(norm_to_raw, ref_raw_to_norm)
     for text in (raw, norm):
         tokens = tokenize(text)
-        assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == tokenize_scalar(text)
+        oracle = tokenize_scalar(text)
+        assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == oracle
         assert type(tokens) is Tokens
         assert all(type(column) is list for column in (tokens.surfaces, tokens.starts, tokens.ends))
+        # a slice is the Tokens of the oracle's columns cut the same way
+        columns = [list(column) for column in zip(*oracle)] or [[], [], []]
+        n = len(oracle)
+        for cut in (slice(None, n // 2), slice(1, n - 1), slice(None, None, 2), slice(n, None)):
+            assert tokens[cut] == Tokens(*(column[cut] for column in columns))
     assert index_terms(raw) == index_terms_scalar(raw)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_FRONT_END_TEXTS, st.integers(0, 40), st.integers(0, 40), st.integers(1, 3))
-@example("garlic don't cure https://t.co/x1 \u2003 flu!", 2, 5, 2)
-@example("go #WuhanLab now", 1, 3, 2)
-@example("", 0, 1, 1)
-@example(" \t", 0, 1, 1)
-@example(" a\x1cb ", 0, 1, 2)
-@example("Word 5\u2028x ", 1, 3, 2)
-def test_unread_offsets_match_read_ones(text, a, b, k):
-    # tokenize leaves a #-free text's offsets for their first read; slices,
-    # == and the columns of a Tokens not read yet agree with one read first
-    def unread():
-        tokens = tokenize(text)
-        assert ("starts" in vars(tokens)) == ("#" in text)  # a hashtag text reads them at once
-        return tokens
-
-    read = tokenize(text)
-    read.ends  # computes the offsets
-    for cut in (slice(None, a), slice(a, b), slice(None, None, k)):
-        assert unread()[cut] == read[cut]
-    oracle = tokenize_scalar(text)
-    explicit = Tokens(*map(list, zip(*oracle))) if oracle else Tokens([], [], [])
-    assert unread() == explicit
-    assert explicit == unread()
-    ends_first = unread()
-    ends = ends_first.ends
-    assert list(zip(ends_first.surfaces, ends_first.starts, ends)) == oracle
-    starts_first = unread()
-    starts = starts_first.starts
-    assert list(zip(starts_first.surfaces, starts, starts_first.ends)) == oracle
-    assert type(starts) is list and type(ends) is list
-
-
 def test_plain_text_skips_the_grammar(monkeypatch):
-    # a text of ASCII letters, digits and whitespace is cut by str.split and
-    # its offsets by the word scan: the junk and token regexes never run
+    # a text of ASCII letters, digits and whitespace is cut into its words,
+    # with their offsets, by the word scan: the junk and token regexes never run
     class Unused:
         def __getattr__(self, name):
             raise AssertionError(f"a grammar regex ran its {name}")
@@ -261,49 +234,6 @@ def test_plain_text_skips_the_grammar(monkeypatch):
     tokens = tokenize(text)
     assert list(zip(tokens.surfaces, tokens.starts, tokens.ends)) == tokenize_scalar(text)
     assert index_terms(text) == ["garlic", "cures", "flu", "5", "times"]
-
-
-@pytest.fixture
-def offset_fills(monkeypatch):
-    """One entry per offset computation: the field whose read started it."""
-    fills = []
-    real = preprocess._Offsets.__get__
-
-    def counting(self, tokens, owner=None):
-        if tokens is not None:
-            fills.append(self.name)
-        return real(self, tokens, owner)
-
-    monkeypatch.setattr(preprocess._Offsets, "__get__", counting)
-    return fills
-
-
-def test_offsets_computed_only_for_offset_readers(offset_fills, tiny_config, tiny_vocab,
-                                                   monkeypatch):
-    # BM25 indexing and querying and the description bank read surfaces
-    # only, so their #-free texts compute no offsets
-    posts, docs, _relevant = generate_retrieval_fixture(8, seed=3)
-    assert not any("#" in text for text in [d["text"] for d in docs] + [p.text for p in posts])
-    index = build_index(docs + [{"id": "url", "text": "garlic https://t.co/x1 cures, don't →→"}])
-    for post in posts:
-        query(index, post.text, 3)
-    bank_token_ids(synthetic_bank(), tiny_vocab, tiny_config)
-    assert offset_fills == []
-    # a hashtag text computes them once, to place its pieces
-    tokens = tokenize("go #WuhanLab now")
-    assert (tokens.starts, tokens.ends) == ([0, 4, 9, 13], [2, 9, 12, 16])
-    assert len(offset_fills) == 1
-    # an example computes them once, whether truncation, encode_bio (for
-    # its spans) or spans_to_raw (for its predictions) reads them first
-    offset_fills.clear()
-    monkeypatch.setattr(synthetic, "URL_RATE", 0.5)
-    corpus = generate_corpus(n_posts=20, seed=4)
-    corpus = [p for p in corpus if "#" not in p.text] + [AnnotatedPost("none", "no span here")]
-    assert any(len(tokenize(p.text)) > tiny_config.max_len for p in corpus)
-    for post in corpus:
-        ex = post_to_example(post, tiny_vocab, tiny_config)
-        spans_to_raw(ex, ex.gold_tags)
-    assert len(offset_fills) == len(corpus) > 10
 
 
 def test_bank_descriptions_take_the_posts_normalization(tiny_config, tiny_vocab):
