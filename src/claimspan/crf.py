@@ -1,12 +1,17 @@
 """Linear-chain CRF head over BIO tags.
 
 All recursions run in log space, with one time loop over a whole packed
-chunk of sequences. The BIO rule (no start on I, no O followed by I) is a
-fixed additive mask of -inf on those two moves, which every score, recursion
-and Viterbi adds to the stored scores, so no tag path that breaks it has any
-mass and Viterbi never emits one. The two stored entries it covers are inert:
-whatever they hold changes nothing, and their gradient is exactly 0. Tags are
-ordered as ``preprocess.TAGS``; argmax ties take the lowest index.
+chunk of sequences padded to its longest. The forward loop,
+``_forward_messages``, serves two semirings: ``log_sum_exp`` gives the
+loss's alpha, ``np.maximum.reduce`` Viterbi's best-prefix scores.
+``nll_loss`` caches the padded emissions and masked transitions, which
+``nll_backward``'s beta loop reuses. The BIO rule (no start on I, no O
+followed by I) is a fixed additive mask of -inf on those two moves, which
+every score, recursion and Viterbi adds to the stored scores, so no tag path
+that breaks it has any mass and Viterbi never emits one. The two stored
+entries it covers are inert: whatever they hold changes nothing, and their
+gradient is exactly 0. Tags are ordered as ``preprocess.TAGS``; argmax ties
+take the lowest index.
 """
 
 from __future__ import annotations
@@ -81,29 +86,29 @@ def score_sequence(e: np.ndarray, crf: CrfParams, tag_ids: np.ndarray,
             + crf.end_scores[tag_ids[packing.ends]])
 
 
-def _forward_messages(e: np.ndarray, crf: CrfParams,
-                      packing: Packing) -> tuple[np.ndarray, np.ndarray]:
-    """Forward messages alpha (sequences, longest, 3) and log Z per sequence:
-    the log sum over all its tag paths of exp(score).
+def _forward_messages(em: np.ndarray, transitions: np.ndarray, crf: CrfParams,
+                      reduce) -> np.ndarray:
+    """Forward messages (sequences, longest, 3) of padded emissions ``em``
+    under the masked ``transitions``: ``log_sum_exp`` gives the loss's alpha,
+    ``np.maximum.reduce`` Viterbi's best-prefix scores.
 
     One time loop serves the whole chunk; past a sequence's end its row runs
-    on with zero emissions, and nothing reads those values."""
-    em = packing.pad(e, 0.0)
-    transitions = crf.transitions + TRANSITION_MASK
-    alpha = np.empty(em.shape)
-    step = alpha[:, 0] = crf.start_scores + START_MASK + em[:, 0]
-    for t in range(1, packing.n_max):
-        step = alpha[:, t] = log_sum_exp(step[:, :, None] + transitions, axis=1) + em[:, t]
-    last = alpha[np.arange(packing.size), packing.lengths - 1]
-    return alpha, log_sum_exp(last + crf.end_scores, axis=1)
+    on with zero emissions, and nothing uses those values."""
+    msgs = np.empty(em.shape)
+    step = msgs[:, 0] = crf.start_scores + START_MASK + em[:, 0]
+    for t in range(1, em.shape[1]):
+        step = msgs[:, t] = reduce(step[:, :, None] + transitions, axis=1) + em[:, t]
+    return msgs
 
 
 def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str],
              packing: Packing) -> tuple[np.ndarray, dict]:
     """Each sequence's log Z minus its gold-path score, nonnegative up to
     roundoff, as a (sequences,) array, and the cache ``nll_backward`` reads:
-    the emissions, the gold tag ids, the forward messages alpha, log Z and
-    the packing.
+    the emissions, packed and padded, the masked transitions, the gold tag
+    ids, the forward messages alpha, log Z and the packing. Log Z is the log
+    sum over all of a sequence's tag paths of exp(score), read from alpha at
+    the sequence's last row.
 
     ``e`` and ``tags`` are the chunk's packed emission rows and gold tags; a
     tag that is unknown or breaks BIO is a ValueError.
@@ -115,9 +120,13 @@ def nll_loss(e: np.ndarray, crf: CrfParams, tags: list[str],
     broken = np.flatnonzero((tag_ids == TAG_INDEX[TAG_I]) & (prev == TAG_INDEX[TAG_O]))
     if broken.size:
         raise ValueError(f"gold tags break BIO at row {broken[0]}: an I starts a sequence or follows O")
-    alpha, log_z = _forward_messages(e, crf, packing)
+    em, transitions = packing.pad(e), crf.transitions + TRANSITION_MASK
+    alpha = _forward_messages(em, transitions, crf, log_sum_exp)
+    last = alpha[np.arange(packing.size), packing.lengths - 1]
+    log_z = log_sum_exp(last + crf.end_scores, axis=1)
     return log_z - gold, {
-        "e": e, "tag_ids": tag_ids, "alpha": alpha, "log_z": log_z, "packing": packing}
+        "e": e, "em": em, "transitions": transitions, "tag_ids": tag_ids, "alpha": alpha,
+        "log_z": log_z, "packing": packing}
 
 
 def nll_backward(crf: CrfParams, cache: dict, g: CrfParams) -> np.ndarray:
@@ -130,16 +139,14 @@ def nll_backward(crf: CrfParams, cache: dict, g: CrfParams) -> np.ndarray:
     observed counts. The masked moves have no mass and a valid BIO gold path
     never takes them, so the two inert entries' gradient is exactly 0.
     """
-    e, tag_ids, packing = cache["e"], cache["tag_ids"], cache["packing"]
-    transitions = crf.transitions + TRANSITION_MASK
-    em = packing.pad(e, 0.0)
+    e, em, transitions = cache["e"], cache["em"], cache["transitions"]
+    tag_ids, packing = cache["tag_ids"], cache["packing"]
+    last_t = packing.lengths - 1
     beta = np.empty(em.shape)
     step = beta[:, -1] = crf.end_scores
     for t in range(packing.n_max - 2, -1, -1):
         step = log_sum_exp(transitions + (em[:, t + 1] + step)[:, None, :], axis=2)
-        ending = packing.ending.get(t)
-        if ending is not None:  # these sequences' beta starts here
-            step[ending] = crf.end_scores
+        step[last_t == t] = crf.end_scores  # these sequences' beta starts here
         beta[:, t] = step
 
     # marginals minus the gold one-hot, and the pair marginals
@@ -167,26 +174,16 @@ def nll_backward(crf: CrfParams, cache: dict, g: CrfParams) -> np.ndarray:
 def viterbi_decode(e: np.ndarray, crf: CrfParams, packing: Packing) -> list[str]:
     """Highest-scoring valid tag path of each sequence in a chunk's packed
     emissions, as packed tags; ties break toward B < I < O."""
-    em = packing.pad(e, 0.0)
-    transitions = crf.transitions + TRANSITION_MASK
-    v = crf.start_scores + START_MASK + em[:, 0]
-    final = np.empty_like(v)
-    backptr = np.empty(em.shape, dtype=np.intp)
-    for t in range(packing.n_max):
-        if t:
-            cand = v[:, :, None] + transitions
-            backptr[:, t] = cand.argmax(axis=1)
-            v = cand.max(axis=1) + em[:, t]
-        ending = packing.ending.get(t)
-        if ending is not None:
-            final[ending] = v[ending]
-    best = (final + crf.end_scores).argmax(axis=1)
+    em, transitions = packing.pad(e), crf.transitions + TRANSITION_MASK
+    # the ufunc's own reduce, as log_sum_exp is; np.max would add a Python
+    # dispatch at every time step
+    v = _forward_messages(em, transitions, crf, np.maximum.reduce)
+    rows, last_t = np.arange(packing.size), packing.lengths - 1
+    best = (v[rows, last_t] + crf.end_scores).argmax(axis=1)
+    backptr = (v[:, :-1, :, None] + transitions).argmax(axis=2)
     # backtrack every sequence at once, each from its own last row
-    rows, path = np.arange(packing.size), np.zeros(em.shape[:2], dtype=np.intp)
-    for t in range(packing.n_max - 1, -1, -1):
-        ending = packing.ending.get(t)
-        if ending is not None:
-            path[ending, t] = best[ending]
-        if t:
-            path[:, t - 1] = backptr[rows, t, path[:, t]]
+    path = np.empty(em.shape[:2], dtype=np.intp)
+    path[:, -1] = best
+    for t in range(packing.n_max - 1, 0, -1):
+        path[:, t - 1] = np.where(last_t == t - 1, best, backptr[rows, t - 1, path[:, t]])
     return [TAGS[i] for i in packing.unpad(path).tolist()]

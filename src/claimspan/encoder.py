@@ -165,7 +165,7 @@ def mhsa_forward(z: np.ndarray, blk: EncoderBlockParams, n_heads: int, packing: 
     shape = (packing.size, packing.n_max, n_heads, dh)
 
     def heads(x):  # (sequences, h, longest, dh), zero rows past each end
-        return packing.pad(x, 0.0).reshape(shape).transpose(0, 2, 1, 3)
+        return packing.pad(x).reshape(shape).transpose(0, 2, 1, 3)
 
     qh = heads(z @ blk.w_q + blk.b_q)
     kh = heads(z @ blk.w_k)
@@ -194,7 +194,7 @@ def mhsa_backward(d_out: np.ndarray, cache, blk: EncoderBlockParams, g: EncoderB
     b, n_heads, n, dh = qh.shape
     g.w_o += concat.T @ d_out
     g.b_o += d_out.sum(axis=0)
-    d_concat = packing.pad(d_out @ blk.w_o.T, 0.0)
+    d_concat = packing.pad(d_out @ blk.w_o.T)
     d_heads = d_concat.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
     d_probs = d_heads @ vh.transpose(0, 1, 3, 2)
     d_vh = probs.transpose(0, 1, 3, 2) @ d_heads

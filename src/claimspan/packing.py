@@ -59,16 +59,6 @@ class Packing:
         return self.starts + self.lengths - 1
 
     @cached_property
-    def ending(self) -> dict:
-        """Time step -> the sequences whose last row is at that step."""
-        if self.uniform:
-            return {self.n_max - 1: slice(None)}
-        out: dict[int, list[int]] = {}
-        for b, n in enumerate(self.lengths.tolist()):
-            out.setdefault(n - 1, []).append(b)
-        return out
-
-    @cached_property
     def positions(self) -> np.ndarray:
         """Each row's position within its sequence."""
         return np.arange(self.n_rows) - self.starts[self.seg]
@@ -91,12 +81,12 @@ class Packing:
         mask.reshape(-1)[self._pad_rows] = 0.0
         return mask[:, None, None, :]
 
-    def pad(self, x: np.ndarray, fill: float) -> np.ndarray:
-        """(rows, ...) to (sequences, longest, ...), ``fill`` past each end."""
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """(rows, ...) to (sequences, longest, ...), zeros past each end."""
         shape = (self.size, self.n_max) + x.shape[1:]
         if self.uniform:
             return x.reshape(shape)
-        out = np.full((self.size * self.n_max,) + x.shape[1:], fill)
+        out = np.zeros((self.size * self.n_max,) + x.shape[1:])
         out[self._pad_rows] = x
         return out.reshape(shape)
 

@@ -221,22 +221,21 @@ def crf_enumerate(e, crf):
 def viterbi_decode_per_sequence(e, crf, packing) -> list[str]:
     """Viterbi decoding with the chunk-wide forward pass and a backtrack run
     one sequence and one token at a time in Python, as first written."""
-    em = packing.pad(e, 0.0)
+    em = packing.pad(e)
     v = crf.start_scores + START_MASK + em[:, 0]
-    final = np.empty_like(v)
+    scores = [v]
     backptr = np.empty(em.shape, dtype=np.intp)
-    for t in range(packing.n_max):
-        if t:
-            cand = v[:, :, None] + crf.transitions + TRANSITION_MASK
-            backptr[:, t] = cand.argmax(axis=1)
-            v = cand.max(axis=1) + em[:, t]
-        ending = packing.ending.get(t)
-        if ending is not None:
-            final[ending] = v[ending]
+    for t in range(1, packing.n_max):
+        cand = v[:, :, None] + crf.transitions + TRANSITION_MASK
+        backptr[:, t] = cand.argmax(axis=1)
+        v = cand.max(axis=1) + em[:, t]
+        scores.append(v)
+    lengths = packing.lengths.tolist()
+    final = np.array([scores[n - 1][seq] for seq, n in enumerate(lengths)])
     best = (final + crf.end_scores).argmax(axis=1).tolist()
     pointers = backptr.tolist()
     out = []
-    for seq, n in enumerate(packing.lengths.tolist()):
+    for seq, n in enumerate(lengths):
         path, steps = [best[seq]], pointers[seq]
         for t in range(n - 1, 0, -1):
             path.append(steps[t][path[-1]])

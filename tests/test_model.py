@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from claimspan import crf as crf_mod
 from claimspan.crf import viterbi_decode
 from claimspan.model import (
     CheckpointError,
@@ -316,6 +317,26 @@ def test_one_decode_matches_each_sequence_alone(data, tiny_config, tiny_vocab):
     tags = predict_tags(params, tiny_config, id_lists, bank)
     assert tags == [predict_tags(params, tiny_config, [ids], bank)[0] for ids in id_lists]
     assert [len(t) for t in tags] == [len(ids) for ids in id_lists]
+
+
+def test_predict_tags_runs_one_max_recursion(monkeypatch, tiny_config, tiny_vocab, tiny_params):
+    # Viterbi runs the loss's forward loop with a maximum, once for all chunks
+    real, calls = crf_mod._forward_messages, []
+
+    def counting(em, transitions, crf, reduce):
+        msgs = real(em, transitions, crf, reduce)
+        calls.append((reduce, msgs.shape))
+        return msgs
+
+    monkeypatch.setattr(crf_mod, "_forward_messages", counting)
+    rng = np.random.default_rng(0)
+    lengths = [5, 0, tiny_config.max_len, 1] + [tiny_config.max_len] * 8
+    id_lists = [rng.integers(len(tiny_vocab), size=n).tolist() for n in lengths]
+    assert len(make_chunks([ids for ids in id_lists if ids])) >= 2
+    bank = build_bank(["claims with numbers", "a quote"], tiny_vocab, tiny_params, tiny_config)
+    tags = predict_tags(tiny_params, tiny_config, id_lists, bank)
+    assert calls == [(np.maximum.reduce, (len(lengths) - 1, tiny_config.max_len, 3))]
+    assert [len(t) for t in tags] == lengths
 
 
 def test_predict_tags_of_empty_lists(tiny_config, tiny_vocab, tiny_params):

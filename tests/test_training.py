@@ -473,9 +473,9 @@ def test_batch_gradients_runs_one_forward_recursion_per_example(monkeypatch):
     real, rows = crf_mod._forward_messages, []
 
     def counting(*args):
-        alpha, log_z = real(*args)
-        rows.append(len(log_z))
-        return alpha, log_z
+        msgs = real(*args)
+        rows.append(len(msgs))
+        return msgs
 
     monkeypatch.setattr(crf_mod, "_forward_messages", counting)
     bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
@@ -536,15 +536,18 @@ def _probe_params(vocab, seed, mc):
 # on this batch crosses some of CoDA's L1 kinks at any usable step size; the
 # no-IGM variant uses smooth dpa attention, and
 # test_grad_check_passes_without_igm checks CoDA without IGM on grad_check's
-# small probe. CoDA runs at four probe points, and once with dropout on.
+# small probe. CoDA runs at four probe points, and once with dropout on. One
+# case puts the adapter below TINY_MC's second block, as the layer sweep
+# does, so the backward must run it between the two blocks.
 @pytest.mark.parametrize("variant,seed", [
     ({"attention_variant": "coda"}, 1), ({"attention_variant": "coda"}, 2),
     ({"attention_variant": "coda"}, 3), ({"attention_variant": "coda"}, 4),
     ({"attention_variant": "coda", "dropout_p": 0.1}, 1),
     ({"attention_variant": "dpa"}, 1),
-    ({"use_igm": False, "attention_variant": "dpa"}, 1), ({"use_descnet": False}, 1)],
+    ({"use_igm": False, "attention_variant": "dpa"}, 1), ({"use_descnet": False}, 1),
+    ({"adapter_layer": 1}, 1)],
     ids=["coda", "coda-seed2", "coda-seed3", "coda-seed4", "coda-dropout", "dpa", "no_igm",
-         "no_descnet"])
+         "no_descnet", "adapter_layer1"])
 def test_batch_gradients_match_fd_on_ragged_batch(variant, seed):
     # the packed batch step's gradient is the gradient of the batch's mean
     # loss, each example's loss taken alone. The loss is only piecewise
