@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import ClassVar
 
@@ -42,22 +42,10 @@ class EvalReport:
     averaging: ClassVar[str] = "macro-over-posts"
 
     def to_dict(self) -> dict:
-        return {
-            "overall": {"p": self.overall.p, "r": self.overall.r, "f1": self.overall.f1,
-                        "averaging": self.averaging},
-            "per_tag": {t: {"p": s.p, "r": s.r, "f1": s.f1} for t, s in self.per_tag.items()},
-            "dsc": self.dsc,
-            "span_count_ratio": self.span_count_ratio,
-            "n_posts": self.n_posts,
-            "overall_micro": {"p": self.overall_micro.p, "r": self.overall_micro.r,
-                              "f1": self.overall_micro.f1, "averaging": "micro-over-tokens"},
-        }
-
-
-def _ratio(num: int, den: int, other_empty: bool) -> float:
-    if den == 0:
-        return 1.0 if other_empty else 0.0
-    return num / den
+        doc = asdict(self)
+        doc["overall"]["averaging"] = self.averaging
+        doc["overall_micro"]["averaging"] = "micro-over-tokens"
+        return doc
 
 
 def _harmonic(p: float, r: float) -> float:
@@ -66,16 +54,20 @@ def _harmonic(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r)
 
 
+def _prf(tp: int, n_pred: int, n_gold: int) -> Scores:
+    """Scores of ``tp`` hits in ``n_pred`` predicted and ``n_gold`` gold; applies the 0/0 rule."""
+    p = tp / n_pred if n_pred else float(n_gold == 0)
+    r = tp / n_gold if n_gold else float(n_pred == 0)
+    return Scores(p, r, _harmonic(p, r))
+
+
 def inspan_indices(tags: list[str]) -> set[int]:
     return {i for i, t in enumerate(tags) if t != TAG_O}
 
 
 def set_prf(pred: set[int], gold: set[int]) -> Scores:
     """P/R/F1 of one post's in-span token sets; empty vs empty scores 1."""
-    tp = len(pred & gold)
-    p = _ratio(tp, len(pred), not gold)
-    r = _ratio(tp, len(gold), not pred)
-    return Scores(p, r, _harmonic(p, r))
+    return _prf(len(pred & gold), len(pred), len(gold))
 
 
 def dice(pred: set[int], gold: set[int]) -> float:
@@ -109,32 +101,23 @@ def micro_overall_prf(preds: list[set[int]], golds: list[set[int]]) -> Scores:
     """Pooled-over-tokens variant of the overall score."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} references")
-    pred_all = {(i, t) for i, s in enumerate(preds) for t in s}
-    gold_all = {(i, t) for i, s in enumerate(golds) for t in s}
-    return set_prf(pred_all, gold_all)
+    return _prf(sum(len(a & g) for a, g in zip(preds, golds)),
+                sum(map(len, preds)), sum(map(len, golds)))
 
 
-def _check_aligned(pred: list[list[str]], gold: list[list[str]]) -> None:
+def _per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scores]:
+    """Corpus-level micro scores per tag (that tag as the positive class),
+    from one pair count over the tag sequences, which must align."""
     if len(pred) != len(gold):
         raise ValueError(f"{len(pred)} predicted sequences vs {len(gold)} references")
     for i, (a, g) in enumerate(zip(pred, gold)):
         if len(a) != len(g):
             raise ValueError(f"post {i}: predicted {len(a)} tags vs {len(g)} gold")
-
-
-def _per_tag_prf(pred: list[list[str]], gold: list[list[str]]) -> dict[str, Scores]:
-    """Corpus-level micro scores per tag (that tag as the positive class),
-    for tag sequences already checked to align, from one pair count."""
     pairs = Counter(zip(chain.from_iterable(pred), chain.from_iterable(gold)))
-    out = {}
-    for tag in TAGS:
-        tp = pairs[tag, tag]
-        fp = sum(n for (a, _g), n in pairs.items() if a == tag) - tp
-        fn = sum(n for (_a, g), n in pairs.items() if g == tag) - tp
-        p = _ratio(tp, tp + fp, tp + fn == 0)
-        r = _ratio(tp, tp + fn, tp + fp == 0)
-        out[tag] = Scores(p, r, _harmonic(p, r))
-    return out
+    return {tag: _prf(pairs[tag, tag],
+                      sum(n for (a, _g), n in pairs.items() if a == tag),
+                      sum(n for (_a, g), n in pairs.items() if g == tag))
+            for tag in TAGS}
 
 
 def span_count_ratio(pred_spans: list[list], gold_spans: list[list]) -> float:
@@ -151,12 +134,12 @@ def build_report(pred: list[list[str]], gold: list[list[str]],
     """Every score of the predicted tag sequences against the gold ones; see
     the module docstring for the rules. The span-count ratio needs both span
     lists and is None without them."""
-    _check_aligned(pred, gold)
+    per_tag = _per_tag_prf(pred, gold)  # first, as it checks that the sequences align
     pred_sets = [inspan_indices(t) for t in pred]
     gold_sets = [inspan_indices(t) for t in gold]
     return EvalReport(
         overall=overall_prf(pred_sets, gold_sets),
-        per_tag=_per_tag_prf(pred, gold),
+        per_tag=per_tag,
         dsc=mean_dice(pred_sets, gold_sets),
         span_count_ratio=(None if gold_spans is None
                           else span_count_ratio(pred_spans, gold_spans)),

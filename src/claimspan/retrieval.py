@@ -232,6 +232,8 @@ def compare_conditions(posts: list[AnnotatedPost], docs: list[dict],
         raise ValueError("no query posts")
     if not k_list or len(set(k_list)) != len(k_list):
         raise ValueError(f"cutoffs must be non-empty and distinct, got {list(k_list)}")
+    if min(k_list) < 1:
+        raise ValueError(f"k must be positive, got {min(k_list)}")
     index = build_index(docs)
     max_k = max(k_list)
     conditions = {"tweets": lambda p: p.text, "spans": span_query_text}

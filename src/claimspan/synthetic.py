@@ -36,9 +36,8 @@ TEMPLATES = [
     ("lab", lambda x, y: [y, "was", "created", "in", "a", "lab"]),
 ]
 
-TEMPLATE_WORDS = {
-    "cures", "prevents", "is", "a", "bioweapon", "was", "created", "in", "lab",
-}
+# the glue words: a template's phrase with no subject and no disease in it
+TEMPLATE_WORDS = {w for _name, build in TEMPLATES for w in build(None, None) if w is not None}
 
 FILLER = [
     "the", "morning", "news", "said", "people", "keep", "sharing", "this",

@@ -199,7 +199,7 @@ class TrainResult:
 
 def prepare_examples(corpus: list[AnnotatedPost], vocab: Vocabulary | None,
                      config: ModelConfig) -> list[Example]:
-    """Posts as model inputs; posts with no surviving tokens are dropped.
+    """Posts as training inputs; posts with no surviving tokens are dropped.
     With ``vocab`` None the token ids are left empty (see ``post_to_example``)."""
     out = []
     for post in corpus:
@@ -283,8 +283,9 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     vocab = Vocabulary.build([ex.tokens.surfaces for ex in train_ex], mc.vocab_size)
     for ex in train_ex:
         ex.token_ids = vocab.ids(ex.tokens.surfaces)
-    val_ex = prepare_examples(corpus_val, vocab, mc)
-    if not train_ex or not val_ex:
+    # every validation post is scored, as ``eval`` scores it, a post with no tokens too
+    val_ex = [post_to_example(post, vocab, mc) for post in corpus_val]
+    if not train_ex or not any(ex.token_ids for ex in val_ex):
         raise ValueError("no usable examples after preprocessing")
 
     params = init_model_params(mc, len(vocab), len(bank_texts) if bank_texts else 1, rng)
@@ -432,10 +433,13 @@ def layer_sweep(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPos
         raise ValueError("no layers to sweep")
     if not model_config.use_descnet:
         raise ValueError("layer sweep needs the adapter, but the config has use_descnet = false")
-    rows = []
+    if len(set(layers)) != len(layers):
+        raise ValueError(f"layers must be distinct, got {list(layers)}")
     for layer in layers:
         if not 1 <= layer <= model_config.layers:
             raise ValueError(f"adapter layer {layer} outside [1, {model_config.layers}]")
+    rows = []
+    for layer in layers:
         tc = replace(train_config, adapter_layer=layer)
         result = train(corpus_train, corpus_val, bank_texts, model_config, tc)
         # train already scored the parameters it returns on the same split

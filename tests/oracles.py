@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from claimspan.crf import START_MASK, TRANSITION_MASK
-from claimspan.metrics import Scores, _harmonic, _ratio
+from claimspan.metrics import Scores
 from claimspan.numerics import LN_EPS, named_arrays, sigmoid, softmax_rows, softmax_rows_backward
 from claimspan.preprocess import TAGS, split_hashtag
 from claimspan.retrieval import B, K1, Bm25Index, idf, index_terms
@@ -441,7 +441,10 @@ def per_tag_prf_scan(pred, gold) -> dict:
                     fp += 1
                 elif g == tag:
                     fn += 1
-        p = _ratio(tp, tp + fp, tp + fn == 0)
-        r = _ratio(tp, tp + fn, tp + fp == 0)
-        out[tag] = Scores(p, r, _harmonic(p, r))
+        # a 0/0 score is 1 when the tag is neither predicted nor gold, else 0
+        neither = tp + fp == 0 and tp + fn == 0
+        p = tp / (tp + fp) if tp + fp else float(neither)
+        r = tp / (tp + fn) if tp + fn else float(neither)
+        f1 = 2.0 * p * r / (p + r) if p + r else 0.0
+        out[tag] = Scores(p, r, f1)
     return out

@@ -112,6 +112,8 @@ def test_score_sequence_is_lse_component():
     loss, cache = nll_loss(e, crf, ["B", "I", "O", "B"], Packing([4]))
     assert s <= cache["log_z"]
     assert loss >= 0.0
+    with pytest.raises(ValueError, match="3 tags for 4 emission rows"):
+        score_sequence(e, crf, tags_to_indices(["B", "I", "O"]), Packing([4]))
 
 
 def test_viterbi_never_emits_forbidden_transitions():

@@ -12,6 +12,7 @@ from claimspan.descnet import (
     coda_forward,
     coda_interact_backward,
     coda_interact_forward,
+    descnet_forward,
     dpa_interact_backward,
     dpa_interact_forward,
     encode_description_bank,
@@ -428,6 +429,18 @@ def test_bank_rejects_empty(tiny_config, tiny_params):
     with pytest.raises(ValueError):
         encode_description_bank([], tiny_params.encoder,
                                 tiny_params.descnet.description_encoder, tiny_config)
+    with pytest.raises(ValueError, match="at least one description"):
+        init_descnet_params(np.random.default_rng(0), tiny_config, 0)
+
+
+def test_adapter_rejects_a_bank_of_another_size(tiny_config, tiny_params):
+    # tiny_params' fusion weights are built for two descriptions
+    bank = encode_description_bank([[1, 2, 3]], tiny_params.encoder,
+                                   tiny_params.descnet.description_encoder, tiny_config)
+    with pytest.raises(ValueError, match="bank of 1 descriptions does not match fusion "
+                                         "weights built for 2"):
+        descnet_forward(np.ones((2, tiny_config.d)), bank, tiny_params.descnet, tiny_config,
+                        Packing([2]))
 
 
 def test_load_bank_texts(tmp_path):

@@ -170,6 +170,8 @@ def test_embed_shape_and_errors(tiny_config):
         embed([], params, tiny_config, Packing([0]))
     with pytest.raises(ValueError):
         embed([99], params, tiny_config, Packing([1]))
+    with pytest.raises(ValueError, match="2 token ids for a chunk of 3 rows"):
+        embed([1, 2], params, tiny_config, Packing([3]))
     n = tiny_config.max_len + 1
     with pytest.raises(ValueError):
         embed(list(range(n)), params, tiny_config, Packing([n]))

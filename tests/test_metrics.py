@@ -14,6 +14,7 @@ from claimspan.metrics import (
     inspan_indices,
     mean_dice,
     micro_overall_prf,
+    overall_prf,
     paired_f1_ttest,
     span_count_ratio,
     student_t_sf_two_sided,
@@ -99,6 +100,12 @@ def test_length_mismatch_raises():
         build_report([["B", "O"]], [["B"]])
     with pytest.raises(ValueError):
         build_report([["B"]], [["B"], ["O"]])
+    with pytest.raises(ValueError, match="2 predictions vs 1 references"):
+        overall_prf([{0}, set()], [{0}])
+    with pytest.raises(ValueError, match="no posts to score"):
+        overall_prf([], [])
+    with pytest.raises(ValueError, match="1 predictions vs 2 references"):
+        micro_overall_prf([{0}], [{0}, set()])
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,13 @@ def test_ndcg_ideal_truncates_to_relevant_count():
     assert ndcg_at_k(j, 5) == pytest.approx(1.0)
 
 
+def test_cutoff_zero_rejected():
+    j = RetrievalJudgment("q", ["a"], {"a"})
+    for metric in (precision_at_k, ndcg_at_k):
+        with pytest.raises(ValueError, match="k must be positive, got 0"):
+            metric(j, 0)
+
+
 def test_judgment_duplicate_ranked():
     with pytest.raises(ValueError, match="repeats"):
         RetrievalJudgment("q", ["a", "a"], set())
@@ -358,7 +365,9 @@ def test_compare_conditions_span_beats_noisy_tweet():
     assert tweets["p@1"] == 0.0
 
 
-def test_compare_conditions_empty_posts():
+def test_compare_conditions_empty_posts(monkeypatch):
+    # a bad argument is rejected before the index is built
+    monkeypatch.setattr(retrieval, "build_index", lambda docs: pytest.fail("indexed"))
     with pytest.raises(ValueError):
         compare_conditions([], DOCS3, {})
     # a repeated cutoff would be scored twice (p@3 of 1.33); none leaves nothing to score
@@ -366,6 +375,8 @@ def test_compare_conditions_empty_posts():
     for k_list in [(3, 3), ()]:
         with pytest.raises(ValueError, match=re.escape(str(list(k_list)))):
             compare_conditions(posts, DOCS3, {"p1": {"d1"}}, k_list=k_list)
+    with pytest.raises(ValueError, match="k must be positive, got 0"):
+        compare_conditions(posts, DOCS3, {"p1": {"d1"}}, k_list=(0, 3))
 
 
 # ---------------------------------------------------------------------------

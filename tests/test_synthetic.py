@@ -94,6 +94,14 @@ def test_split_sizes():
         split_corpus(posts[:2])
 
 
+def test_retrieval_fixture_size_limit():
+    # each post needs its own (subject, disease) pair
+    n_pairs = len(SUBJECTS) * len(DISEASES)
+    assert len(generate_retrieval_fixture(n_pairs)[0]) == n_pairs
+    with pytest.raises(ValueError, match=f"at most {n_pairs} posts supported"):
+        generate_retrieval_fixture(n_pairs + 1)
+
+
 def test_bank_descriptions():
     bank = synthetic_bank()
     assert len(bank) == 3

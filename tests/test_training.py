@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,14 +356,17 @@ def test_train_returns_best_epoch_parameters(monkeypatch):
 def test_validation_scores_are_the_eval_report():
     # the logged validation F1 and dice of the best epoch are, bitwise, the
     # eval report's overall F1 and DSC of the returned parameters on the
-    # validation split
+    # validation split, a post that normalizes to no token scored too
     tr, va, _ = split_corpus(_mini_corpus())
+    va = va + [AnnotatedPost("junk", "🙂 https://t.co/x")]
     res = train(tr, va, synthetic_bank(), TINY_MC, TINY_TC)
     mc = res.model_config
-    val_ex = prepare_examples(va, res.vocab, mc)
+    val_ex = [post_to_example(post, res.vocab, mc) for post in va]
+    assert val_ex[-1].token_ids == []
     bank = build_bank(res.bank_texts, res.vocab, res.params, mc)
     tags = predict_tags(res.params, mc, [ex.token_ids for ex in val_ex], bank)
     report = build_report(tags, [ex.gold_tags for ex in val_ex])
+    assert report.n_posts == len(va)
     best = res.records[res.best_epoch - 1]
     assert best.val_f1.hex() == report.overall.f1.hex()
     assert best.val_dsc.hex() == res.best_val_dsc.hex() == report.dsc.hex()
@@ -763,6 +767,9 @@ def test_train_validates_inputs():
         train([], posts, synthetic_bank(), TINY_MC, TINY_TC)
     with pytest.raises(ValueError):
         train(posts, posts, None, TINY_MC, TINY_TC)  # adapter on, no bank
+    junk = [AnnotatedPost("junk", "🙂 https://t.co/x")]
+    with pytest.raises(ValueError, match="no usable examples after preprocessing"):
+        train(posts, junk, synthetic_bank(), TINY_MC, TINY_TC)
 
 
 def test_train_rejects_a_bank_without_the_adapter():
@@ -836,6 +843,16 @@ def test_layer_sweep_rows():
                        "dsc": res.best_val_dsc}
     with pytest.raises(ValueError):
         layer_sweep(tr, va, synthetic_bank(), TINY_MC, tc, [99])
+
+
+def test_layer_sweep_checks_every_layer_before_training(monkeypatch):
+    monkeypatch.setattr(training_mod, "train", lambda *args: pytest.fail("trained"))
+    posts = generate_corpus(n_posts=20, seed=6)
+    for layers, message in [([1, 2, 9], "adapter layer 9 outside [1, 2]"),
+                            ([2, 1, 2], "layers must be distinct, got [2, 1, 2]"),
+                            ([], "no layers to sweep")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            layer_sweep(posts, posts, synthetic_bank(), TINY_MC, TINY_TC, layers)
 
 
 def test_layer_sweep_rejects_a_model_without_the_adapter(monkeypatch):
