@@ -101,6 +101,8 @@ def micro_overall_prf(preds: list[set[int]], golds: list[set[int]]) -> Scores:
     """Pooled-over-tokens variant of the overall score."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} references")
+    if not preds:
+        raise ValueError("no posts to score")
     return _prf(sum(len(a & g) for a, g in zip(preds, golds)),
                 sum(map(len, preds)), sum(map(len, golds)))
 

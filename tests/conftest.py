@@ -6,10 +6,11 @@ import pytest
 from hypothesis import settings
 
 import claimspan.model as model_mod
+import claimspan.preprocess as preprocess
+import claimspan.training as training_mod
 from claimspan.encoder import ModelConfig
 from claimspan.model import Vocabulary, init_model_params
 from claimspan.preprocess import AnnotatedPost, CharSpan
-from claimspan.training import grad_check
 
 # Tier-1 runs the same Hypothesis examples on every run, with no wall-clock
 # deadline, so its outcome does not depend on chance or machine load.
@@ -51,22 +52,32 @@ def small_corpus() -> list:
     ]
 
 
-GradCheckRun = namedtuple("GradCheckRun", "report tokenized elapsed_s")
+GradCheckRun = namedtuple("GradCheckRun", "report tokenized steps elapsed_s")
 
 
 @pytest.fixture(scope="session")
 def default_grad_check() -> GradCheckRun:
     """One default ``grad_check()`` run, shared by the tests that assert on
-    its report, with the texts it tokenized and its wall time."""
-    real, tokenized = model_mod.tokenize, []
+    its report, with the texts it tokenized, the (config, batch, bank, rng)
+    of each training step it ran and its wall time."""
+    real_tokenize, tokenized = preprocess.tokenize, []
+    real_step, steps = training_mod.batch_gradients, []
 
     def counting(text):
         tokenized.append(text)
-        return real(text)
+        return real_tokenize(text)
+
+    def recording(params, config, batch, bank, rng=None, grads=None):
+        steps.append((config, batch, bank, rng))
+        return real_step(params, config, batch, bank, rng, grads)
 
     with pytest.MonkeyPatch.context() as mp:
+        # posts reach tokenize through preprocess.encode_post, bank texts
+        # through model.bank_token_ids
+        mp.setattr(preprocess, "tokenize", counting)
         mp.setattr(model_mod, "tokenize", counting)
+        mp.setattr(training_mod, "batch_gradients", recording)
         tic = time.perf_counter()
-        report = grad_check()
+        report = training_mod.grad_check()
         elapsed_s = time.perf_counter() - tic
-    return GradCheckRun(report, tokenized, elapsed_s)
+    return GradCheckRun(report, tokenized, steps, elapsed_s)

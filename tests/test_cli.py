@@ -537,7 +537,7 @@ def test_gradcheck_passes(shared_grad_check, capsys):
     assert main(["gradcheck"]) == 0
     doc = read_stdout_json(capsys)
     assert doc["passed"] is True
-    assert doc["max_rel_err"] < doc["tolerance"] == 1e-4
+    assert doc["max_rel_err"] < doc["tolerance"] == 1e-5
 
 
 def test_gradcheck_pretty_prints_per_tensor(shared_grad_check, capsys):

@@ -102,10 +102,11 @@ def test_length_mismatch_raises():
         build_report([["B"]], [["B"], ["O"]])
     with pytest.raises(ValueError, match="2 predictions vs 1 references"):
         overall_prf([{0}, set()], [{0}])
-    with pytest.raises(ValueError, match="no posts to score"):
-        overall_prf([], [])
     with pytest.raises(ValueError, match="1 predictions vs 2 references"):
         micro_overall_prf([{0}], [{0}, set()])
+    for score in (overall_prf, micro_overall_prf, mean_dice):
+        with pytest.raises(ValueError, match="no posts to score"):
+            score([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import claimspan.crf as crf_mod
+import claimspan.descnet as descnet_mod
 import claimspan.preprocess as preprocess
 import claimspan.model as model_mod
 import claimspan.synthetic as synthetic
@@ -22,7 +23,6 @@ from claimspan.model import (
     init_model_params,
     post_to_example,
     predict_tags,
-    sequence_loss,
 )
 from claimspan.numerics import flat_views, named_arrays
 from claimspan.packing import _CHUNK_TOKENS, Packing, make_chunks
@@ -403,9 +403,10 @@ def test_train_nan_aborts_with_diagnostic(monkeypatch):
 
 
 def test_train_applies_true_batch_gradient(monkeypatch):
-    # The gradient handed to Adam on a later step of an epoch must be the
-    # gradient of that batch's mean loss at that step's parameters, with the
-    # description bank encoded from those same parameters.
+    # The gradient handed to Adam on a later step of an epoch is, bitwise,
+    # the batch step's gradient (which grad_check checks against finite
+    # differences) at that step's parameters, with the description bank
+    # encoded from those same parameters.
     tr, va, _ = split_corpus(_mini_corpus(4 * MULTI_CHUNK_POSTS))
     tc = dataclasses.replace(TINY_TC, batch_size=MULTI_CHUNK_POSTS, max_epochs=1, patience=1,
                              learning_rate=2e-2)
@@ -431,30 +432,9 @@ def test_train_applies_true_batch_gradient(monkeypatch):
     params, grads, examples = multi[-1]
     assert len(examples) > 2
     mc = res.model_config
-
-    def mean_loss() -> float:
-        # each example run alone, as a chunk of one
-        bank = build_bank(synthetic_bank(), res.vocab, params, mc)
-        return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank,
-                                            Packing([len(ex.token_ids)]))[0][0]
-                              for ex in examples]))
-
-    # one central difference per tensor, along a random direction. The loss
-    # is only piecewise smooth (CoDA's L1 distance, IGM's max-pool); at these
-    # trained weights a difference step of 1e-5 along the token-embedding
-    # direction crosses a kink, one of 1e-6 crosses none.
-    rng = np.random.default_rng(0)
-    step = 1e-6
-    for (name, arr), (_n, g) in zip(named_arrays(params), named_arrays(grads)):
-        direction = rng.normal(size=arr.shape)
-        arr += step * direction
-        up = mean_loss()
-        arr -= 2 * step * direction
-        down = mean_loss()
-        arr += step * direction
-        fd = (up - down) / (2 * step)
-        analytic = float((g * direction).sum())
-        assert abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), 1e-3), name
+    bank = build_bank(synthetic_bank(), res.vocab, params, mc)
+    expected, _losses = real_grads(params, mc, examples, bank)
+    assert grads.vector.tobytes() == expected.vector.tobytes()
 
 
 def test_model_config_owns_adapter_switches():
@@ -523,97 +503,27 @@ def test_batch_gradients_converts_each_chunks_tags_once(monkeypatch):
     assert converted == [chunk.packing.n_rows for chunk in chunks]
 
 
-def _probe_params(vocab, seed, mc):
-    """Weights of a model of config ``mc`` at O(1) scale, as in grad_check,
-    so no backward formula hides behind a small gradient."""
-    rng = np.random.default_rng(seed)
-    params = init_model_params(mc, len(vocab), len(synthetic_bank()), rng)
-    for name, arr in named_arrays(params):
-        if name.endswith("_gain"):
-            arr[...] = 1.0 + 0.2 * rng.normal(size=arr.shape)
-        else:
-            arr[...] = 0.3 * rng.normal(size=arr.shape)
-    return params
-
-
-# Without IGM every row's CoDA output reaches the loss, so a difference step
-# on this batch crosses some of CoDA's L1 kinks at any usable step size; the
-# no-IGM variant uses smooth dpa attention, and
-# test_grad_check_passes_without_igm checks CoDA without IGM on grad_check's
-# small probe. CoDA runs at four probe points, and once with dropout on. One
-# case puts the adapter below TINY_MC's second block, as the layer sweep
-# does, so the backward must run it between the two blocks.
+# Each case checks the training step of one model layout with dropout on at
+# ModelConfig's default rate: CoDA at four probe points, dpa, each without
+# IGM, no adapter, the adapter below the probe's second block (as the layer
+# sweep trains it, so the backward must run it between the two blocks), once
+# with dropout at a higher rate, and once with dropout off.
 @pytest.mark.parametrize("variant,seed", [
-    ({"attention_variant": "coda"}, 1), ({"attention_variant": "coda"}, 2),
-    ({"attention_variant": "coda"}, 3), ({"attention_variant": "coda"}, 4),
-    ({"attention_variant": "coda", "dropout_p": 0.1}, 1),
+    ({}, 1), ({}, 2), ({}, 3), ({}, 4), ({"dropout_p": 0.3}, 1),
     ({"attention_variant": "dpa"}, 1),
-    ({"use_igm": False, "attention_variant": "dpa"}, 1), ({"use_descnet": False}, 1),
-    ({"adapter_layer": 1}, 1)],
+    ({"use_igm": False, "attention_variant": "dpa"}, 1), ({"use_igm": False}, 1),
+    ({"use_descnet": False}, 1), ({"adapter_layer": 1}, 1), ({"dropout_p": 0.0}, 1)],
     ids=["coda", "coda-seed2", "coda-seed3", "coda-seed4", "coda-dropout", "dpa", "no_igm",
-         "no_descnet", "adapter_layer1"])
+         "no_igm-coda", "no_descnet", "adapter_layer1", "dropout0"])
 def test_batch_gradients_match_fd_on_ragged_batch(variant, seed):
-    # the packed batch step's gradient is the gradient of the batch's mean
-    # loss, each example's loss taken alone. The loss is only piecewise
-    # smooth (CoDA's L1 distance, IGM's max-pool), and a difference step can
-    # cross a kink: a direction that misses at step 1e-5 is checked again at
-    # 1e-6, and fails only if it misses there too.
-    mc = dataclasses.replace(TINY_MC, **variant)
-    vocab, batch = _ragged_batch()
-    params = _probe_params(vocab, seed=seed, mc=mc)
-    # With dropout on, the step draws its masks chunk by chunk from the
-    # generator. The step and every loss below start a generator from one
-    # saved state and run the same chunks, so all draw the same masks.
-    saved = np.random.default_rng(seed).bit_generator.state
-
-    def replay():
-        if not mc.dropout_p:
-            return None
-        rng = np.random.default_rng()
-        rng.bit_generator.state = saved
-        return rng
-
-    grads, losses = training_mod.batch_gradients(
-        params, mc, batch, build_bank(synthetic_bank(), vocab, params, mc), replay())
-    # every stored tensor can change the loss: none has a gradient that is 0,
-    # or roundoff beside the largest tensor's
-    peaks = {name: np.max(np.abs(g)) for name, g in named_arrays(grads)}
-    top = max(peaks.values())
-    assert not [name for name, peak in peaks.items() if peak <= 1e-8 * top]
-
-    def mean_loss() -> float:
-        bank = build_bank(synthetic_bank(), vocab, params, mc)
-        rng = replay()
-        if rng is None:
-            return float(np.mean([sequence_loss(params, mc, ex.token_ids, ex.gold_tags, bank,
-                                                Packing([len(ex.token_ids)]))[0][0]
-                                  for ex in batch]))
-        return float(np.mean(np.concatenate([
-            sequence_loss(params, mc, chunk.token_ids,
-                          [t for i in chunk.order for t in batch[i].gold_tags], bank,
-                          chunk.packing, rng)[0]
-            for chunk in make_chunks([ex.token_ids for ex in batch])])))
-
-    assert np.mean(losses) == pytest.approx(mean_loss(), rel=1e-12)
-
-    def central_difference(arr, direction, step) -> float:
-        arr += step * direction
-        up = mean_loss()
-        arr -= 2 * step * direction
-        down = mean_loss()
-        arr += step * direction
-        return (up - down) / (2 * step)
-
-    def agrees(analytic, fd) -> bool:
-        return abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), 1e-3)
-
-    rng = np.random.default_rng(1)
-    for (name, arr), (_n, g) in zip(named_arrays(params), named_arrays(grads)):
-        direction = rng.normal(size=arr.shape)
-        analytic = float((g * direction).sum())
-        if not agrees(analytic, central_difference(arr, direction, 1e-5)):
-            fd = central_difference(arr, direction, 1e-6)
-            assert agrees(analytic, fd), (name, analytic, fd)
+    config = ModelConfig(seed=seed, **variant)
+    report = grad_check(config)
+    assert report.passed, f"max_rel_err {report.max_rel_err} at {report.parameter}"
+    # every stored tensor is checked; a model stores the gate tensors only
+    # with IGM on
+    gates = [name for name in report.per_tensor
+             if name.split(".")[1] in ("conflict", "refine", "w_a", "b_a")]
+    assert bool(gates) == (config.use_descnet and config.use_igm)
 
 
 @st.composite
@@ -640,7 +550,8 @@ def _ragged_sequences(draw):
 def test_batch_invariance_of_loss_gradient_and_tags(case):
     seqs, pick = case
     vocab = Vocabulary.build([[f"w{i}" for i in range(19)] + synthetic_bank()], 64)
-    params = _probe_params(vocab, seed=len(seqs), mc=TINY_MC)
+    params = training_mod._unit_scale_params(TINY_MC, len(vocab), len(synthetic_bank()),
+                                             np.random.default_rng(len(seqs)))
     bank = build_bank(synthetic_bank(), vocab, params, TINY_MC)
     batch = [Example(f"s{i}", [], ids, tags, None) for i, (ids, tags) in enumerate(seqs)]
     assert len(make_chunks([ex.token_ids for ex in batch])) >= 2
@@ -784,23 +695,26 @@ def test_train_rejects_a_bank_without_the_adapter():
 # gradient checker
 
 def test_grad_check_passes_default_instance(default_grad_check):
-    # the probe post and each check-bank text are tokenized once, not once
+    # each probe post and each check-bank text is tokenized once, not once
     # per finite-difference evaluation
-    report, calls, _elapsed = default_grad_check
+    report, calls = default_grad_check.report, default_grad_check.tokenized
+    ((_config, batch, _bank, _rng),) = default_grad_check.steps
     assert report.passed, f"max_rel_err {report.max_rel_err} at {report.parameter}"
-    assert report.max_rel_err < 1e-4
-    assert report.tolerance == 1e-4
-    assert len(calls) <= 1 + len(training_mod._CHECK_BANK)
+    assert report.tolerance == 1e-5
+    assert len(calls) <= len(batch) + len(training_mod._CHECK_BANK)
 
 
-def test_grad_check_passes_without_igm():
-    # CoDA without the gating mechanism, which the ragged-batch check runs
-    # with dpa only; the model stores no gate tensors, and each it stores
-    # has a gradient
-    report = grad_check(dataclasses.replace(TINY_MC, use_igm=False))
-    assert report.passed, f"max_rel_err {report.max_rel_err} at {report.parameter}"
-    assert not [name for name in report.per_tensor
-                if name.split(".")[1] in ("conflict", "refine", "w_a", "b_a")]
+def test_grad_check_runs_the_training_step_on_a_ragged_batch(default_grad_check):
+    # one step, as train runs it: dropout on at the config's rate, and a
+    # batch packed in two or more chunks that share one bank, holding a
+    # one-token post and a post cut at max_len
+    ((config, batch, bank, rng),) = default_grad_check.steps
+    assert config.dropout_p == ModelConfig().dropout_p > 0.0 and rng is not None
+    assert bank is not None
+    lengths = [len(ex.token_ids) for ex in batch]
+    assert min(lengths) == 1 and max(lengths) == config.max_len
+    assert len(make_chunks([ex.token_ids for ex in batch])) >= 2
+    assert max(len(text.split()) for text in default_grad_check.tokenized) > config.max_len
 
 
 def test_grad_check_catches_sabotage(monkeypatch):
@@ -815,6 +729,28 @@ def test_grad_check_catches_sabotage(monkeypatch):
     report = grad_check()
     assert not report.passed
     assert report.parameter == "descnet.w_proj"
+
+
+def test_grad_check_fails_a_tensor_that_cannot_change_the_loss(monkeypatch):
+    # the gate's bias is stored but left out of the loss, and its gradient is
+    # 0: with both slopes 0 the comparison alone would pass it
+    real_forward, real_backward = descnet_mod.igm_forward, descnet_mod.igm_backward
+
+    def forward(zp, z, params, packing):
+        return real_forward(zp, z, dataclasses.replace(params, b_a=0.0 * params.b_a), packing)
+
+    def backward(d_out, cache, params, grads):
+        out = real_backward(d_out, cache, params, grads)
+        grads.b_a[...] = 0.0
+        return out
+
+    monkeypatch.setattr(descnet_mod, "igm_forward", forward)
+    monkeypatch.setattr(descnet_mod, "igm_backward", backward)
+    report = grad_check()
+    assert not report.passed
+    assert report.parameter == "descnet.b_a" and report.max_rel_err == 1.0
+    others = [err for name, err in report.per_tensor.items() if name != "descnet.b_a"]
+    assert max(others) < report.tolerance
 
 
 def test_grad_check_covers_descnet_tensors(default_grad_check):
