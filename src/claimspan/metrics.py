@@ -77,20 +77,22 @@ def dice(pred: set[int], gold: set[int]) -> float:
     return 2.0 * len(pred & gold) / (len(pred) + len(gold))
 
 
-def mean_dice(preds: list[set[int]], golds: list[set[int]]) -> float:
+def _check_posts(preds: list[set[int]], golds: list[set[int]]) -> None:
+    """One in-span set per post on each side, and at least one post."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} references")
     if not preds:
         raise ValueError("no posts to score")
+
+
+def mean_dice(preds: list[set[int]], golds: list[set[int]]) -> float:
+    _check_posts(preds, golds)
     return sum(dice(a, g) for a, g in zip(preds, golds)) / len(preds)
 
 
 def overall_prf(preds: list[set[int]], golds: list[set[int]]) -> Scores:
     """Macro-over-posts precision and recall; F1 as their harmonic mean."""
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} references")
-    if not preds:
-        raise ValueError("no posts to score")
+    _check_posts(preds, golds)
     per_post = [set_prf(a, g) for a, g in zip(preds, golds)]
     p = sum(s.p for s in per_post) / len(per_post)
     r = sum(s.r for s in per_post) / len(per_post)
@@ -99,10 +101,7 @@ def overall_prf(preds: list[set[int]], golds: list[set[int]]) -> Scores:
 
 def micro_overall_prf(preds: list[set[int]], golds: list[set[int]]) -> Scores:
     """Pooled-over-tokens variant of the overall score."""
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} references")
-    if not preds:
-        raise ValueError("no posts to score")
+    _check_posts(preds, golds)
     return _prf(sum(len(a & g) for a, g in zip(preds, golds)),
                 sum(map(len, preds)), sum(map(len, golds)))
 

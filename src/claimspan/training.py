@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
@@ -264,7 +265,8 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     """Adam training with early stopping on validation dice.
 
     Keeps the parameters from the epoch with the best validation dice; stops
-    once that score has failed to improve for ``patience`` consecutive epochs.
+    once that score has failed to improve for ``patience`` consecutive epochs,
+    and reports ``stopped_early`` only when that leaves epochs unrun.
     """
     if not corpus_train or not corpus_val:
         raise ValueError("training and validation corpora must be non-empty")
@@ -298,12 +300,8 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
     bank = encode_bank()
     records: list[EpochRecord] = []
     best_params = flat_views(params, params.vector.copy())
-    best_dsc = -math.inf
     best_epoch = 0
-    bad_epochs = 0
-    stopped_early = False
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         for epoch in range(1, tc.max_epochs + 1):
             tic = time.perf_counter()
             order = rng.permutation(len(train_ex))
@@ -327,22 +325,15 @@ def train(corpus_train: list[AnnotatedPost], corpus_val: list[AnnotatedPost],
                 log_fh.write(rec.to_json() + "\n")
                 log_fh.flush()
 
-            if rec.val_dsc > best_dsc:
-                best_dsc = rec.val_dsc
+            if best_epoch == 0 or rec.val_dsc > records[best_epoch - 1].val_dsc:
                 best_epoch = epoch
                 best_params.vector[...] = params.vector
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= tc.patience:
-                    stopped_early = True
-                    break
-    finally:
-        if log_fh:
-            log_fh.close()
+            elif epoch - best_epoch >= tc.patience:
+                break
 
     return TrainResult(best_params, vocab, mc, list(bank_texts) if bank_texts else None,
-                       records, best_epoch, best_dsc, stopped_early)
+                       records, best_epoch, records[best_epoch - 1].val_dsc,
+                       len(records) < tc.max_epochs)
 
 
 # ---------------------------------------------------------------------------

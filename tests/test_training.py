@@ -335,11 +335,10 @@ def test_train_keeps_best_dsc_checkpoint():
     assert res.best_epoch == min(r.epoch for r in res.records if r.val_dsc == best.val_dsc)
 
 
-def test_train_returns_best_epoch_parameters(monkeypatch):
-    # the parameters scored best, not the last epoch's, in a vector that
-    # later epochs' steps do not write to
-    tr, va, _ = split_corpus(_mini_corpus())
-    scores, seen = iter([0.5, 0.9, 0.3, 0.2]), []
+def _script_validation(monkeypatch, dscs):
+    """Make each epoch's validation DSC (and F1, P, R) the next of ``dscs``;
+    returns the list that collects the parameters each epoch is scored at."""
+    scores, seen = iter(dscs), []
 
     def scripted(params, *args):
         seen.append(params.vector.copy())
@@ -347,10 +346,67 @@ def test_train_returns_best_epoch_parameters(monkeypatch):
         return EvalReport(Scores(dsc, dsc, dsc), {}, dsc, None, 0, Scores(dsc, dsc, dsc))
 
     monkeypatch.setattr(training_mod, "evaluate_split", scripted)
+    return seen
+
+
+def test_train_returns_best_epoch_parameters(monkeypatch):
+    # the parameters scored best, not the last epoch's, in a vector that
+    # later epochs' steps do not write to
+    tr, va, _ = split_corpus(_mini_corpus())
+    seen = _script_validation(monkeypatch, [0.5, 0.9, 0.3, 0.2])
     res = train(tr, va, synthetic_bank(), TINY_MC, dataclasses.replace(TINY_TC, patience=4))
     assert res.best_epoch == 2 and len(seen) == 4
     assert np.array_equal(res.params.vector, seen[1])
     assert not np.array_equal(res.params.vector, seen[-1])
+
+
+@pytest.mark.parametrize("dscs, epochs_run, best_epoch", [
+    ([0.5, 0.7, 0.6], 3, 2),  # patience runs out on the last epoch: every epoch ran
+    ([0.7, 0.6, 0.9], 2, 1),  # patience runs out with an epoch left
+    ([0.7, 0.7, 0.9], 2, 1),  # a tie is no improvement
+], ids=["last-epoch-worse", "stops-at-2", "tie-stops-at-2"])
+def test_stopped_early_means_epochs_were_left(monkeypatch, dscs, epochs_run, best_epoch):
+    tr, va, _ = split_corpus(_mini_corpus())
+    _script_validation(monkeypatch, dscs)
+    tc = dataclasses.replace(TINY_TC, max_epochs=3, patience=1)
+    res = train(tr, va, synthetic_bank(), TINY_MC, tc)
+    assert [r.epoch for r in res.records] == list(range(1, epochs_run + 1))
+    assert res.best_epoch == best_epoch
+    assert res.best_val_dsc == dscs[best_epoch - 1]
+    assert res.stopped_early == (epochs_run < tc.max_epochs)
+
+
+def test_diverged_run_leaves_a_closed_log_of_its_finished_epochs(monkeypatch, tmp_path):
+    # a loss that turns NaN in epoch 2 ends the run; the log holds epoch 1's
+    # line, written before the failure, and its handle is closed
+    tr, va, _ = split_corpus(_mini_corpus())
+    real_loss, real_eval = training_mod.sequence_loss, training_mod.evaluate_split
+    handles, evaluated = [], []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    def counting_eval(*args, **kwargs):
+        evaluated.append(real_eval(*args, **kwargs))
+        return evaluated[-1]
+
+    def poisoned(*args, **kwargs):
+        losses, rest = real_loss(*args, **kwargs)
+        return (losses * np.nan if evaluated else losses), rest
+
+    monkeypatch.setattr(training_mod, "open", recording_open, raising=False)
+    monkeypatch.setattr(training_mod, "evaluate_split", counting_eval)
+    monkeypatch.setattr(training_mod, "sequence_loss", poisoned)
+    log = tmp_path / "train.log"
+    with pytest.raises(TrainingDiverged, match="epoch 2"):
+        train(tr, va, synthetic_bank(), TINY_MC, TINY_TC, log_path=log)
+    assert len(handles) == 1 and handles[0].closed
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["epoch"] == 1
+    assert doc["val_dsc"] == evaluated[0].dsc and doc["val_f1"] == evaluated[0].overall.f1
 
 
 def test_validation_scores_are_the_eval_report():
