@@ -154,10 +154,14 @@ def query(index: Bm25Index, text: str, k: int) -> list[tuple[str, float]]:
     with the query are not returned, so an all-unknown query yields [].
     Only the postings of the query terms are read. Each document's score
     adds its precomputed per-term values in query-term order, as a full scan
-    would; since every value is > 0, the documents scoring above 0 are the
-    hits. With more than k hits, only those scoring at least the k-th
+    would. The hits are the positive entries of the score vector, found
+    through the boolean mask ``scores > 0``: exact, since every stored value
+    is > 0, so a document scores above 0 exactly when it shares a term with
+    the query. With more than k hits, only those scoring at least the k-th
     largest score are sorted: documents tied with it stay in, so the tie
-    break by doc id decides the cut as a sort of all hits would.
+    break by doc id decides the cut as a sort of all hits would. Results
+    hold Python values, not NumPy scalars: each document's own id and a
+    ``float`` score.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -165,17 +169,17 @@ def query(index: Bm25Index, text: str, k: int) -> list[tuple[str, float]]:
     if not spans:
         return []
     # bincount adds the weights into zeros in the order given, term by term.
-    scores = np.bincount(np.concatenate([index.posting_docs[s] for s in spans]),
-                         np.concatenate([index.posting_values[s] for s in spans]),
+    scores = np.bincount(np.concatenate(list(map(index.posting_docs.__getitem__, spans))),
+                         np.concatenate(list(map(index.posting_values.__getitem__, spans))),
                          index.n_docs)
-    hits = np.flatnonzero(scores)
+    hits = np.flatnonzero(scores > 0.0)
     hit_scores = scores[hits]
     if hits.size > k:
         cut = hits.size - k
         keep = hit_scores >= np.partition(hit_scores, cut)[cut]
         hits, hit_scores = hits[keep], hit_scores[keep]
     top = hits[np.lexsort((index.doc_rank[hits], -hit_scores))[:k]]
-    return [(index.doc_ids[di], float(scores[di])) for di in top]
+    return list(zip(map(index.doc_ids.__getitem__, top.tolist()), scores[top].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +231,12 @@ def compare_conditions(posts: list[AnnotatedPost], docs: list[dict],
 
     A post with no annotated spans gets an empty span-condition query and
     scores 0 there; both conditions always cover every post.
+
+    Posts and judgments must match one to one: a repeated post id, a post
+    with no judgment entry (one with no relevant documents needs an empty
+    one), a judgment for no post, or a relevant id that names no document
+    is a ValueError naming the first offender in input order (among one
+    judgment's unknown ids, the least).
     """
     if not posts:
         raise ValueError("no query posts")
@@ -234,6 +244,7 @@ def compare_conditions(posts: list[AnnotatedPost], docs: list[dict],
         raise ValueError(f"cutoffs must be non-empty and distinct, got {list(k_list)}")
     if min(k_list) < 1:
         raise ValueError(f"k must be positive, got {min(k_list)}")
+    _check_judgments(posts, docs, relevant_by_query)
     index = build_index(docs)
     max_k = max(k_list)
     conditions = {"tweets": lambda p: p.text, "spans": span_query_text}
@@ -243,13 +254,34 @@ def compare_conditions(posts: list[AnnotatedPost], docs: list[dict],
         sums.update({f"ndcg@{k}": 0.0 for k in k_list})
         for post in posts:
             ranked = [d for d, _s in query(index, to_query(post), max_k)]
-            judged = RetrievalJudgment(post.id, ranked,
-                                       relevant_by_query.get(post.id, set()))
+            judged = RetrievalJudgment(post.id, ranked, relevant_by_query[post.id])
             for k in k_list:
                 sums[f"p@{k}"] += precision_at_k(judged, k)
                 sums[f"ndcg@{k}"] += ndcg_at_k(judged, k)
         report["conditions"][name] = {key: val / len(posts) for key, val in sums.items()}
     return report
+
+
+def _check_judgments(posts: list[AnnotatedPost], docs: list[dict],
+                     relevant_by_query: dict[str, set]) -> None:
+    """Raise ValueError unless every post id is distinct and has a judgment,
+    every judgment is for a post and every relevant id names a document."""
+    post_ids = set()
+    for post in posts:
+        if post.id in post_ids:
+            raise ValueError(f"duplicate query post id {post.id!r}")
+        if post.id not in relevant_by_query:
+            raise ValueError(f"query post {post.id!r} has no judgment entry "
+                             "(give an empty list when no document is relevant)")
+        post_ids.add(post.id)
+    doc_ids = {doc["id"] for doc in docs}
+    for query_id, relevant in relevant_by_query.items():
+        if query_id not in post_ids:
+            raise ValueError(f"judgment for {query_id!r} names no query post")
+        unknown = relevant - doc_ids
+        if unknown:
+            raise ValueError(f"judgment for {query_id!r}: relevant id "
+                             f"{min(unknown)!r} names no document")
 
 
 # ---------------------------------------------------------------------------

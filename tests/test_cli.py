@@ -612,6 +612,19 @@ def test_retrieve_eval(tmp_path, capsys):
     assert "[3, 3]" in capsys.readouterr().err
 
 
+def test_retrieve_eval_post_without_judgment_exits_one(tmp_path, capsys):
+    # a post whose judgment line is missing would score 0 in both conditions
+    posts_path, docs_path, judg_path, relevant = _retrieval_files(tmp_path)
+    dropped = sorted(relevant)[5]
+    judg_path.write_text("".join(
+        json.dumps({"query_id": pid, "relevant": sorted(rel)}) + "\n"
+        for pid, rel in relevant.items() if pid != dropped))
+    rc = main(["retrieve-eval", "--input", str(posts_path), "--docs", str(docs_path),
+               "--judgments", str(judg_path)])
+    assert rc == 1
+    assert f"query post {dropped!r} has no judgment entry" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, raw", [("--k", "3,,5"), ("--k", "3,"), ("--k", ","),
                                        ("--layers", "1,,2")])
 def test_int_list_flag_rejects_empty_parts(tmp_path, corpus_file, capsys, flag, raw):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -141,6 +142,17 @@ def test_query_tie_broken_by_doc_id():
     index = build_index(docs)
     ranked = [d for d, _s in query(index, "alpha", k=3)]
     assert ranked == ["a", "b"]
+
+
+@pytest.mark.parametrize("k", [1, 3], ids=["cut", "all-hits"])
+def test_query_returns_plain_python_values(k):
+    # k=1 cuts two hits to one; k=3 returns both
+    results = query(build_index(DOCS3), "garlic cures", k)
+    assert type(results) is list and len(results) == min(k, 2)
+    for pair in results:
+        # np.float64 subclasses float, so test the exact types
+        assert type(pair) is tuple and list(map(type, pair)) == [str, float]
+    assert [tuple(pair) for pair in json.loads(json.dumps(results))] == results
 
 
 def test_query_k_validation():
@@ -377,6 +389,38 @@ def test_compare_conditions_empty_posts(monkeypatch):
             compare_conditions(posts, DOCS3, {"p1": {"d1"}}, k_list=k_list)
     with pytest.raises(ValueError, match="k must be positive, got 0"):
         compare_conditions(posts, DOCS3, {"p1": {"d1"}}, k_list=(0, 3))
+
+
+# Each mismatch between posts and judgments would score or drop a query in
+# silence; the error names the first offender in input order.
+@pytest.mark.parametrize("post_ids, rel, offender", [
+    # p2 would score 0 and still count in the means
+    (["p1", "p2", "p3"], {"p1": {"d1"}}, "query post 'p2' has no judgment entry"),
+    # a judgment for no post would be ignored
+    (["p1"], {"p1": {"d1"}, "typo": set(), "typo2": set()},
+     "judgment for 'typo' names no query post"),
+    # a repeated post would be scored twice
+    (["p1", "p2", "p2", "p1"], {"p1": {"d1"}, "p2": set()},
+     "duplicate query post id 'p2'"),
+    # an id naming no document can never be retrieved
+    (["p1", "p2"], {"p1": {"d1"}, "p2": {"zz", "d3", "yy"}, "p3": {"xx"}},
+     "judgment for 'p2': relevant id 'yy' names no document"),
+], ids=["post-without-judgment", "judgment-without-post", "repeated-post",
+        "unknown-document"])
+def test_compare_conditions_rejects_mismatched_judgments(monkeypatch, post_ids, rel,
+                                                         offender):
+    monkeypatch.setattr(retrieval, "build_index", lambda docs: pytest.fail("indexed"))
+    posts = [_post(pid, "garlic cures covid", [(0, 18)]) for pid in post_ids]
+    with pytest.raises(ValueError, match=re.escape(offender)):
+        compare_conditions(posts, DOCS3, rel, k_list=(1,))
+
+
+def test_compare_conditions_empty_judgment_scores_zero():
+    posts = [_post("p1", "garlic cures covid", [(0, 18)]),
+             _post("p2", "garlic cures covid", [(0, 18)])]
+    report = compare_conditions(posts, DOCS3, {"p1": {"d1"}, "p2": set()}, k_list=(1,))
+    assert report["n_queries"] == 2
+    assert report["conditions"]["spans"]["p@1"] == 0.5
 
 
 # ---------------------------------------------------------------------------
